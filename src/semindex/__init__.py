@@ -43,7 +43,6 @@ from .index import (
     Index,
     IndexFormatError,
     IndexMode,
-    Posting,
     RankedList,
     ScoredDoc,
     build_index,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 from typing import IO, Union
 
@@ -14,25 +15,50 @@ class DataError(ValueError):
 
 
 def read_text(source: TextSource) -> str:
-    """Return the full UTF-8 text of a path or file-like object."""
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            return data.decode("utf-8")
-        return data
-    return Path(source).read_text(encoding="utf-8")
+    """Return the full UTF-8 text of a path or file-like object.
+
+    Bytes that are not UTF-8 raise DataError naming the source.
+    """
+    is_stream = hasattr(source, "read")
+    try:
+        if is_stream:
+            data = source.read()
+            return data.decode("utf-8") if isinstance(data, bytes) else data
+        return Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        where = getattr(source, "name", "input stream") if is_stream else source
+        raise DataError(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def is_field(value: str) -> bool:
+    """True if ``value`` can be one field of a whitespace-separated line
+    (a TREC run or qrels line): non-empty and free of whitespace."""
+    return value.split() == [value]
 
 
 def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
-    """Write via a sibling temp file and rename, so partial files never land."""
+    """Write via a unique sibling temp file, fsync, then rename, so a partial
+    file never lands at ``path`` and a landed one survives a crash."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        tmp.write_bytes(data)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        # mkstemp creates the file 0600; give it the mode a plain open()
+        # would have.
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def atomic_write_text(path: Union[str, os.PathLike], text: str) -> None:

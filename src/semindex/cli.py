@@ -19,6 +19,7 @@ from .engine import (
     DEFAULT_RUN_TAG,
     MissingIndexError,
     Query,
+    Run,
     SearchSystem,
     SearchType,
     read_queries,
@@ -37,7 +38,7 @@ from .evalkit import (
     render_threeway,
     threeway_report,
 )
-from .index import IndexMode, build_index, load_index, read_corpus
+from .index import CorpusReadResult, Index, IndexMode, build_index, load_index, read_corpus
 from .lexicon import Lexicon, load_lexicon
 from .textnorm import load_stopwords
 
@@ -92,20 +93,27 @@ def _require(cfg: Config, key: str, why: str) -> Path:
     return value
 
 
-def _build_and_save(cfg: Config, mode: IndexMode, export_json: Path | None = None) -> dict:
-    corpus_path = _require(cfg, "corpus", "to build an index")
-    lex = None
-    if mode is IndexMode.SEMANTIC:
-        _require(cfg, "lexicon", "for a semantic index")
-        lex = _load_lexicon(cfg)
-    read_result = read_corpus(corpus_path)
-    for skip in read_result.skipped:
+def _read_corpus(cfg: Config) -> CorpusReadResult:
+    result = read_corpus(_require(cfg, "corpus", "to build an index"))
+    for skip in result.skipped:
         logger.warning("corpus line %d skipped: %s", skip.line_no, skip.reason)
+    return result
+
+
+def _build_and_save(
+    cfg: Config,
+    mode: IndexMode,
+    corpus: CorpusReadResult,
+    lex: Lexicon | None,
+    stoplist: frozenset[str],
+    export_json: Path | None = None,
+) -> tuple[Index, dict]:
+    """Build one index, save it with its ``*.build.json``, and return both."""
     idx = build_index(
-        read_result.documents,
+        corpus.documents,
         mode,
         lex,
-        _load_stoplist(cfg),
+        stoplist,
         max_concept_tokens=cfg.max_concept_tokens,
         workers=cfg.workers,
     )
@@ -115,8 +123,8 @@ def _build_and_save(cfg: Config, mode: IndexMode, export_json: Path | None = Non
     report = {
         "mode": mode.value,
         "documents_indexed": idx.doc_count,
-        "documents_skipped": len(read_result.skipped),
-        "skipped": [{"line": s.line_no, "reason": s.reason} for s in read_result.skipped],
+        "documents_skipped": len(corpus.skipped),
+        "skipped": [{"line": s.line_no, "reason": s.reason} for s in corpus.skipped],
         "vocabulary_size": idx.vocabulary_size,
     }
     atomic_write_text(
@@ -126,7 +134,25 @@ def _build_and_save(cfg: Config, mode: IndexMode, export_json: Path | None = Non
     if export_json is not None:
         atomic_write_text(export_json, idx.export_json() + "\n")
     logger.info("wrote %s (%d docs, %d terms)", index_path, idx.doc_count, idx.vocabulary_size)
-    return report
+    return idx, report
+
+
+def _search_system(
+    cfg: Config,
+    lex: Lexicon,
+    stoplist: frozenset[str],
+    plain_index: Index | None = None,
+    semantic_index: Index | None = None,
+) -> SearchSystem:
+    return SearchSystem(
+        plain_index=plain_index,
+        semantic_index=semantic_index,
+        lexicon=lex,
+        stoplist=stoplist,
+        k1=cfg.k1,
+        b=cfg.b,
+        max_concept_tokens=cfg.max_concept_tokens,
+    )
 
 
 def _load_system(cfg: Config, st: SearchType) -> SearchSystem:
@@ -138,25 +164,12 @@ def _load_system(cfg: Config, st: SearchType) -> SearchSystem:
         )
     idx = load_index(path)
     lex = _load_lexicon(cfg) if st.expands_query else Lexicon()
-    system = SearchSystem(
-        lexicon=lex,
-        stoplist=_load_stoplist(cfg),
-        k1=cfg.k1,
-        b=cfg.b,
-        max_concept_tokens=cfg.max_concept_tokens,
-    )
     if needed is IndexMode.SEMANTIC:
-        system.semantic_index = idx
-    else:
-        system.plain_index = idx
-    return system
+        return _search_system(cfg, lex, _load_stoplist(cfg), semantic_index=idx)
+    return _search_system(cfg, lex, _load_stoplist(cfg), plain_index=idx)
 
 
-def _run_batch(cfg: Config, st: SearchType) -> tuple[Path, Path]:
-    queries_path = _require(cfg, "queries", "to run a batch")
-    system = _load_system(cfg, st)
-    queries = read_queries(queries_path)
-    run = system.batch_run(queries, st, depth=cfg.depth, tag=cfg.tag)
+def _write_run_files(cfg: Config, st: SearchType, run: Run) -> tuple[Path, Path]:
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     run_path, found_path = _run_path(cfg, st), _found_path(cfg, st)
     write_run(run, run_path, found_path)
@@ -164,9 +177,7 @@ def _run_batch(cfg: Config, st: SearchType) -> tuple[Path, Path]:
     return run_path, found_path
 
 
-def _evaluate_run_file(cfg: Config, run_file: Path, qrels) -> EvalResult:
-    run = read_run(run_file, _sidecar_for(run_file))
-    system_label = run_file.name.removesuffix(".run")
+def _evaluate(run: Run, qrels, system_label: str) -> EvalResult:
     result = evaluate_run(run, qrels, system=system_label)
     if result.skipped_qids:
         logger.warning(
@@ -176,6 +187,11 @@ def _evaluate_run_file(cfg: Config, run_file: Path, qrels) -> EvalResult:
             ", ".join(result.skipped_qids),
         )
     return result
+
+
+def _evaluate_run_file(run_file: Path, qrels) -> EvalResult:
+    run = read_run(run_file, _sidecar_for(run_file))
+    return _evaluate(run, qrels, run_file.name.removesuffix(".run"))
 
 
 def _write_eval_outputs(cfg: Config, results: list[EvalResult]) -> str:
@@ -191,21 +207,14 @@ def _write_eval_outputs(cfg: Config, results: list[EvalResult]) -> str:
     return summary_tsv
 
 
-def _compare_runs(cfg: Config, baseline: Path, treatments: list[Path]) -> str:
-    qrels_path = _require(cfg, "qrels", "to compare runs")
-    qrels = read_qrels(qrels_path)
-    base_result = _evaluate_run_file(cfg, baseline, qrels)
-    base_stem = baseline.name.removesuffix(".run")
+def _write_comparison(cfg: Config, baseline: EvalResult, treatments: list[EvalResult]) -> str:
+    """Delta and bucket reports of each treatment against the baseline, plus
+    the three-way report when there are exactly three treatments."""
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
-
     stdout_parts = []
-    treatment_results = []
-    for treatment in treatments:
-        result = _evaluate_run_file(cfg, treatment, qrels)
-        treatment_results.append(result)
-        stem = treatment.name.removesuffix(".run")
-        report = delta_report(list(base_result.records), list(result.records))
-        prefix = f"{base_stem}_vs_{stem}"
+    for result in treatments:
+        report = delta_report(list(baseline.records), list(result.records))
+        prefix = f"{baseline.summary.system}_vs_{result.summary.system}"
         atomic_write_text(cfg.report_dir / f"{prefix}.deltas.tsv", render_deltas(report.records, "tsv"))
         atomic_write_text(cfg.report_dir / f"{prefix}.deltas.json", render_deltas(report.records, "json"))
         buckets_tsv = render_buckets(report.buckets, "tsv")
@@ -213,14 +222,9 @@ def _compare_runs(cfg: Config, baseline: Path, treatments: list[Path]) -> str:
         atomic_write_text(cfg.report_dir / f"{prefix}.buckets.json", render_buckets(report.buckets, "json"))
         stdout_parts.append(f"== {prefix}\n{buckets_tsv}")
 
-    if len(treatment_results) == 3:
-        labels = tuple(r.summary.system for r in treatment_results)
-        report = threeway_report(
-            list(treatment_results[0].records),
-            list(treatment_results[1].records),
-            list(treatment_results[2].records),
-            labels=labels,
-        )
+    if len(treatments) == 3:
+        labels = tuple(r.summary.system for r in treatments)
+        report = threeway_report(*(list(r.records) for r in treatments), labels=labels)
         threeway_tsv = render_threeway(report, "tsv")
         atomic_write_text(cfg.report_dir / "threeway.tsv", threeway_tsv)
         atomic_write_text(cfg.report_dir / "threeway.json", render_threeway(report, "json"))
@@ -233,7 +237,12 @@ def _compare_runs(cfg: Config, baseline: Path, treatments: list[Path]) -> str:
 
 def cmd_index(cfg: Config, args: argparse.Namespace) -> int:
     mode = IndexMode(args.mode)
-    report = _build_and_save(cfg, mode, args.export_json)
+    lex = None
+    if mode is IndexMode.SEMANTIC:
+        _require(cfg, "lexicon", "for a semantic index")
+        lex = _load_lexicon(cfg)
+    corpus = _read_corpus(cfg)
+    _, report = _build_and_save(cfg, mode, corpus, lex, _load_stoplist(cfg), args.export_json)
     print(
         f"indexed {report['documents_indexed']} documents "
         f"({report['documents_skipped']} skipped, "
@@ -244,7 +253,10 @@ def cmd_index(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_batch(cfg: Config, args: argparse.Namespace) -> int:
     st = SearchType(args.search_type)
-    run_path, found_path = _run_batch(cfg, st)
+    queries_path = _require(cfg, "queries", "to run a batch")
+    system = _load_system(cfg, st)
+    run = system.batch_run(read_queries(queries_path), st, depth=cfg.depth, tag=cfg.tag)
+    run_path, found_path = _write_run_files(cfg, st, run)
     print(f"wrote {run_path} and {found_path}")
     return EXIT_OK
 
@@ -262,32 +274,46 @@ def cmd_search(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_eval(cfg: Config, args: argparse.Namespace) -> int:
     qrels_path = _require(cfg, "qrels", "to evaluate runs")
     qrels = read_qrels(qrels_path)
-    results = [_evaluate_run_file(cfg, run_file, qrels) for run_file in args.runs]
+    results = [_evaluate_run_file(run_file, qrels) for run_file in args.runs]
     summary_tsv = _write_eval_outputs(cfg, results)
     print(summary_tsv, end="")
     return EXIT_OK
 
 
 def cmd_compare(cfg: Config, args: argparse.Namespace) -> int:
-    print(_compare_runs(cfg, args.baseline, args.treatments), end="")
+    qrels = read_qrels(_require(cfg, "qrels", "to compare runs"))
+    baseline = _evaluate_run_file(args.baseline, qrels)
+    treatments = [_evaluate_run_file(run_file, qrels) for run_file in args.treatments]
+    print(_write_comparison(cfg, baseline, treatments), end="")
     return EXIT_OK
 
 
 def cmd_pipeline(cfg: Config, args: argparse.Namespace) -> int:
-    """Full experiment: both indexes, all four run types, eval, compare."""
+    """Full experiment: both indexes, all four run types, eval, compare.
+
+    The indexes are saved but not reloaded, and each run is evaluated from
+    memory after it is written: the files hold exactly what was evaluated.
+    """
     for key in ("corpus", "lexicon", "queries", "qrels"):
         _require(cfg, key, "for the pipeline")
-    _build_and_save(cfg, IndexMode.PLAIN)
-    _build_and_save(cfg, IndexMode.SEMANTIC)
-    run_paths = {st: _run_batch(cfg, st)[0] for st in SearchType}
-
+    lex = _load_lexicon(cfg)
+    stoplist = _load_stoplist(cfg)
+    corpus = _read_corpus(cfg)
+    plain, _ = _build_and_save(cfg, IndexMode.PLAIN, corpus, None, stoplist)
+    semantic, _ = _build_and_save(cfg, IndexMode.SEMANTIC, corpus, lex, stoplist)
+    del corpus  # the texts are not needed past the builds
+    system = _search_system(cfg, lex, stoplist, plain_index=plain, semantic_index=semantic)
+    queries = read_queries(cfg.queries)
     qrels = read_qrels(cfg.qrels)
-    results = [_evaluate_run_file(cfg, run_paths[st], qrels) for st in SearchType]
-    summary_tsv = _write_eval_outputs(cfg, results)
-    comparison = _compare_runs(
-        cfg,
-        run_paths[SearchType.R0],
-        [run_paths[SearchType.R1], run_paths[SearchType.R2], run_paths[SearchType.R3]],
+
+    results = {}
+    for st in SearchType:
+        run = system.batch_run(queries, st, depth=cfg.depth, tag=cfg.tag)
+        run_path, _ = _write_run_files(cfg, st, run)
+        results[st] = _evaluate(run, qrels, run_path.name.removesuffix(".run"))
+    summary_tsv = _write_eval_outputs(cfg, list(results.values()))
+    comparison = _write_comparison(
+        cfg, results[SearchType.R0], [results[SearchType.R1], results[SearchType.R2], results[SearchType.R3]]
     )
     print(summary_tsv)
     print(comparison, end="")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from ._util import TextSource, read_text
+from ._util import TextSource, is_field, read_text
 
 
 class ConfigError(ValueError):
@@ -94,6 +94,8 @@ def validate_sanity(config: Config) -> None:
         raise ConfigError("depth must be >= 1")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if not is_field(config.tag):
+        raise ConfigError(f"tag {config.tag!r} must be non-empty and contain no whitespace")
 
 
 def config_field_names() -> list[str]:

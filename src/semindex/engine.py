@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ._util import DataError, TextSource, atomic_write_text, read_text
+from ._util import DataError, TextSource, atomic_write_text, is_field, read_text
 from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList, ScoredDoc
 from .lexicon import Lexicon
 from .semantics import DEFAULT_MAX_CONCEPT_TOKENS, expand
@@ -163,6 +163,8 @@ def read_queries(source: TextSource) -> list[Query]:
         qid = qid.strip()
         if not qid:
             raise QueryFileError(f"line {line_no}: empty qid")
+        if not is_field(qid):
+            raise QueryFileError(f"line {line_no}: qid {qid!r} contains whitespace")
         if qid in seen:
             raise QueryFileError(
                 f"line {line_no}: duplicate qid {qid!r} (first seen on line {seen[qid]})"
@@ -227,12 +229,7 @@ def read_run(
             )
         entries.append(ScoredDoc(doc_id, score, rank))
 
-    found_counts: dict[str, int] = {}
-    if found_source is not None:
-        raw = json.loads(read_text(found_source))
-        if not isinstance(raw, dict):
-            raise RunFormatError("found-count sidecar is not a JSON object")
-        found_counts = {str(qid): int(count) for qid, count in raw.items()}
+    found_counts = {} if found_source is None else _read_found_counts(found_source)
 
     # The sidecar lists every query in batch order, including zero-result
     # queries that have no TREC lines, so it is the authoritative order.
@@ -248,3 +245,16 @@ def read_run(
         found = found_counts.get(qid, len(entries))
         results.append(RankedList(qid=qid, entries=entries, found_count=found))
     return Run(search_type, tag, tuple(results))
+
+
+def _read_found_counts(source: TextSource) -> dict[str, int]:
+    try:
+        raw = json.loads(read_text(source))
+    except json.JSONDecodeError as exc:
+        raise RunFormatError(f"found-count sidecar is not valid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise RunFormatError("found-count sidecar is not a JSON object")
+    for qid, count in raw.items():
+        if type(count) is not int or count < 0:
+            raise RunFormatError(f"found-count sidecar: bad count {count!r} for query {qid!r}")
+    return raw

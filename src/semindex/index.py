@@ -14,13 +14,16 @@ import enum
 import hashlib
 import json
 import math
+import operator
 import struct
+import sys
+from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ._util import DataError, TextSource, atomic_write_bytes, read_text
+from ._util import DataError, TextSource, atomic_write_bytes, is_field, read_text
 from .lexicon import Lexicon
 from .semantics import DEFAULT_MAX_CONCEPT_TOKENS, semantize
 from .textnorm import TokenStream, remove_stopwords, tokenize
@@ -29,7 +32,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 _MAGIC = b"SIDX"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _CHECKSUM_SIZE = 32
 
 
@@ -44,12 +47,6 @@ class DuplicateDocumentError(DataError):
 class IndexMode(enum.Enum):
     PLAIN = "plain"
     SEMANTIC = "semantic"
-
-
-@dataclass(frozen=True)
-class Posting:
-    doc_id: str
-    term_frequency: int
 
 
 @dataclass(frozen=True)
@@ -77,44 +74,46 @@ class RankedList:
 
 
 class Index:
-    """Immutable inverted index over a processed corpus."""
+    """Immutable inverted index over a processed corpus, stored as columns.
+
+    Doc ids are kept once, in ascending order; a document's *ordinal* is its
+    position in that list, so ordering by ordinal is ordering by doc id.
+    Doc lengths are one ``array('Q')`` in ordinal order. Each term maps to
+    a pair of parallel ``array('I')`` columns: the ordinals of the
+    documents that hold it (strictly ascending) and its term frequency in
+    each. The constructor trusts these invariants; ``build_index`` and
+    ``load_index`` establish them.
+    """
 
     def __init__(
         self,
         mode: IndexMode,
-        postings: dict[str, Sequence[Posting]],
-        doc_lengths: dict[str, int],
+        doc_ids: list[str],
+        doc_lengths: array,
+        postings: dict[str, tuple[array, array]],
         lexicon_digest: str = "",
     ):
         self.mode = mode
         self.lexicon_digest = lexicon_digest
-        self._doc_lengths = dict(doc_lengths)
-        self._postings: dict[str, tuple[Posting, ...]] = {}
-        for term, plist in postings.items():
-            ordered = tuple(sorted(plist, key=lambda p: p.doc_id))
-            for i, posting in enumerate(ordered):
-                if posting.term_frequency < 1:
-                    raise ValueError(f"term {term!r}: non-positive tf for {posting.doc_id!r}")
-                if posting.doc_id not in self._doc_lengths:
-                    raise ValueError(f"term {term!r}: posting for unknown doc {posting.doc_id!r}")
-                if i > 0 and ordered[i - 1].doc_id == posting.doc_id:
-                    raise ValueError(f"term {term!r}: duplicate posting for {posting.doc_id!r}")
-            self._postings[term] = ordered
+        self._doc_ids = doc_ids
+        self._doc_lengths = doc_lengths
+        self._postings = postings
         # Kept as an exact integer so average_doc_length is independent of
-        # dict iteration order.
-        self._total_tokens = sum(self._doc_lengths.values())
+        # summation order.
+        self._total_tokens = sum(doc_lengths)
+        self._norms: tuple[tuple[float, float], list[float]] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def doc_count(self) -> int:
-        return len(self._doc_lengths)
+        return len(self._doc_ids)
 
     @property
     def average_doc_length(self) -> float:
-        if not self._doc_lengths:
+        if not self._doc_ids:
             return 0.0
-        return self._total_tokens / len(self._doc_lengths)
+        return self._total_tokens / len(self._doc_ids)
 
     @property
     def vocabulary_size(self) -> int:
@@ -123,35 +122,47 @@ class Index:
     def terms(self) -> list[str]:
         return sorted(self._postings)
 
-    def postings(self, term: str) -> tuple[Posting, ...]:
-        return self._postings.get(term, ())
+    def postings(self, term: str) -> list[tuple[str, int]]:
+        """(doc_id, term frequency) pairs for ``term``, by ascending doc_id."""
+        columns = self._postings.get(term)
+        if columns is None:
+            return []
+        doc_ids = self._doc_ids
+        return [(doc_ids[o], tf) for o, tf in zip(*columns)]
 
     def document_frequency(self, term: str) -> int:
-        return len(self._postings.get(term, ()))
+        columns = self._postings.get(term)
+        return len(columns[0]) if columns is not None else 0
 
-    def has_document(self, doc_id: str) -> bool:
-        return doc_id in self._doc_lengths
+    def _ordinal(self, doc_id: str) -> int:
+        i = bisect.bisect_left(self._doc_ids, doc_id)
+        if i == len(self._doc_ids) or self._doc_ids[i] != doc_id:
+            raise KeyError(f"unknown doc_id: {doc_id!r}")
+        return i
 
     def doc_length(self, doc_id: str) -> int:
-        try:
-            return self._doc_lengths[doc_id]
-        except KeyError:
-            raise KeyError(f"unknown doc_id: {doc_id!r}") from None
+        return self._doc_lengths[self._ordinal(doc_id)]
 
     def doc_ids(self) -> list[str]:
-        return sorted(self._doc_lengths)
+        return list(self._doc_ids)
 
     # -- scoring -----------------------------------------------------------
 
-    def _idf(self, term: str) -> float:
+    def _idf(self, df: int) -> float:
         # +1 inside the log keeps idf strictly positive, so a document is
         # found exactly when its score is positive.
-        df = self.document_frequency(term)
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
-    def _term_doc_score(self, tf: int, dl: int, idf: float, k1: float, b: float) -> float:
-        norm = k1 * (1.0 - b + b * dl / self.average_doc_length)
-        return idf * (tf * (k1 + 1.0)) / (tf + norm)
+    def _length_norms(self, k1: float, b: float) -> list[float]:
+        """BM25's per-document length norm, cached for the last (k1, b)."""
+        cached = self._norms
+        if cached is None or cached[0] != (k1, b):
+            avgdl = self.average_doc_length
+            # avgdl is 0 only when no document has a token, and then no
+            # term has postings, so no norm is ever looked up.
+            norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in self._doc_lengths] if avgdl else []
+            cached = self._norms = ((k1, b), norms)
+        return cached[1]
 
     def score(
         self,
@@ -161,17 +172,25 @@ class Index:
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ) -> float:
-        """BM25 score of one document; duplicate query terms accumulate."""
-        dl = self.doc_length(doc_id)
+        """BM25 score of one document; duplicate query terms accumulate.
+
+        An exhaustive per-document evaluation, kept as the reference that
+        ``retrieve`` is tested against.
+        """
+        ordinal = self._ordinal(doc_id)
+        dl = self._doc_lengths[ordinal]
         total = 0.0
         for term in query_terms:
-            plist = self._postings.get(term)
-            if not plist:
+            columns = self._postings.get(term)
+            if columns is None:
                 continue
-            i = bisect.bisect_left(plist, doc_id, key=lambda p: p.doc_id)
-            if i == len(plist) or plist[i].doc_id != doc_id:
+            ordinals, tfs = columns
+            i = bisect.bisect_left(ordinals, ordinal)
+            if i == len(ordinals) or ordinals[i] != ordinal:
                 continue
-            total += self._term_doc_score(plist[i].term_frequency, dl, self._idf(term), k1, b)
+            norm = k1 * (1.0 - b + b * dl / self.average_doc_length)
+            tf = tfs[i]
+            total += self._idf(len(ordinals)) * (tf * (k1 + 1.0)) / (tf + norm)
         return total
 
     def retrieve(
@@ -185,27 +204,29 @@ class Index:
         """All documents matching any query term, best first.
 
         Ties break by ascending doc_id. found_count is taken before the
-        optional truncation to ``depth``.
+        optional truncation to ``depth``. Each score is the same sum, in
+        query-term order, that ``score`` computes.
         """
-        scores: dict[str, float] = {}
+        norms = self._length_norms(k1, b)
+        k1_plus_1 = k1 + 1.0
+        scores: dict[int, float] = {}
+        get = scores.get
         for term in query_terms:
-            plist = self._postings.get(term)
-            if not plist:
+            columns = self._postings.get(term)
+            if columns is None:
                 continue
-            idf = self._idf(term)
-            for posting in plist:
-                contrib = self._term_doc_score(
-                    posting.term_frequency, self._doc_lengths[posting.doc_id], idf, k1, b
-                )
-                scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + contrib
-        found_count = len(scores)
+            ordinals, tfs = columns
+            idf = self._idf(len(ordinals))
+            for o, tf in zip(ordinals, tfs):
+                scores[o] = get(o, 0.0) + idf * (tf * k1_plus_1) / (tf + norms[o])
         ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
         if depth is not None:
             ranked = ranked[:depth]
+        doc_ids = self._doc_ids
         entries = tuple(
-            ScoredDoc(doc_id, score, rank) for rank, (doc_id, score) in enumerate(ranked, start=1)
+            ScoredDoc(doc_ids[o], score, rank) for rank, (o, score) in enumerate(ranked, start=1)
         )
-        return RankedList(qid="", entries=entries, found_count=found_count)
+        return RankedList(qid="", entries=entries, found_count=len(scores))
 
     # -- serialization -----------------------------------------------------
 
@@ -214,57 +235,76 @@ class Index:
         return {
             "mode": self.mode.value,
             "lexicon_digest": self.lexicon_digest,
-            "doc_lengths": {d: self._doc_lengths[d] for d in sorted(self._doc_lengths)},
+            "doc_lengths": dict(zip(self._doc_ids, self._doc_lengths)),
             "postings": {
-                term: [[p.doc_id, p.term_frequency] for p in self._postings[term]]
-                for term in sorted(self._postings)
+                term: [[doc_id, tf] for doc_id, tf in self.postings(term)] for term in self.terms()
             },
         }
 
     def export_json(self) -> str:
         return json.dumps(self.to_jsonable(), ensure_ascii=False, indent=2, sort_keys=True)
 
-    def _encode(self) -> bytes:
-        buf = bytearray()
-        buf += _MAGIC
-        buf += struct.pack("<I", _FORMAT_VERSION)
-        buf += struct.pack("<B", 0 if self.mode is IndexMode.PLAIN else 1)
-        digest_bytes = self.lexicon_digest.encode("utf-8")
-        buf += struct.pack("<I", len(digest_bytes))
-        buf += digest_bytes
-        buf += struct.pack("<Q", len(self._doc_lengths))
-        ordered_docs = sorted(self._doc_lengths)
-        ordinals = {doc_id: i for i, doc_id in enumerate(ordered_docs)}
-        for doc_id in ordered_docs:
-            encoded = doc_id.encode("utf-8")
-            buf += struct.pack("<I", len(encoded))
-            buf += encoded
-            buf += struct.pack("<Q", self._doc_lengths[doc_id])
+    def _encode(self) -> bytearray:
+        buf = bytearray(_MAGIC)
+        buf += struct.pack("<IB", _FORMAT_VERSION, _MODE_BYTES[self.mode])
+        buf += _pack_str(self.lexicon_digest)
+        buf += struct.pack("<Q", len(self._doc_ids))
+        for doc_id in self._doc_ids:
+            buf += _pack_str(doc_id)
+        buf += _little_endian(self._doc_lengths)
         buf += struct.pack("<Q", len(self._postings))
-        for term in sorted(self._postings):
+        for term in self.terms():
+            ordinals, tfs = self._postings[term]
             encoded = term.encode("utf-8")
-            buf += struct.pack("<I", len(encoded))
+            buf += struct.pack("<II", len(encoded), len(ordinals))
             buf += encoded
-            plist = self._postings[term]
-            buf += struct.pack("<Q", len(plist))
-            for posting in plist:
-                buf += struct.pack("<II", ordinals[posting.doc_id], posting.term_frequency)
-        buf += hashlib.sha256(bytes(buf)).digest()
-        return bytes(buf)
+            buf += _little_endian(ordinals)
+            buf += _little_endian(tfs)
+        buf += hashlib.sha256(buf).digest()
+        return buf
 
     def save(self, path) -> None:
         """Write the index atomically; identical indexes produce identical bytes."""
         atomic_write_bytes(path, self._encode())
 
 
+# -- file format v2 -----------------------------------------------------------
+#
+# All integers little-endian; strings are <I byte length + UTF-8 bytes.
+#
+#   "SIDX" | <I version = 2 | <B mode (0 plain, 1 semantic) | str lexicon digest
+#   <Q doc_count | doc_count x str doc_id, strictly ascending
+#   doc_count x <Q doc length
+#   <Q term_count | term_count x (<II term byte length, df | term bytes
+#                                 | df x <I ordinal, strictly ascending
+#                                 | df x <I tf >= 1), terms strictly ascending
+#   SHA-256 of everything above
+
+_MODE_BYTES = {IndexMode.PLAIN: 0, IndexMode.SEMANTIC: 1}
+_MODES_BY_BYTE = {v: k for k, v in _MODE_BYTES.items()}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack_str(value: str) -> bytes:
+    encoded = value.encode("utf-8")
+    return struct.pack("<I", len(encoded)) + encoded
+
+
+def _little_endian(column: array) -> array:
+    if _BIG_ENDIAN:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column
+
+
 class _Reader:
     """Cursor over the binary index format; short reads raise IndexFormatError."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, size: int) -> bytes:
+    def take(self, size: int) -> memoryview:
         if self.pos + size > len(self.data):
             raise IndexFormatError("index file truncated")
         chunk = self.data[self.pos : self.pos + size]
@@ -274,57 +314,89 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def take_str(self) -> str:
-        (length,) = self.unpack("<I")
-        return self.take(length).decode("utf-8")
+    def take_str(self, size: int | None = None) -> str:
+        if size is None:
+            (size,) = self.unpack("<I")
+        try:
+            return str(self.take(size), "utf-8")
+        except UnicodeDecodeError:
+            raise IndexFormatError("index file holds a string that is not UTF-8") from None
+
+    def take_column(self, typecode: str, count: int) -> array:
+        column = array(typecode)
+        column.frombytes(self.take(count * column.itemsize))
+        if _BIG_ENDIAN:
+            column.byteswap()
+        return column
+
+
+def _strictly_ascending(values) -> bool:
+    return all(map(operator.lt, values, values[1:]))
 
 
 def load_index(path) -> Index:
-    """Load an index file written by Index.save, verifying its checksum."""
+    """Load an index file written by Index.save, verifying its checksum.
+
+    Loading costs O(terms + docs) Python operations: each column is read
+    with one ``frombytes``. Every structural invariant ``retrieve`` relies
+    on is checked, so a damaged or hand-made file raises IndexFormatError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(_MAGIC) + _CHECKSUM_SIZE:
         raise IndexFormatError("index file truncated")
-    body, checksum = data[:-_CHECKSUM_SIZE], data[-_CHECKSUM_SIZE:]
-    if hashlib.sha256(body).digest() != checksum:
+    body = memoryview(data)[:-_CHECKSUM_SIZE]
+    if hashlib.sha256(body).digest() != data[-_CHECKSUM_SIZE:]:
         raise IndexFormatError("index file checksum mismatch")
 
     reader = _Reader(body)
     if reader.take(len(_MAGIC)) != _MAGIC:
         raise IndexFormatError("not an index file (bad magic)")
     (version,) = reader.unpack("<I")
+    if version == 1:
+        raise IndexFormatError(
+            f"{path}: index format version 1 is no longer readable; "
+            "rebuild the index with 'semindex index'"
+        )
     if version != _FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported index format version {version} (expected {_FORMAT_VERSION})"
         )
     (mode_byte,) = reader.unpack("<B")
-    mode = IndexMode.PLAIN if mode_byte == 0 else IndexMode.SEMANTIC
+    mode = _MODES_BY_BYTE.get(mode_byte)
+    if mode is None:
+        raise IndexFormatError(f"unknown index mode byte {mode_byte}")
     lexicon_digest = reader.take_str()
 
     (doc_count,) = reader.unpack("<Q")
-    doc_ids: list[str] = []
-    doc_lengths: dict[str, int] = {}
-    for _ in range(doc_count):
-        doc_id = reader.take_str()
-        (length,) = reader.unpack("<Q")
-        doc_ids.append(doc_id)
-        doc_lengths[doc_id] = length
+    doc_ids = [reader.take_str() for _ in range(doc_count)]
+    if not _strictly_ascending(doc_ids):
+        raise IndexFormatError("doc ids are not sorted and unique")
+    doc_lengths = reader.take_column("Q", doc_count)
 
     (term_count,) = reader.unpack("<Q")
-    postings: dict[str, list[Posting]] = {}
+    postings: dict[str, tuple[array, array]] = {}
+    previous = None
     for _ in range(term_count):
-        term = reader.take_str()
-        (df,) = reader.unpack("<Q")
-        plist = []
-        for _ in range(df):
-            ordinal, tf = reader.unpack("<II")
-            if ordinal >= len(doc_ids):
-                raise IndexFormatError(f"posting for term {term!r} references unknown document")
-            plist.append(Posting(doc_ids[ordinal], tf))
-        postings[term] = plist
+        size, df = reader.unpack("<II")
+        term = reader.take_str(size)
+        if previous is not None and term <= previous:
+            raise IndexFormatError(f"term {term!r} out of order")
+        previous = term
+        ordinals = reader.take_column("I", df)
+        tfs = reader.take_column("I", df)
+        if not df:
+            raise IndexFormatError(f"term {term!r} has no postings")
+        if ordinals[-1] >= doc_count or not _strictly_ascending(ordinals):
+            raise IndexFormatError(
+                f"term {term!r}: ordinals not strictly ascending below doc count {doc_count}"
+            )
+        if min(tfs) == 0:
+            raise IndexFormatError(f"term {term!r}: posting with term frequency 0")
+        postings[term] = (ordinals, tfs)
     if reader.pos != len(body):
         raise IndexFormatError("trailing bytes after postings")
-    return Index(mode, postings, doc_lengths, lexicon_digest)
+    return Index(mode, doc_ids, doc_lengths, postings, lexicon_digest)
 
 
 # -- construction -----------------------------------------------------------
@@ -352,13 +424,28 @@ def _init_worker(mode, lex, stoplist, max_concept_tokens):
     _WORKER_STATE["args"] = (mode, lex, stoplist, max_concept_tokens)
 
 
-def _count_batch(batch: list[tuple[str, str]]) -> list[tuple[str, dict[str, int], int]]:
-    mode, lex, stoplist, max_concept_tokens = _WORKER_STATE["args"]
-    out = []
-    for doc_id, text in batch:
-        tokens = process_document(text, mode, lex, stoplist, max_concept_tokens)
-        out.append((doc_id, dict(Counter(tokens)), len(tokens)))
-    return out
+def _count_document(text, mode, lex, stoplist, max_concept_tokens) -> tuple[Counter, int]:
+    tokens = process_document(text, mode, lex, stoplist, max_concept_tokens)
+    return Counter(tokens), len(tokens)
+
+
+def _count_batch(texts: list[str]) -> list[tuple[Counter, int]]:
+    return [_count_document(text, *_WORKER_STATE["args"]) for text in texts]
+
+
+def _fill_columns(counted: Iterable[tuple[Counter, int]]) -> tuple[array, dict[str, tuple[array, array]]]:
+    """Stream per-document counts, in ordinal order, into the columns."""
+    doc_lengths = array("Q")
+    columns: dict[str, tuple[array, array]] = {}
+    for ordinal, (counts, length) in enumerate(counted):
+        doc_lengths.append(length)
+        for term, tf in counts.items():
+            pair = columns.get(term)
+            if pair is None:
+                pair = columns[term] = (array("I"), array("I"))
+            pair[0].append(ordinal)
+            pair[1].append(tf)
+    return doc_lengths, {term: columns[term] for term in sorted(columns)}
 
 
 def build_index(
@@ -372,40 +459,32 @@ def build_index(
 ) -> Index:
     """Build an index from (doc_id, text) pairs.
 
-    The result is identical for any worker count: per-document counting is
-    pure, and postings are merged by term then doc_id regardless of arrival
-    order.
+    The result is identical for any worker count and corpus order: documents
+    are counted in doc-id order, and each count goes straight into the
+    columns, so ordinals arrive ascending.
     """
     if mode is IndexMode.SEMANTIC and lex is None:
         raise ValueError("semantic mode requires a lexicon")
-    docs = list(corpus)
-
-    if workers > 1 and len(docs) > 1:
-        chunk = max(1, (len(docs) + workers * 4 - 1) // (workers * 4))
-        batches = [docs[i : i + chunk] for i in range(0, len(docs), chunk)]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(mode, lex, stoplist, max_concept_tokens),
-        ) as pool:
-            counted = [row for batch_result in pool.map(_count_batch, batches) for row in batch_result]
-    else:
-        counted = []
-        for doc_id, text in docs:
-            tokens = process_document(text, mode, lex, stoplist, max_concept_tokens)
-            counted.append((doc_id, dict(Counter(tokens)), len(tokens)))
-
-    doc_lengths: dict[str, int] = {}
-    postings: dict[str, list[Posting]] = {}
-    for doc_id, counts, length in counted:
-        if doc_id in doc_lengths:
+    docs = sorted(corpus, key=operator.itemgetter(0))
+    doc_ids = [doc_id for doc_id, _ in docs]
+    for previous, doc_id in zip(doc_ids, doc_ids[1:]):
+        if previous == doc_id:
             raise DuplicateDocumentError(f"duplicate doc_id: {doc_id!r}")
-        doc_lengths[doc_id] = length
-        for term, tf in counts.items():
-            postings.setdefault(term, []).append(Posting(doc_id, tf))
+    texts = [text for _, text in docs]
+    args = (mode, lex, stoplist, max_concept_tokens)
+
+    if workers > 1 and len(texts) > 1:
+        chunk = max(1, (len(texts) + workers * 4 - 1) // (workers * 4))
+        batches = [texts[i : i + chunk] for i in range(0, len(texts), chunk)]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=args) as pool:
+            doc_lengths, postings = _fill_columns(
+                row for result in pool.map(_count_batch, batches) for row in result
+            )
+    else:
+        doc_lengths, postings = _fill_columns(_count_document(text, *args) for text in texts)
 
     digest = lex.digest() if (mode is IndexMode.SEMANTIC and lex is not None) else ""
-    return Index(mode, postings, doc_lengths, lexicon_digest=digest)
+    return Index(mode, doc_ids, doc_lengths, postings, lexicon_digest=digest)
 
 
 # -- corpus file format ------------------------------------------------------
@@ -446,6 +525,10 @@ def read_corpus(source: TextSource) -> CorpusReadResult:
         text = record.get("text")
         if not isinstance(doc_id, str) or not doc_id:
             skipped.append(SkippedDocument(line_no, "missing or invalid 'id'"))
+            continue
+        if not is_field(doc_id):
+            # A run file could not be read back: its fields split on whitespace.
+            skipped.append(SkippedDocument(line_no, f"'id' {doc_id!r} contains whitespace"))
             continue
         if not isinstance(text, str):
             skipped.append(SkippedDocument(line_no, "missing or invalid 'text'"))

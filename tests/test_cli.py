@@ -85,6 +85,12 @@ class TestIndexCommand:
         report = json.loads((workspace["index_dir"] / "plain.build.json").read_text())
         assert report["documents_indexed"] == 2
 
+    def test_non_utf8_corpus_is_data_error(self, workspace, capsys, caplog):
+        workspace["corpus"].write_bytes(b'{"id": "d1", "text": "\xff\xfe"}\n')
+        assert main(["index", "--mode", "plain"] + common_args(workspace)) == 2
+        assert str(workspace["corpus"]) in caplog.text and "UTF-8" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_semantic_without_lexicon_is_usage_error(self, workspace):
         args = [
             "--corpus", str(workspace["corpus"]),
@@ -144,6 +150,13 @@ class TestBatchCommand:
         assert run_path.exists() and found_path.exists()
         run = read_run(run_path, found_path)
         assert {rl.qid for rl in run.results} == {"q1", "q2", "q3"}
+
+    def test_whitespace_in_qid_is_data_error(self, workspace, caplog):
+        build_indexes(workspace)
+        workspace["queries"].write_text("q1\tاثم\nq 2\tبيت\n", encoding="utf-8")
+        assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 2
+        assert "line 2" in caplog.text and "whitespace" in caplog.text
+        assert not (workspace["report_dir"] / "semindex.R0.run").exists()
 
     def test_missing_index_names_artifact(self, workspace, caplog):
         code = main(["batch", "--search-type", "R0"] + common_args(workspace))
@@ -214,6 +227,16 @@ class TestEvalCommand:
         bad_run.write_text("q1 Q0 d1\n", encoding="utf-8")
         assert main(["eval", str(bad_run)] + common_args(workspace)) == 2
 
+    @pytest.mark.parametrize("sidecar", ["{broken", '{"q1": "many"}', '{"q1": -1}', "[1]"])
+    def test_malformed_sidecar_is_data_error(self, workspace, capsys, caplog, sidecar):
+        build_indexes(workspace)
+        assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 0
+        (workspace["report_dir"] / "semindex.R0.found.json").write_text(sidecar, encoding="utf-8")
+        run_path = workspace["report_dir"] / "semindex.R0.run"
+        assert main(["eval", str(run_path)] + common_args(workspace)) == 2
+        assert "sidecar" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_requires_qrels(self, workspace):
         build_indexes(workspace)
         main(["batch", "--search-type", "R0"] + common_args(workspace))
@@ -283,6 +306,36 @@ class TestPipelineCommand:
         args = ["--corpus", str(workspace["corpus"])]
         assert main(["pipeline"] + args) == 1
 
+    def test_reports_equal_the_step_by_step_commands(self, workspace, tmp_path):
+        # One unjudged query, so evaluation skips a qid on both paths.
+        with open(workspace["queries"], "a", encoding="utf-8") as fh:
+            fh.write("q4\tشجرة\n")
+        assert main(["pipeline"] + common_args(workspace)) == 0
+
+        steps = dict(workspace, index_dir=tmp_path / "step_indexes", report_dir=tmp_path / "step_reports")
+        build_indexes(steps)
+        for st in ("R0", "R1", "R2", "R3"):
+            assert main(["batch", "--search-type", st] + common_args(steps)) == 0
+        runs = [str(steps["report_dir"] / f"semindex.{st}.run") for st in ("R0", "R1", "R2", "R3")]
+        assert main(["eval"] + runs + common_args(steps)) == 0
+        assert main(["compare"] + runs + common_args(steps)) == 0
+
+        for key in ("index_dir", "report_dir"):
+            pipeline_files = {p.name: p.read_bytes() for p in workspace[key].iterdir()}
+            step_files = {p.name: p.read_bytes() for p in steps[key].iterdir()}
+            assert pipeline_files == step_files, key
+
+    def test_whitespace_in_doc_id_is_skipped_and_runs_read_back(self, workspace):
+        with open(workspace["corpus"], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "d 6", "text": "اثم"}, ensure_ascii=False) + "\n")
+        assert main(["pipeline"] + common_args(workspace)) == 0
+        report = json.loads((workspace["index_dir"] / "plain.build.json").read_text())
+        assert report["documents_indexed"] == 5
+        assert report["skipped"] == [{"line": 6, "reason": "'id' 'd 6' contains whitespace"}]
+        for st in ("R0", "R1", "R2", "R3"):
+            run_path = workspace["report_dir"] / f"semindex.{st}.run"
+            read_run(run_path, run_path.with_name(f"semindex.{st}.found.json"))
+
     def test_rerun_is_idempotent(self, workspace):
         assert main(["pipeline"] + common_args(workspace)) == 0
         snapshot = {
@@ -322,6 +375,14 @@ class TestConfigHandling:
         assert run_path.exists()
         run = read_run(run_path)
         assert all(len(rl.entries) <= 2 for rl in run.results)
+
+    @pytest.mark.parametrize("tag", ["my tag", "tab\there", ""])
+    def test_tag_that_would_break_run_lines_is_rejected(self, workspace, caplog, tag):
+        build_indexes(workspace)
+        code = main(["batch", "--search-type", "R0", "--tag", tag] + common_args(workspace))
+        assert code == 1
+        assert "tag" in caplog.text
+        assert not workspace["report_dir"].exists()
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "bad.conf"

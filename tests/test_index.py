@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import io
+import json
 import math
 import random
+import struct
 from collections import Counter
 
 import pytest
@@ -21,6 +25,25 @@ from semindex import (
 from semindex.index import process_document
 
 from helpers import make_lexicon, random_corpus, token_stream_strategy
+
+
+def v2_file(doc_ids, doc_lengths, terms, *, mode=0, version=2, digest="") -> bytes:
+    """Index file bytes written straight from the v2 layout, independently of
+    Index.save; ``terms`` holds (term, ordinals, tfs) triples."""
+
+    def pack_str(value: str) -> bytes:
+        encoded = value.encode("utf-8")
+        return struct.pack("<I", len(encoded)) + encoded
+
+    body = b"SIDX" + struct.pack("<IB", version, mode) + pack_str(digest)
+    body += struct.pack("<Q", len(doc_ids)) + b"".join(pack_str(d) for d in doc_ids)
+    body += struct.pack(f"<{len(doc_lengths)}Q", *doc_lengths)
+    body += struct.pack("<Q", len(terms))
+    for term, ordinals, tfs in terms:
+        encoded = term.encode("utf-8")
+        body += struct.pack("<II", len(encoded), len(ordinals)) + encoded
+        body += struct.pack(f"<{len(ordinals)}I", *ordinals) + struct.pack(f"<{len(tfs)}I", *tfs)
+    return body + hashlib.sha256(body).digest()
 
 
 def reference_bm25(corpus_tokens: dict[str, list[str]], query: list[str], doc_id: str,
@@ -46,8 +69,7 @@ class TestBuild:
         idx = build_index([("d1", "اثم")], IndexMode.PLAIN)
         assert idx.doc_count == 1
         assert idx.doc_length("d1") == 1
-        plist = idx.postings("اثم")
-        assert [(p.doc_id, p.term_frequency) for p in plist] == [("d1", 1)]
+        assert idx.postings("اثم") == [("d1", 1)]
 
     def test_semantic_replaces_terms(self):
         lex = make_lexicon([("s1", "n", ["خطيئة", "إثم"])])
@@ -88,7 +110,7 @@ class TestBuild:
                     for doc_id in sorted(processed)
                     if term in processed[doc_id]
                 ]
-                assert [(p.doc_id, p.term_frequency) for p in idx.postings(term)] == expected_postings
+                assert idx.postings(term) == expected_postings
 
     def test_doc_length_counts_processed_tokens(self):
         # multiword canonical lemma changes the token count
@@ -199,6 +221,34 @@ class TestRetrieve:
         assert idx.retrieve(query + [extra]).found_count >= base
 
 
+    @settings(max_examples=150)
+    @given(
+        st.lists(token_stream_strategy(max_size=8), max_size=14),
+        token_stream_strategy(max_size=5),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+        st.sampled_from([(1.2, 0.75), (0.0, 0.75), (2.0, 0.0), (0.9, 1.0)]),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_exhaustive_score_oracle(self, docs, query, depth, params, rng):
+        corpus = [(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(docs)]
+        rng.shuffle(corpus)
+        idx = build_index(corpus, IndexMode.PLAIN)
+        k1, b = params
+        idx.retrieve(query)  # fill the length-norm cache with other parameters first
+        full = idx.retrieve(query, k1=k1, b=b)
+        holders = {doc_id for doc_id, text in corpus if set(tokenize(text)) & set(query)}
+        assert full.found_count == len(holders)
+        assert {e.doc_id for e in full.entries} == holders
+        for entry in full.entries:
+            assert entry.score == idx.score(query, entry.doc_id, k1=k1, b=b)
+        keys = [(-e.score, e.doc_id) for e in full.entries]
+        assert keys == sorted(keys)
+        assert [e.rank for e in full.entries] == list(range(1, len(keys) + 1))
+        truncated = idx.retrieve(query, depth, k1=k1, b=b)
+        assert truncated.entries == full.entries[:depth]
+        assert truncated.found_count == full.found_count
+
+
 class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
         idx = build_index([], IndexMode.PLAIN)
@@ -232,6 +282,40 @@ class TestPersistence:
         assert loaded.mode is IndexMode.SEMANTIC
         assert loaded.lexicon_digest == lex.digest()
 
+    def test_save_writes_the_v2_layout(self, tmp_path):
+        lex = make_lexicon([("s1", "n", ["خطيئة", "إثم"])])
+        idx = build_index([("d2", "اثم بيت اثم"), ("d1", "بيت")], IndexMode.SEMANTIC, lex)
+        path = tmp_path / "x.idx"
+        idx.save(path)
+        expected = v2_file(
+            ["d1", "d2"],
+            [1, 3],
+            [("بيت", [0, 1], [1, 1]), ("خطيئه", [1], [2])],
+            mode=1,
+            digest=lex.digest(),
+        )
+        assert path.read_bytes() == expected
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        corpus = random_corpus(random.Random(9), 60)
+        first, second = tmp_path / "a.idx", tmp_path / "b.idx"
+        build_index(corpus, IndexMode.PLAIN).save(first)
+        load_index(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_load_tracks_objects_per_term_and_doc_not_per_posting(self, tmp_path):
+        corpus = random_corpus(random.Random(13), 40, min_len=60, max_len=120)
+        path = tmp_path / "x.idx"
+        build_index(corpus, IndexMode.PLAIN).save(path)
+        gc.collect()
+        before = len(gc.get_objects())
+        loaded = load_index(path)
+        added = len(gc.get_objects()) - before
+        postings = sum(loaded.document_frequency(t) for t in loaded.terms())
+        bound = loaded.vocabulary_size + loaded.doc_count + 20
+        assert postings > 5 * bound
+        assert added <= bound
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.idx"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -251,6 +335,42 @@ class TestPersistence:
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(IndexFormatError, match="version"):
             load_index(path)
+
+    def test_v1_file_names_the_rebuild(self, tmp_path):
+        path = tmp_path / "old.idx"
+        path.write_bytes(v2_file(["d1"], [1], [("ا", [0], [1])], version=1))
+        with pytest.raises(IndexFormatError, match="rebuild the index with 'semindex index'"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"mode": 2}, "mode byte 2"),
+            ({"terms": [("ا", [0, 2], [1, 1])]}, "ordinals"),
+            ({"terms": [("ا", [1, 0], [1, 1])]}, "ordinals"),
+            ({"terms": [("ا", [1, 1], [1, 1])]}, "ordinals"),
+            ({"terms": [("ا", [0, 1], [1, 0])]}, "term frequency 0"),
+            ({"terms": [("ا", [], [])]}, "no postings"),
+            ({"terms": [("ب", [0], [1]), ("ا", [1], [1])]}, "out of order"),
+            ({"doc_ids": ["d2", "d1"]}, "doc ids"),
+            ({"doc_ids": ["d1", "d1"]}, "doc ids"),
+        ],
+    )
+    def test_structural_violations_rejected(self, tmp_path, fields, message):
+        spec = {"doc_ids": ["d1", "d2"], "doc_lengths": [1, 1], "terms": [("ا", [0, 1], [1, 1])]}
+        spec.update(fields)
+        mode = spec.pop("mode", 0)
+        path = tmp_path / "x.idx"
+        path.write_bytes(v2_file(**spec, mode=mode))
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
+
+    def test_crafted_valid_file_loads(self, tmp_path):
+        path = tmp_path / "x.idx"
+        path.write_bytes(v2_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])]))
+        idx = load_index(path)
+        assert idx.postings("ا") == [("d1", 1), ("d2", 2)]
+        assert idx.doc_length("d2") == 2
 
     def test_checksum_failure(self, tmp_path):
         idx = build_index([("d1", "اثم")], IndexMode.PLAIN)
@@ -274,25 +394,31 @@ class TestPersistence:
 class TestDeterminism:
     def test_rebuild_is_byte_identical(self, tmp_path):
         corpus = random_corpus(random.Random(3), 50)
+        shuffled = list(corpus)
+        random.Random(4).shuffle(shuffled)
         a = build_index(corpus, IndexMode.PLAIN)
-        b = build_index(list(reversed(corpus)), IndexMode.PLAIN)
+        b = build_index(shuffled, IndexMode.PLAIN)
         p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
         a.save(p1)
         b.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_parallel_build_equals_serial(self):
+    def test_parallel_build_equals_serial(self, tmp_path):
         lex = make_lexicon([("s1", "n", ["خطيئة", "إثم"]), ("s2", "n", ["ذنب", "خطا"])])
         corpus = random_corpus(random.Random(11), 40, vocab=["اثم", "ذنب", "خطيئه", "بيت", "x"])
         serial = build_index(corpus, IndexMode.SEMANTIC, lex, workers=1)
-        parallel = build_index(corpus, IndexMode.SEMANTIC, lex, workers=4)
-        assert serial.to_jsonable() == parallel.to_jsonable()
+        serial.save(tmp_path / "serial.idx")
+        for workers in (2, 4):
+            parallel = build_index(corpus, IndexMode.SEMANTIC, lex, workers=workers)
+            assert serial.to_jsonable() == parallel.to_jsonable()
+            parallel.save(tmp_path / "parallel.idx")
+            assert (tmp_path / "parallel.idx").read_bytes() == (tmp_path / "serial.idx").read_bytes()
 
     def test_postings_sorted_ascending(self):
         corpus = random_corpus(random.Random(5), 30)
         idx = build_index(corpus, IndexMode.PLAIN)
         for term in idx.terms():
-            ids = [p.doc_id for p in idx.postings(term)]
+            ids = [doc_id for doc_id, _ in idx.postings(term)]
             assert ids == sorted(ids)
             assert len(ids) == idx.document_frequency(term)
 
@@ -320,6 +446,14 @@ class TestReadCorpus:
         result = read_corpus(io.StringIO("\n".join(lines)))
         assert [d[0] for d in result.documents] == ["d1"]
         assert [s.line_no for s in result.skipped] == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize("doc_id", ["d 1", "d\t1", " d1", "d1\u00a0", "d\u20031"])
+    def test_whitespace_in_id_skipped(self, doc_id):
+        line = json.dumps({"id": doc_id, "text": "اثم"})
+        result = read_corpus(io.StringIO(line + '\n{"id": "d2", "text": "ذنب"}\n'))
+        assert [d[0] for d in result.documents] == ["d2"]
+        assert result.skipped[0].line_no == 1
+        assert "whitespace" in result.skipped[0].reason
 
     def test_blank_lines_ignored(self):
         result = read_corpus(io.StringIO('\n{"id": "d1", "text": "اثم"}\n\n'))

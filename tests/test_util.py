@@ -1,0 +1,51 @@
+from __future__ import annotations
+
+import io
+import os
+
+import pytest
+
+from semindex._util import DataError, atomic_write_bytes, read_text
+
+
+class TestAtomicWrite:
+    def test_leaves_a_same_named_tmp_file_alone(self, tmp_path):
+        target = tmp_path / "out.bin"
+        bystander = tmp_path / "out.bin.tmp"
+        bystander.write_bytes(b"not ours")
+        atomic_write_bytes(target, b"data")
+        assert target.read_bytes() == b"data"
+        assert bystander.read_bytes() == b"not ours"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "out.bin.tmp"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_bytes(target, b"new")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert target.read_bytes() == b"old"
+
+    def test_file_mode_matches_a_plain_write(self, tmp_path):
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(b"x")
+        atomic = tmp_path / "atomic.bin"
+        atomic_write_bytes(atomic, b"x")
+        assert atomic.stat().st_mode == plain.stat().st_mode
+
+
+class TestReadText:
+    def test_non_utf8_path_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("café".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.txt: not UTF-8"):
+            read_text(path)
+
+    def test_non_utf8_stream(self):
+        with pytest.raises(DataError, match="not UTF-8"):
+            read_text(io.BytesIO(b"\xff"))

@@ -61,6 +61,9 @@ class Lexicon:
     def __init__(self, synsets: Iterable[Synset] = ()):
         self._synsets: dict[str, Synset] = {}
         self._inverted: dict[str, list[str]] = {}
+        # First token of any lemma -> token count of the longest lemma that
+        # starts with it; lets concept matching skip and bound its windows.
+        self._longest_from: dict[str, int] = {}
         self._digest: str | None = None
         for syn in synsets:
             if syn.id in self._synsets:
@@ -68,6 +71,9 @@ class Lexicon:
             self._synsets[syn.id] = syn
             for lemma in syn.lemmas:
                 self._inverted.setdefault(lemma, []).append(syn.id)
+                lemma_tokens = lemma.split(" ")
+                if len(lemma_tokens) > self._longest_from.get(lemma_tokens[0], 0):
+                    self._longest_from[lemma_tokens[0]] = len(lemma_tokens)
 
     def __len__(self) -> int:
         return len(self._synsets)

@@ -43,15 +43,25 @@ def match_concepts(
     first window whose space-joined form is a lexicon lemma becomes a match
     and scanning resumes after it. Matches never overlap and come out
     sorted by start position.
+
+    Tokens must contain no space, as every ``tokenize`` token does: a
+    window is only tried at a token that starts some lemma, and only up to
+    the length of the longest lemma starting there.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
+    # Package-internal lookups, read directly: this loop runs per token.
+    senses, longest_from = lex._inverted, lex._longest_from
     matches: list[ConceptMatch] = []
     i, n = 0, len(tokens)
     while i < n:
-        for length in range(min(max_len, n - i), 0, -1):
+        longest = longest_from.get(tokens[i])
+        if longest is None:
+            i += 1
+            continue
+        for length in range(min(max_len, n - i, longest), 0, -1):
             lemma = " ".join(tokens[i : i + length])
-            synset_ids = lex.synsets_of(lemma)
+            synset_ids = senses.get(lemma)
             if synset_ids:
                 matches.append(ConceptMatch(i, i + length, lemma, tuple(synset_ids)))
                 i += length

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 import string
 import unicodedata
-from typing import Callable
 
 from ._util import TextSource, read_text
 
@@ -33,20 +32,21 @@ _MARKS_RE = re.compile(r"[ً-ٕ]")
 
 _TATWEEL = "ـ"
 
-_FOLDS = str.maketrans(
-    {
-        "آ": "ا",  # alef madda -> alef
-        "أ": "ا",  # alef hamza above -> alef
-        "إ": "ا",  # alef hamza below -> alef
-        "ى": "ي",  # alef maqsura -> yeh
-        "ة": "ه",  # ta marbuta -> ha
-    }
+# Folded letter -> replacement. No replacement is itself folded, so
+# replacing the pairs one after another equals one simultaneous mapping.
+_FOLD_PAIRS = (
+    ("آ", "ا"),  # alef madda -> alef
+    ("أ", "ا"),  # alef hamza above -> alef
+    ("إ", "ا"),  # alef hamza below -> alef
+    ("ى", "ي"),  # alef maqsura -> yeh
+    ("ة", "ه"),  # ta marbuta -> ha
 )
 
 # Only ASCII letters are case-folded. Full Unicode lowercasing can grow
 # strings (U+0130 -> "i" + combining dot) and would break both the
 # idempotence and the length-non-increasing guarantees.
 _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+_HAS_ASCII_UPPER = re.compile("[A-Z]").search
 
 
 def normalize(text: str) -> str:
@@ -60,25 +60,25 @@ def normalize(text: str) -> str:
     text = unicodedata.normalize("NFC", text)
     text = _MARKS_RE.sub("", text)
     text = text.replace(_TATWEEL, "")
-    text = text.translate(_FOLDS)
-    return text.translate(_ASCII_LOWER)
+    # A translate table costs a dict lookup per character, nearly all of
+    # them misses; each fold touches the text only when its letter occurs.
+    for folded, replacement in _FOLD_PAIRS:
+        if folded in text:
+            text = text.replace(folded, replacement)
+    if _HAS_ASCII_UPPER(text):
+        text = text.translate(_ASCII_LOWER)
+    return text
 
 
-def tokenize(text: str, stemmer: Callable[[str], str] | None = None) -> TokenStream:
+def tokenize(text: str) -> TokenStream:
     """Split text into normalized tokens.
 
     Any character outside the Arabic/Latin/digit token class separates
     tokens; empty tokens are dropped. Normalization happens first, so every
-    returned token is its own normalization fixed point.
-
-    ``stemmer`` is a hook point and ships disabled: stemming silently
-    changes which words count as monosemous, so nothing in the pipeline
-    passes one. A supplied stemmer must emit normalized tokens.
+    returned token is its own normalization fixed point. No token contains
+    a space.
     """
-    tokens = _TOKEN_RE.findall(normalize(text))
-    if stemmer is None:
-        return tokens
-    return [stemmed for token in tokens if (stemmed := stemmer(token))]
+    return _TOKEN_RE.findall(normalize(text))
 
 
 def remove_stopwords(tokens: TokenStream, stoplist: frozenset[str] | set[str]) -> TokenStream:

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semindex import Lexicon, expand, match_concepts, semantize
-from semindex.lexicon import normalize_lemma
+from semindex import semantics
+from semindex.lexicon import MAX_LEMMA_TOKENS, normalize_lemma
 
-from helpers import lexicon_strategy, make_lexicon, token_stream_strategy
+from helpers import (
+    TOKEN_POOL,
+    lexicon_strategy,
+    make_lexicon,
+    reference_match_concepts,
+    token_stream_strategy,
+)
 
 SIN = normalize_lemma("خطيئة")  # canonical in the replacement fixture
 
@@ -82,6 +90,10 @@ class TestSemantize:
     def test_replacement(self, sin_lexicon):
         assert semantize(["اثم"], sin_lexicon) == [SIN]
 
+    def test_max_len_must_be_positive(self, sin_lexicon):
+        with pytest.raises(ValueError):
+            semantize(["اثم"], sin_lexicon, max_len=0)
+
     def test_empty_lexicon_is_identity(self):
         empty = Lexicon()
         tokens = ["اثم", "غائب", "x"]
@@ -121,6 +133,10 @@ class TestExpand:
     def test_synonym_appended_original_kept(self, sin_lexicon):
         assert expand(["اثم"], sin_lexicon) == ["اثم", SIN]
 
+    def test_max_len_must_be_positive(self, sin_lexicon):
+        with pytest.raises(ValueError):
+            expand(["اثم"], sin_lexicon, max_len=0)
+
     def test_polysemous_and_unknown_untouched(self):
         lex = make_lexicon([("s1", "n", ["اثم"]), ("s2", "v", ["اثم"])])
         assert expand(["اثم", "غائب"], lex) == ["اثم", "غائب"]
@@ -154,6 +170,48 @@ class TestExpand:
     @given(token_stream_strategy())
     def test_empty_lexicon_identity(self, tokens):
         assert expand(tokens, Lexicon()) == tokens
+
+
+# A four-token pool: lemmas share first tokens and synsets share lemmas
+# (polysemy) often, and streams hit the lexicon at most positions.
+_SMALL_POOL = TOKEN_POOL[:4]
+dense_lexicons = lexicon_strategy(
+    max_synsets=8, max_lemma_tokens=MAX_LEMMA_TOKENS, pool=_SMALL_POOL
+)
+dense_streams = token_stream_strategy(max_size=16, pool=_SMALL_POOL)
+max_lens = st.integers(min_value=1, max_value=MAX_LEMMA_TOKENS + 1)
+
+
+class TestAgainstExhaustiveMatcher:
+    """The first-token-bounded matcher against the exhaustive reference."""
+
+    @settings(max_examples=200)
+    @given(dense_lexicons, dense_streams, max_lens)
+    def test_match_concepts(self, lex, tokens, max_len):
+        assert match_concepts(tokens, lex, max_len) == reference_match_concepts(tokens, lex, max_len)
+
+    @settings(max_examples=100)
+    @given(dense_lexicons, dense_streams, max_lens)
+    def test_semantize(self, lex, tokens, max_len):
+        with mock.patch.object(semantics, "match_concepts", reference_match_concepts):
+            expected = semantize(tokens, lex, max_len)
+        assert semantize(tokens, lex, max_len) == expected
+
+    @settings(max_examples=100)
+    @given(dense_lexicons, dense_streams, max_lens)
+    def test_expand(self, lex, tokens, max_len):
+        with mock.patch.object(semantics, "match_concepts", reference_match_concepts):
+            expected = expand(tokens, lex, max_len)
+        assert expand(tokens, lex, max_len) == expected
+
+    def test_shared_first_token_tries_every_length(self):
+        # "x" starts a 1-, a 2- and a 4-token lemma; the bound is 4, and
+        # shorter windows are still tried when the longest one misses.
+        lex = make_lexicon([("s1", "n", ["x"]), ("s2", "n", ["x y"]), ("s3", "n", ["x y z w"])])
+        tokens = ["x", "y", "z", "x", "y", "z", "w", "x"]
+        got = [(m.start, m.end) for m in match_concepts(tokens, lex)]
+        assert got == [(0, 2), (3, 7), (7, 8)]
+        assert match_concepts(tokens, lex) == reference_match_concepts(tokens, lex)
 
 
 class TestUnification:

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import io
 import re
+import string
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from semindex.textnorm import load_stopwords, normalize, remove_stopwords, tokenize
+
+from helpers import reference_normalize
 
 # Fuzzing alphabet: Arabic letters, tashkeel and combining hamza/madda
 # marks, tatweel, Latin, digits, punctuation, whitespace.
@@ -16,6 +19,21 @@ _ALPHABET = (
     + list("ـٰىةABCxyz012 .,!?؟،-\n\t")
 )
 fuzz_text = st.text(alphabet=_ALPHABET, max_size=50)
+
+# Pieces for the differential test against the translate-based reference:
+# every fold input and output, every removed mark, tatweel, the whole ASCII
+# upper case, dotted capital I (not lowercased), and alef followed by a
+# combining madda, hamza above or hamza below, which NFC composes into
+# fold inputs.
+_FOLD_PIECES = (
+    list("آأإىة")
+    + list("ايه")
+    + [chr(c) for c in range(0x064B, 0x0656)]
+    + ["ـ", "İ", "a", "z", " ", "."]
+    + list(string.ascii_uppercase)
+    + ["ا\u0653", "ا\u0654", "ا\u0655"]
+)
+fold_fuzz_text = st.lists(st.sampled_from(_FOLD_PIECES), max_size=40).map("".join)
 
 _TOKEN_CHAR = re.compile(r"[0-9A-Za-zء-٩ٰ-ە]")
 
@@ -58,6 +76,10 @@ class TestNormalize:
     def test_never_longer(self, text):
         assert len(normalize(text)) <= len(text)
 
+    @given(fold_fuzz_text)
+    def test_equals_translate_reference(self, text):
+        assert normalize(text) == reference_normalize(text)
+
 
 class TestTokenize:
     def test_punctuation_split(self):
@@ -91,12 +113,8 @@ class TestTokenize:
     def test_deterministic(self, text):
         assert tokenize(text) == tokenize(text)
 
-    def test_stemmer_hook_disabled_by_default(self):
+    def test_suffixes_are_not_stemmed(self):
         assert tokenize("كتابكم كتابها") == ["كتابكم", "كتابها"]
-
-    def test_stemmer_hook_applies_when_supplied(self):
-        strip_suffix = lambda t: t.removesuffix("كم").removesuffix("ها")
-        assert tokenize("كتابكم كتابها", stemmer=strip_suffix) == ["كتاب", "كتاب"]
 
 
 def _is_subsequence(part: list[str], whole: list[str]) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._util import DataError, TextSource, atomic_write_text, is_field, read_text
@@ -125,7 +125,7 @@ class SearchSystem:
             )
         terms = self.query_terms(query, search_type)
         ranked = index.retrieve(terms, depth, k1=self.k1, b=self.b)
-        return replace(ranked, qid=query.qid)
+        return RankedList(query.qid, ranked.entries, ranked.found_count)
 
     def batch_run(
         self,

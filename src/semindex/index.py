@@ -21,7 +21,8 @@ from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, NamedTuple
 
 from ._util import DataError, TextSource, atomic_write_bytes, is_field, read_text
 from .lexicon import Lexicon
@@ -49,8 +50,7 @@ class IndexMode(enum.Enum):
     SEMANTIC = "semantic"
 
 
-@dataclass(frozen=True)
-class ScoredDoc:
+class ScoredDoc(NamedTuple):
     doc_id: str
     score: float
     rank: int
@@ -101,7 +101,8 @@ class Index:
         # Kept as an exact integer so average_doc_length is independent of
         # summation order.
         self._total_tokens = sum(doc_lengths)
-        self._norms: tuple[tuple[float, float], list[float]] | None = None
+        # (k1, b), per-document length norms, term -> impacts column.
+        self._bm25: tuple[tuple[float, float], list[float], dict[str, array]] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -153,16 +154,30 @@ class Index:
         # found exactly when its score is positive.
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
-    def _length_norms(self, k1: float, b: float) -> list[float]:
-        """BM25's per-document length norm, cached for the last (k1, b)."""
-        cached = self._norms
+    def _impacts(self, term: str, k1: float, b: float) -> array:
+        """BM25 contribution of an indexed term to each document in its postings.
+
+        Built on first use, with the expression ``score`` uses, and cached
+        with the length norms for the last (k1, b); new parameters drop
+        both. The cache holds 8 bytes per posting of each queried term.
+        """
+        cached = self._bm25
         if cached is None or cached[0] != (k1, b):
             avgdl = self.average_doc_length
             # avgdl is 0 only when no document has a token, and then no
             # term has postings, so no norm is ever looked up.
             norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in self._doc_lengths] if avgdl else []
-            cached = self._norms = ((k1, b), norms)
-        return cached[1]
+            cached = self._bm25 = ((k1, b), norms, {})
+        _, norms, impacts = cached
+        column = impacts.get(term)
+        if column is None:
+            ordinals, tfs = self._postings[term]
+            idf = self._idf(len(ordinals))
+            k1_plus_1 = k1 + 1.0
+            column = impacts[term] = array(
+                "d", [idf * (tf * k1_plus_1) / (tf + norms[o]) for o, tf in zip(ordinals, tfs)]
+            )
+        return column
 
     def score(
         self,
@@ -207,25 +222,29 @@ class Index:
         optional truncation to ``depth``. Each score is the same sum, in
         query-term order, that ``score`` computes.
         """
-        norms = self._length_norms(k1, b)
-        k1_plus_1 = k1 + 1.0
         scores: dict[int, float] = {}
-        get = scores.get
         for term in query_terms:
             columns = self._postings.get(term)
             if columns is None:
                 continue
-            ordinals, tfs = columns
-            idf = self._idf(len(ordinals))
-            for o, tf in zip(ordinals, tfs):
-                scores[o] = get(o, 0.0) + idf * (tf * k1_plus_1) / (tf + norms[o])
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+            ordinals = columns[0]
+            impacts = self._impacts(term, k1, b)
+            # scores[o] = scores.get(o, 0.0) + impact, one C-level pass per term.
+            scores.update(
+                zip(ordinals, map(operator.add, map(scores.get, ordinals, repeat(0.0)), impacts))
+            )
+        # Ascending ordinal first; the stable descending sort keeps that
+        # order among equal scores, so ties break by ascending doc id.
+        ranked = sorted(sorted(scores), key=scores.__getitem__, reverse=True)
         if depth is not None:
             ranked = ranked[:depth]
-        doc_ids = self._doc_ids
-        entries = tuple(
-            ScoredDoc(doc_ids[o], score, rank) for rank, (o, score) in enumerate(ranked, start=1)
+        # tuple.__new__ is what ScoredDoc(...) runs, minus a Python-level call.
+        rows = zip(
+            map(self._doc_ids.__getitem__, ranked),
+            map(scores.__getitem__, ranked),
+            range(1, len(ranked) + 1),
         )
+        entries = tuple(map(tuple.__new__, repeat(ScoredDoc), rows))
         return RankedList(qid="", entries=entries, found_count=len(scores))
 
     # -- serialization -----------------------------------------------------

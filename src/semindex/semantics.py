@@ -10,7 +10,7 @@ against a semantized corpus can miss terms that were rewritten away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lexicon import Lexicon
 from .textnorm import TokenStream
@@ -18,8 +18,7 @@ from .textnorm import TokenStream
 DEFAULT_MAX_CONCEPT_TOKENS = 4
 
 
-@dataclass(frozen=True)
-class ConceptMatch:
+class ConceptMatch(NamedTuple):
     """A lexicon lemma found in a token stream at [start, end)."""
 
     start: int

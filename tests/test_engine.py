@@ -224,6 +224,16 @@ class TestRunFiles:
             assert rl.found_count == original[qid].found_count
             assert [e.doc_id for e in rl.entries] == [e.doc_id for e in original[qid].entries]
 
+    def test_format_read_format_is_byte_identical(self, tmp_path):
+        corpus = [(f"d{i}", "اثم ذنب") for i in range(22)] + [("e", "ذنب ذنب"), ("f", "اثم")]
+        system = build_system(corpus, Lexicon())
+        queries = [Query("q1", "ذنب"), Query("q2", "غائب"), Query("q3", "اثم ذنب")]
+        for depth in (5, None):
+            text = format_run(system.batch_run(queries, SearchType.R0, depth=depth, tag="t"))
+            path = tmp_path / "t.run"
+            path.write_text(text, encoding="utf-8")
+            assert format_run(read_run(path)) == text
+
     def test_read_without_sidecar_falls_back_to_length(self, tmp_path):
         system = build_system([("d1", "اثم")], Lexicon())
         run = system.batch_run([Query("q1", "اثم")], SearchType.R0)

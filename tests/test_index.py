@@ -17,6 +17,7 @@ from semindex import (
     DuplicateDocumentError,
     IndexFormatError,
     IndexMode,
+    ScoredDoc,
     build_index,
     load_index,
     read_corpus,
@@ -212,6 +213,45 @@ class TestRetrieve:
         assert len(ranked.entries) == 3
         assert ranked.found_count == 10
 
+    @pytest.mark.parametrize("depth", [5, 20, None])
+    def test_exact_ties_come_in_doc_id_order(self, depth):
+        # 24 documents of length 2 hold one of two terms of equal df once, so
+        # they tie exactly. The first query term reaches the even ids first;
+        # doc ids sort as strings (d0, d1, d10, ...), not in corpus order.
+        tied = [(f"d{i}", "ا ب" if i % 2 else "ت ب") for i in range(24)]
+        corpus = tied + [("top", "ا ت"), ("miss1", "ب ث"), ("miss2", "ث ج")]
+        random.Random(7).shuffle(corpus)
+        ranked = build_index(corpus, IndexMode.PLAIN).retrieve(["ت", "ا"], depth)
+        expected = ["top"] + sorted(doc_id for doc_id, _ in tied)
+        assert ranked.doc_ids() == expected[:depth]
+        assert ranked.found_count == 25
+        assert len({e.score for e in ranked.entries[1:]}) == 1
+        assert [e.rank for e in ranked.entries] == list(range(1, len(ranked.entries) + 1))
+
+    def test_cache_follows_parameters_across_calls(self):
+        """Norms and term impacts are cached per (k1, b): interleaved
+        parameters and term sets score as a fresh index and as score()."""
+        corpus = random_corpus(random.Random(3), n_docs=30)
+        idx = build_index(corpus, IndexMode.PLAIN)
+        terms = sorted(idx.terms(), key=idx.document_frequency, reverse=True)
+        params_a, params_b = (1.2, 0.75), (2.0, 0.3)
+        calls = [
+            (params_a, terms[:3]),
+            (params_b, terms[1:4]),
+            (params_a, [terms[0], "غائب", terms[0], terms[4]]),
+            ((1.2, 0.3), terms[:3]),  # only b changes
+            (params_b, terms[:3]),  # only k1 changes
+            (params_a, terms[2:5] + [terms[2]]),
+        ]
+        for (k1, b), query in calls:
+            got = idx.retrieve(query, k1=k1, b=b)
+            fresh = build_index(corpus, IndexMode.PLAIN).retrieve(query, k1=k1, b=b)
+            as_hex = [(e.doc_id, e.score.hex(), e.rank) for e in got.entries]
+            assert as_hex == [(e.doc_id, e.score.hex(), e.rank) for e in fresh.entries]
+            assert got.found_count == fresh.found_count > 0
+            for entry in got.entries:
+                assert entry.score.hex() == idx.score(query, entry.doc_id, k1=k1, b=b).hex()
+
     @settings(max_examples=40)
     @given(token_stream_strategy(max_size=5), st.sampled_from(["ا", "ب", "x"]))
     def test_found_count_monotone_in_query_terms(self, query, extra):
@@ -247,6 +287,17 @@ class TestRetrieve:
         truncated = idx.retrieve(query, depth, k1=k1, b=b)
         assert truncated.entries == full.entries[:depth]
         assert truncated.found_count == full.found_count
+
+
+class TestScoredDoc:
+    def test_positional_and_keyword_construction(self):
+        assert ScoredDoc("d1", 0.5, 1) == ScoredDoc(doc_id="d1", score=0.5, rank=1)
+        assert ScoredDoc("d1", 0.5, 1) == ("d1", 0.5, 1)
+
+    def test_fields_are_read_only(self):
+        entry = ScoredDoc("d1", 0.5, 1)
+        with pytest.raises(AttributeError):
+            entry.score = 1.0
 
 
 class TestPersistence:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterator, Union
 
 TextSource = Union[str, os.PathLike, IO[str], IO[bytes]]
 
@@ -28,6 +29,31 @@ def read_text(source: TextSource) -> str:
     except UnicodeDecodeError as exc:
         where = getattr(source, "name", "input stream") if is_stream else source
         raise DataError(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def iter_lines(source: TextSource) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) for each non-blank line of the source."""
+    for line_no, line in enumerate(read_text(source).splitlines(), start=1):
+        if line.strip():
+            yield line_no, line
+
+
+def parse_json(text: str):
+    """``json.loads``, with every malformed document reported as JSONDecodeError.
+
+    json.loads itself raises RecursionError for nesting deeper than its
+    parser allows and a plain ValueError for an integer literal longer than
+    Python's digit limit.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        reason = "number too long"
+    except RecursionError:
+        reason = "nesting too deep"
+    raise json.JSONDecodeError(reason, text, 0)
 
 
 def is_field(value: str) -> bool:

@@ -11,12 +11,12 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from ._util import DataError, atomic_write_text
-from .config import Config, ConfigError, apply_overrides, config_field_names, load_config, validate_sanity
+from .config import Config, ConfigError, apply_overrides, load_config, validate_sanity
 from .engine import (
-    DEFAULT_RUN_TAG,
     MissingIndexError,
     Query,
     Run,
@@ -194,17 +194,20 @@ def _evaluate_run_file(run_file: Path, qrels) -> EvalResult:
     return _evaluate(run, qrels, run_file.name.removesuffix(".run"))
 
 
+def _write_report(cfg: Config, name: str, render, table) -> str:
+    """Write ``<name>.tsv`` and ``<name>.json`` of one report; return the TSV.
+    ``render`` is looked up by the caller, so a patched ``render_*`` is used."""
+    tsv = render(table, "tsv")
+    atomic_write_text(cfg.report_dir / f"{name}.tsv", tsv)
+    atomic_write_text(cfg.report_dir / f"{name}.json", render(table, "json"))
+    return tsv
+
+
 def _write_eval_outputs(cfg: Config, results: list[EvalResult]) -> str:
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
-        stem = result.summary.system
-        atomic_write_text(cfg.report_dir / f"{stem}.eval.tsv", render_records(result.records, "tsv"))
-        atomic_write_text(cfg.report_dir / f"{stem}.eval.json", render_records(result.records, "json"))
-    summaries = [r.summary for r in results]
-    summary_tsv = render_summaries(summaries, "tsv")
-    atomic_write_text(cfg.report_dir / "summary.tsv", summary_tsv)
-    atomic_write_text(cfg.report_dir / "summary.json", render_summaries(summaries, "json"))
-    return summary_tsv
+        _write_report(cfg, f"{result.summary.system}.eval", render_records, result.records)
+    return _write_report(cfg, "summary", render_summaries, [r.summary for r in results])
 
 
 def _write_comparison(cfg: Config, baseline: EvalResult, treatments: list[EvalResult]) -> str:
@@ -215,19 +218,14 @@ def _write_comparison(cfg: Config, baseline: EvalResult, treatments: list[EvalRe
     for result in treatments:
         report = delta_report(list(baseline.records), list(result.records))
         prefix = f"{baseline.summary.system}_vs_{result.summary.system}"
-        atomic_write_text(cfg.report_dir / f"{prefix}.deltas.tsv", render_deltas(report.records, "tsv"))
-        atomic_write_text(cfg.report_dir / f"{prefix}.deltas.json", render_deltas(report.records, "json"))
-        buckets_tsv = render_buckets(report.buckets, "tsv")
-        atomic_write_text(cfg.report_dir / f"{prefix}.buckets.tsv", buckets_tsv)
-        atomic_write_text(cfg.report_dir / f"{prefix}.buckets.json", render_buckets(report.buckets, "json"))
+        _write_report(cfg, f"{prefix}.deltas", render_deltas, report.records)
+        buckets_tsv = _write_report(cfg, f"{prefix}.buckets", render_buckets, report.buckets)
         stdout_parts.append(f"== {prefix}\n{buckets_tsv}")
 
     if len(treatments) == 3:
         labels = tuple(r.summary.system for r in treatments)
         report = threeway_report(*(list(r.records) for r in treatments), labels=labels)
-        threeway_tsv = render_threeway(report, "tsv")
-        atomic_write_text(cfg.report_dir / "threeway.tsv", threeway_tsv)
-        atomic_write_text(cfg.report_dir / "threeway.json", render_threeway(report, "json"))
+        threeway_tsv = _write_report(cfg, "threeway", render_threeway, report)
         stdout_parts.append(f"== threeway\n{threeway_tsv}")
     return "\n".join(stdout_parts)
 
@@ -332,17 +330,19 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qrels", type=Path, help="TREC qrels file")
     parser.add_argument("--index-dir", dest="index_dir", type=Path, help="index output directory")
     parser.add_argument("--report-dir", dest="report_dir", type=Path, help="report output directory")
-    parser.add_argument("--k1", type=float, help="BM25 k1 (default 1.2)")
-    parser.add_argument("--b", type=float, help="BM25 b (default 0.75)")
+    parser.add_argument("--k1", type=float, help=f"BM25 k1 (default {Config.k1})")
+    parser.add_argument("--b", type=float, help=f"BM25 b (default {Config.b})")
     parser.add_argument(
         "--max-concept-tokens",
         dest="max_concept_tokens",
         type=int,
-        help="longest multiword concept to match (default 4)",
+        help=f"longest multiword concept to match (default {Config.max_concept_tokens})",
     )
-    parser.add_argument("--depth", type=int, help="ranking depth kept in run files (default 1000)")
-    parser.add_argument("--workers", type=int, help="parallel workers for index builds (default 1)")
-    parser.add_argument("--tag", help=f"run tag (default {DEFAULT_RUN_TAG!r})")
+    parser.add_argument("--depth", type=int, help=f"ranking depth kept in run files (default {Config.depth})")
+    parser.add_argument(
+        "--workers", type=int, help=f"parallel workers for index builds (default {Config.workers})"
+    )
+    parser.add_argument("--tag", help=f"run tag (default {Config.tag!r})")
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
 
 
@@ -390,10 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> Config:
     cfg = load_config(args.config) if args.config else Config()
-    overrides = {
-        key: getattr(args, key) for key in config_field_names() if hasattr(args, key)
-    }
-    apply_overrides(cfg, overrides)
+    apply_overrides(cfg, {f.name: getattr(args, f.name) for f in fields(Config)})
     validate_sanity(cfg)
     return cfg
 

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._util import DataError, TextSource, atomic_write_text, is_field, read_text
+from ._util import DataError, TextSource, atomic_write_text, is_field, iter_lines, parse_json, read_text
 from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList, ScoredDoc
 from .lexicon import Lexicon
 from .semantics import DEFAULT_MAX_CONCEPT_TOKENS, expand
@@ -154,9 +154,7 @@ class SearchSystem:
 def read_queries(source: TextSource) -> list[Query]:
     queries: list[Query] = []
     seen: dict[str, int] = {}
-    for line_no, line in enumerate(read_text(source).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in iter_lines(source):
         if "\t" not in line:
             raise QueryFileError(f"line {line_no}: expected qid<TAB>query text")
         qid, text = line.split("\t", 1)
@@ -210,9 +208,7 @@ def read_run(
     """
     per_qid: dict[str, list[ScoredDoc]] = {}
     tag = DEFAULT_RUN_TAG
-    for line_no, line in enumerate(read_text(run_source).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in iter_lines(run_source):
         parts = line.split()
         if len(parts) != 6:
             raise RunFormatError(f"line {line_no}: expected 6 fields, got {len(parts)}")
@@ -249,7 +245,7 @@ def read_run(
 
 def _read_found_counts(source: TextSource) -> dict[str, int]:
     try:
-        raw = json.loads(read_text(source))
+        raw = parse_json(read_text(source))
     except json.JSONDecodeError as exc:
         raise RunFormatError(f"found-count sidecar is not valid JSON ({exc})") from None
     if not isinstance(raw, dict):

@@ -13,9 +13,10 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
-from ._util import DataError, TextSource, read_text
+from ._util import DataError, TextSource, iter_lines
 from .engine import Run
 from .index import RankedList
 
@@ -316,9 +317,7 @@ def threeway_report(
 
 def read_qrels(source: TextSource) -> Qrels:
     qrels: Qrels = {}
-    for line_no, line in enumerate(read_text(source).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in iter_lines(source):
         parts = line.split()
         if len(parts) != 4:
             raise QrelsError(f"line {line_no}: expected 4 fields, got {len(parts)}")
@@ -344,13 +343,20 @@ def format_percent(count: int, total: int) -> str:
     return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def _check_format(fmt: str) -> None:
-    if fmt not in ("tsv", "json"):
-        raise ValueError(f"unknown report format: {fmt!r}")
+def _render(
+    fmt: str, header: Sequence[str], rows: Iterable[Iterable], payload: Callable[[], object]
+) -> str:
+    """One report as text: ``header`` and ``rows`` as TSV, or ``payload()`` as
+    JSON. Only the chosen format's side is evaluated."""
+    if fmt == "tsv":
+        return "".join("\t".join(map(str, row)) + "\n" for row in chain([header], rows))
+    if fmt == "json":
+        return json.dumps(payload(), ensure_ascii=False, indent=2) + "\n"
+    raise ValueError(f"unknown report format: {fmt!r}")
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
+def _by_cutoff(values: dict[int, float], cutoffs: Sequence[int]) -> dict[str, float]:
+    return {str(k): values.get(k, 0.0) for k in cutoffs}
 
 
 def render_records(
@@ -359,28 +365,15 @@ def render_records(
     cutoffs: Sequence[int] = DEFAULT_PRECISION_CUTOFFS,
 ) -> str:
     """Per-query counts and metrics (the found/relevant table analogue)."""
-    _check_format(fmt)
-    if fmt == "json":
-        return _json_dumps(
-            [
-                {
-                    "qid": r.qid,
-                    "found": r.found,
-                    "relevant_found": r.relevant_found,
-                    "p_at": {str(k): r.p_at.get(k, 0.0) for k in cutoffs},
-                    "ap": r.ap,
-                }
-                for r in records
-            ]
-        )
-    header = ["qid", "found", "relevant_found"] + [f"p@{k}" for k in cutoffs] + ["ap"]
-    lines = ["\t".join(header)]
-    for r in records:
-        cells = [r.qid, str(r.found), str(r.relevant_found)]
-        cells += [str(r.p_at.get(k, 0.0)) for k in cutoffs]
-        cells.append(str(r.ap))
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ["qid", "found", "relevant_found", *(f"p@{k}" for k in cutoffs), "ap"]
+    keys = ("qid", "found", "relevant_found", "p_at", "ap")
+    rows = [(r.qid, r.found, r.relevant_found, _by_cutoff(r.p_at, cutoffs), r.ap) for r in records]
+    return _render(
+        fmt,
+        header,
+        ([qid, found, relevant, *p_at.values(), ap] for qid, found, relevant, p_at, ap in rows),
+        lambda: [dict(zip(keys, row)) for row in rows],
+    )
 
 
 def render_summaries(
@@ -389,141 +382,78 @@ def render_summaries(
     cutoffs: Sequence[int] = DEFAULT_PRECISION_CUTOFFS,
 ) -> str:
     """One row per system: mean/median AP and mean P@k values."""
-    _check_format(fmt)
-    if fmt == "json":
-        return _json_dumps(
-            [
-                {
-                    "system": s.system,
-                    "mean_ap": s.mean_ap,
-                    "median_ap": s.median_ap,
-                    "mean_p_at": {str(k): s.mean_p_at.get(k, 0.0) for k in cutoffs},
-                    "query_count": s.query_count,
-                }
-                for s in summaries
-            ]
-        )
-    header = ["system", "mean_ap", "median_ap"] + [f"p@{k}" for k in cutoffs] + ["queries"]
-    lines = ["\t".join(header)]
-    for s in summaries:
-        cells = [s.system, str(s.mean_ap), str(s.median_ap)]
-        cells += [str(s.mean_p_at.get(k, 0.0)) for k in cutoffs]
-        cells.append(str(s.query_count))
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ["system", "mean_ap", "median_ap", *(f"p@{k}" for k in cutoffs), "queries"]
+    keys = ("system", "mean_ap", "median_ap", "mean_p_at", "query_count")
+    rows = [
+        (s.system, s.mean_ap, s.median_ap, _by_cutoff(s.mean_p_at, cutoffs), s.query_count)
+        for s in summaries
+    ]
+    return _render(
+        fmt,
+        header,
+        ([system, mean, median, *p_at.values(), n] for system, mean, median, p_at, n in rows),
+        lambda: [dict(zip(keys, row)) for row in rows],
+    )
+
+
+_DELTA_HEADER = (
+    "qid", "found_before", "found_after", "found_delta", "relevant_before", "relevant_after", "relevant_delta",
+)
 
 
 def render_deltas(records: Sequence[DeltaRecord], fmt: str) -> str:
-    _check_format(fmt)
-    if fmt == "json":
-        return _json_dumps(
-            [
-                {
-                    "qid": r.qid,
-                    "found_before": r.found_before,
-                    "found_after": r.found_after,
-                    "found_delta": r.found_delta,
-                    "relevant_before": r.relevant_before,
-                    "relevant_after": r.relevant_after,
-                    "relevant_delta": r.relevant_delta,
-                }
-                for r in records
-            ]
-        )
-    header = [
-        "qid",
-        "found_before",
-        "found_after",
-        "found_delta",
-        "relevant_before",
-        "relevant_after",
-        "relevant_delta",
-    ]
-    lines = ["\t".join(header)]
-    for r in records:
-        lines.append(
-            "\t".join(
-                str(v)
-                for v in (
-                    r.qid,
-                    r.found_before,
-                    r.found_after,
-                    r.found_delta,
-                    r.relevant_before,
-                    r.relevant_after,
-                    r.relevant_delta,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    # Each column is the DeltaRecord attribute of the same name.
+    rows = [[getattr(r, name) for name in _DELTA_HEADER] for r in records]
+    return _render(fmt, _DELTA_HEADER, rows, lambda: [dict(zip(_DELTA_HEADER, row)) for row in rows])
 
 
-def _bucket_rows(metric: str, buckets: SignBuckets) -> list[tuple[str, str, int]]:
-    return [
-        (metric, "delta<0", buckets.negative),
-        (metric, "delta=0", buckets.zero),
-        (metric, "delta>0", buckets.positive),
-    ]
+_OUTCOME_HEADER = ("metric", "bucket", "queries", "percent")
+
+
+def _outcome_rows(report: BucketReport | ThreeWayReport, counts) -> Iterator[tuple]:
+    """metric/bucket/queries/percent rows for the found and relevant metrics
+    of a report; ``counts(buckets)`` yields its (bucket, queries) pairs."""
+    for metric, buckets in (("found", report.found), ("relevant", report.relevant)):
+        for bucket, count in counts(buckets):
+            yield metric, bucket, count, format_percent(count, buckets.total)
+
+
+def _sign_counts(buckets: SignBuckets) -> Iterator[tuple[str, int]]:
+    return zip(("delta<0", "delta=0", "delta>0"), (buckets.negative, buckets.zero, buckets.positive))
 
 
 def render_buckets(report: BucketReport, fmt: str) -> str:
-    _check_format(fmt)
-    total = report.found.total
-    if fmt == "json":
-        def entry(buckets: SignBuckets) -> dict:
-            return {
-                "negative": buckets.negative,
-                "zero": buckets.zero,
-                "positive": buckets.positive,
-                "negative_pct": float(format_percent(buckets.negative, buckets.total)),
-                "zero_pct": float(format_percent(buckets.zero, buckets.total)),
-                "positive_pct": float(format_percent(buckets.positive, buckets.total)),
-            }
+    def entry(buckets: SignBuckets) -> dict:
+        counts = {"negative": buckets.negative, "zero": buckets.zero, "positive": buckets.positive}
+        percents = {
+            f"{name}_pct": float(format_percent(count, buckets.total)) for name, count in counts.items()
+        }
+        return {**counts, **percents}
 
-        return _json_dumps(
-            {"queries": total, "found": entry(report.found), "relevant": entry(report.relevant)}
-        )
-    lines = ["\t".join(["metric", "bucket", "queries", "percent"])]
-    for metric, buckets in (("found", report.found), ("relevant", report.relevant)):
-        for name, label, count in _bucket_rows(metric, buckets):
-            lines.append(
-                "\t".join([name, label, str(count), format_percent(count, buckets.total)])
-            )
-    return "\n".join(lines) + "\n"
+    return _render(fmt, _OUTCOME_HEADER, _outcome_rows(report, _sign_counts), lambda: {
+        "queries": report.found.total,
+        "found": entry(report.found),
+        "relevant": entry(report.relevant),
+    })
+
+
+def _threeway_counts(buckets: ThreeWayBuckets) -> Iterator[tuple[str, int]]:
+    yield from zip((f"{label}_wins" for label in buckets.labels), buckets.wins)
+    yield "all_equal", buckets.all_equal
+    yield "partial_tie", buckets.partial_tie
 
 
 def render_threeway(report: ThreeWayReport, fmt: str) -> str:
-    _check_format(fmt)
+    def entry(buckets: ThreeWayBuckets) -> dict:
+        payload = {}
+        for name, count in _threeway_counts(buckets):
+            payload[name] = count
+            payload[f"{name}_pct"] = float(format_percent(count, buckets.total))
+        return payload
 
-    def rows(metric: str, buckets: ThreeWayBuckets) -> list[tuple[str, str, int]]:
-        out = [
-            (metric, f"{label}_wins", wins)
-            for label, wins in zip(buckets.labels, buckets.wins)
-        ]
-        out.append((metric, "all_equal", buckets.all_equal))
-        out.append((metric, "partial_tie", buckets.partial_tie))
-        return out
-
-    if fmt == "json":
-        def entry(buckets: ThreeWayBuckets) -> dict:
-            payload = {}
-            for _, label, count in rows("", buckets):
-                payload[label] = count
-                payload[f"{label}_pct"] = float(format_percent(count, buckets.total))
-            return payload
-
-        return _json_dumps(
-            {
-                "queries": report.found.total,
-                "labels": list(report.found.labels),
-                "found": entry(report.found),
-                "relevant": entry(report.relevant),
-            }
-        )
-    lines = ["\t".join(["metric", "bucket", "queries", "percent"])]
-    for metric, buckets in (("found", report.found), ("relevant", report.relevant)):
-        for name, label, count in rows(metric, buckets):
-            lines.append(
-                "\t".join([name, label, str(count), format_percent(count, buckets.total)])
-            )
-    return "\n".join(lines) + "\n"
+    return _render(fmt, _OUTCOME_HEADER, _outcome_rows(report, _threeway_counts), lambda: {
+        "queries": report.found.total,
+        "labels": list(report.found.labels),
+        "found": entry(report.found),
+        "relevant": entry(report.relevant),
+    })

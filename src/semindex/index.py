@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
-from ._util import DataError, TextSource, atomic_write_bytes, is_field, read_text
+from ._util import DataError, TextSource, atomic_write_bytes, is_field, iter_lines, parse_json
 from .lexicon import Lexicon
 from .semantics import DEFAULT_MAX_CONCEPT_TOKENS, semantize
 from .textnorm import TokenStream, remove_stopwords, tokenize
@@ -529,11 +529,9 @@ def read_corpus(source: TextSource) -> CorpusReadResult:
     """
     documents: list[tuple[str, str]] = []
     skipped: list[SkippedDocument] = []
-    for line_no, line in enumerate(read_text(source).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in iter_lines(source):
         try:
-            record = json.loads(line)
+            record = parse_json(line)
         except json.JSONDecodeError as exc:
             skipped.append(SkippedDocument(line_no, f"invalid JSON ({exc.msg})"))
             continue

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._util import DataError, TextSource, read_text
+from ._util import DataError, TextSource, iter_lines, parse_json
 from .textnorm import tokenize
 
 POS_BY_TAG = {"n": "noun", "v": "verb", "a": "adjective", "r": "adverb"}
@@ -139,7 +139,7 @@ class Lexicon:
 
 def _parse_record(line_no: int, line: str) -> Synset:
     try:
-        record = json.loads(line)
+        record = parse_json(line)
     except json.JSONDecodeError as exc:
         raise LexiconError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
     if not isinstance(record, dict):
@@ -150,7 +150,7 @@ def _parse_record(line_no: int, line: str) -> Synset:
         raise LexiconError(f"line {line_no}: missing or invalid 'id'")
 
     pos_tag = record.get("pos")
-    if pos_tag not in POS_BY_TAG:
+    if not isinstance(pos_tag, str) or pos_tag not in POS_BY_TAG:
         raise LexiconError(f"line {line_no}: unknown pos tag {pos_tag!r}")
 
     raw_lemmas = record.get("lemmas")
@@ -182,9 +182,7 @@ def load_lexicon(source: TextSource) -> Lexicon:
     """
     synsets: list[Synset] = []
     seen: dict[str, int] = {}
-    for line_no, line in enumerate(read_text(source).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in iter_lines(source):
         syn = _parse_record(line_no, line)
         if syn.id in seen:
             raise LexiconError(

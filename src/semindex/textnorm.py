@@ -11,7 +11,7 @@ import re
 import string
 import unicodedata
 
-from ._util import TextSource, read_text
+from ._util import TextSource, iter_lines
 
 TokenStream = list[str]
 
@@ -90,9 +90,6 @@ def remove_stopwords(tokens: TokenStream, stoplist: frozenset[str] | set[str]) -
 
 def load_stopwords(source: TextSource) -> frozenset[str]:
     """Read a stopword file (one token per line); entries are normalized."""
-    words = set()
-    for line in read_text(source).splitlines():
-        token = normalize(line.strip())
-        if token:
-            words.add(token)
-    return frozenset(words)
+    words = frozenset(normalize(line.strip()) for _, line in iter_lines(source))
+    # A line of marks or tatweel alone normalizes to nothing.
+    return words - {""}

@@ -8,10 +8,22 @@ import random
 import re
 import string
 import unicodedata
+from typing import Sequence
 
 from hypothesis import strategies as st
 
 from semindex import Lexicon, load_lexicon
+from semindex.evalkit import (
+    DEFAULT_PRECISION_CUTOFFS,
+    BucketReport,
+    DeltaRecord,
+    EvalRecord,
+    PrecisionSummary,
+    SignBuckets,
+    ThreeWayBuckets,
+    ThreeWayReport,
+    format_percent,
+)
 from semindex.semantics import DEFAULT_MAX_CONCEPT_TOKENS, ConceptMatch
 
 # Already-normalized single tokens (Arabic letters and lowercase Latin).
@@ -103,3 +115,194 @@ def random_corpus(rng: random.Random, n_docs: int, vocab=None, min_len=3, max_le
         words = [rng.choice(vocab) for _ in range(length)]
         docs.append((f"d{i:05d}", " ".join(words)))
     return docs
+
+
+# -- reference report renderers ------------------------------------------------
+#
+# The five hand-written renderers evalkit had before they were folded onto
+# one table renderer, kept verbatim (renamed) as the byte-level oracle.
+
+
+def _reference_check_format(fmt: str) -> None:
+    if fmt not in ("tsv", "json"):
+        raise ValueError(f"unknown report format: {fmt!r}")
+
+
+def _reference_json_dumps(payload) -> str:
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
+
+
+def reference_render_records(
+    records: Sequence[EvalRecord],
+    fmt: str,
+    cutoffs: Sequence[int] = DEFAULT_PRECISION_CUTOFFS,
+) -> str:
+    """Per-query counts and metrics (the found/relevant table analogue)."""
+    _reference_check_format(fmt)
+    if fmt == "json":
+        return _reference_json_dumps(
+            [
+                {
+                    "qid": r.qid,
+                    "found": r.found,
+                    "relevant_found": r.relevant_found,
+                    "p_at": {str(k): r.p_at.get(k, 0.0) for k in cutoffs},
+                    "ap": r.ap,
+                }
+                for r in records
+            ]
+        )
+    header = ["qid", "found", "relevant_found"] + [f"p@{k}" for k in cutoffs] + ["ap"]
+    lines = ["\t".join(header)]
+    for r in records:
+        cells = [r.qid, str(r.found), str(r.relevant_found)]
+        cells += [str(r.p_at.get(k, 0.0)) for k in cutoffs]
+        cells.append(str(r.ap))
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_summaries(
+    summaries: Sequence[PrecisionSummary],
+    fmt: str,
+    cutoffs: Sequence[int] = DEFAULT_PRECISION_CUTOFFS,
+) -> str:
+    """One row per system: mean/median AP and mean P@k values."""
+    _reference_check_format(fmt)
+    if fmt == "json":
+        return _reference_json_dumps(
+            [
+                {
+                    "system": s.system,
+                    "mean_ap": s.mean_ap,
+                    "median_ap": s.median_ap,
+                    "mean_p_at": {str(k): s.mean_p_at.get(k, 0.0) for k in cutoffs},
+                    "query_count": s.query_count,
+                }
+                for s in summaries
+            ]
+        )
+    header = ["system", "mean_ap", "median_ap"] + [f"p@{k}" for k in cutoffs] + ["queries"]
+    lines = ["\t".join(header)]
+    for s in summaries:
+        cells = [s.system, str(s.mean_ap), str(s.median_ap)]
+        cells += [str(s.mean_p_at.get(k, 0.0)) for k in cutoffs]
+        cells.append(str(s.query_count))
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_deltas(records: Sequence[DeltaRecord], fmt: str) -> str:
+    _reference_check_format(fmt)
+    if fmt == "json":
+        return _reference_json_dumps(
+            [
+                {
+                    "qid": r.qid,
+                    "found_before": r.found_before,
+                    "found_after": r.found_after,
+                    "found_delta": r.found_delta,
+                    "relevant_before": r.relevant_before,
+                    "relevant_after": r.relevant_after,
+                    "relevant_delta": r.relevant_delta,
+                }
+                for r in records
+            ]
+        )
+    header = [
+        "qid",
+        "found_before",
+        "found_after",
+        "found_delta",
+        "relevant_before",
+        "relevant_after",
+        "relevant_delta",
+    ]
+    lines = ["\t".join(header)]
+    for r in records:
+        lines.append(
+            "\t".join(
+                str(v)
+                for v in (
+                    r.qid,
+                    r.found_before,
+                    r.found_after,
+                    r.found_delta,
+                    r.relevant_before,
+                    r.relevant_after,
+                    r.relevant_delta,
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _reference_bucket_rows(metric: str, buckets: SignBuckets) -> list[tuple[str, str, int]]:
+    return [
+        (metric, "delta<0", buckets.negative),
+        (metric, "delta=0", buckets.zero),
+        (metric, "delta>0", buckets.positive),
+    ]
+
+
+def reference_render_buckets(report: BucketReport, fmt: str) -> str:
+    _reference_check_format(fmt)
+    total = report.found.total
+    if fmt == "json":
+        def entry(buckets: SignBuckets) -> dict:
+            return {
+                "negative": buckets.negative,
+                "zero": buckets.zero,
+                "positive": buckets.positive,
+                "negative_pct": float(format_percent(buckets.negative, buckets.total)),
+                "zero_pct": float(format_percent(buckets.zero, buckets.total)),
+                "positive_pct": float(format_percent(buckets.positive, buckets.total)),
+            }
+
+        return _reference_json_dumps(
+            {"queries": total, "found": entry(report.found), "relevant": entry(report.relevant)}
+        )
+    lines = ["\t".join(["metric", "bucket", "queries", "percent"])]
+    for metric, buckets in (("found", report.found), ("relevant", report.relevant)):
+        for name, label, count in _reference_bucket_rows(metric, buckets):
+            lines.append(
+                "\t".join([name, label, str(count), format_percent(count, buckets.total)])
+            )
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_threeway(report: ThreeWayReport, fmt: str) -> str:
+    _reference_check_format(fmt)
+
+    def rows(metric: str, buckets: ThreeWayBuckets) -> list[tuple[str, str, int]]:
+        out = [
+            (metric, f"{label}_wins", wins)
+            for label, wins in zip(buckets.labels, buckets.wins)
+        ]
+        out.append((metric, "all_equal", buckets.all_equal))
+        out.append((metric, "partial_tie", buckets.partial_tie))
+        return out
+
+    if fmt == "json":
+        def entry(buckets: ThreeWayBuckets) -> dict:
+            payload = {}
+            for _, label, count in rows("", buckets):
+                payload[label] = count
+                payload[f"{label}_pct"] = float(format_percent(count, buckets.total))
+            return payload
+
+        return _reference_json_dumps(
+            {
+                "queries": report.found.total,
+                "labels": list(report.found.labels),
+                "found": entry(report.found),
+                "relevant": entry(report.relevant),
+            }
+        )
+    lines = ["\t".join(["metric", "bucket", "queries", "percent"])]
+    for metric, buckets in (("found", report.found), ("relevant", report.relevant)):
+        for name, label, count in rows(metric, buckets):
+            lines.append(
+                "\t".join([name, label, str(count), format_percent(count, buckets.total)])
+            )
+    return "\n".join(lines) + "\n"

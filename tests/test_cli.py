@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from semindex import config as config_module
 from semindex import read_run
 from semindex.cli import main
+from semindex.config import Config
 
 from helpers import lexicon_jsonl
 
@@ -23,6 +26,11 @@ LEXICON_RECORDS = [("s1", "n", ["خطيئة", "إثم"]), ("s2", "n", ["ذنب",
 QUERIES = "q1\tاثم\nq2\tبيت\nq3\tذنب\n"
 
 QRELS = "q1 0 d1 1\nq1 0 d2 1\nq2 0 d3 1\nq3 0 d4 1\n"
+
+# JSON that json.loads gives up on without a JSONDecodeError: nesting
+# deeper than its parser allows, an integer literal past Python's digit limit.
+DEEP_JSON = "[" * 100_000
+LONG_INT_JSON = '{"id": ' + "1" * 5000 + "}"
 
 
 @pytest.fixture
@@ -107,6 +115,11 @@ class TestIndexCommand:
         workspace["lexicon"].write_text("{broken\n", encoding="utf-8")
         assert main(["index", "--mode", "semantic"] + common_args(workspace)) == 2
 
+    def test_lexicon_pos_that_is_not_a_string_is_data_error(self, workspace, caplog):
+        workspace["lexicon"].write_text('{"id": "s1", "pos": ["n"], "lemmas": ["اثم"]}\n', encoding="utf-8")
+        assert main(["index", "--mode", "semantic"] + common_args(workspace)) == 2
+        assert "line 1: unknown pos tag" in caplog.text
+
     def test_skipped_corpus_lines_counted(self, workspace):
         workspace["corpus"].write_text(
             '{"id": "d1", "text": "اثم"}\n{nope\n', encoding="utf-8"
@@ -139,6 +152,32 @@ class TestIndexCommand:
             assert plain["postings"][term] == semantic["postings"][term]
         assert semantic["postings"]["خطيئه"] == [["d1", 1], ["d2", 1]]
         assert plain["postings"]["خطيئه"] == [["d2", 1]]
+
+
+UNPARSABLE = pytest.mark.parametrize("bad", [DEEP_JSON, LONG_INT_JSON], ids=["deep", "long-int"])
+
+
+class TestUnparsableJson:
+    """A line json.loads gives up on is malformed input like any other."""
+
+    @UNPARSABLE
+    def test_corpus_line_is_skipped(self, workspace, capsys, bad):
+        with open(workspace["corpus"], "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        assert main(["index", "--mode", "plain"] + common_args(workspace)) == 0
+        report = json.loads((workspace["index_dir"] / "plain.build.json").read_text())
+        assert report["documents_indexed"] == 5
+        [skipped] = report["skipped"]
+        assert skipped["line"] == 6 and skipped["reason"].startswith("invalid JSON")
+        assert "Traceback" not in capsys.readouterr().err
+
+    @UNPARSABLE
+    def test_lexicon_line_is_data_error(self, workspace, capsys, caplog, bad):
+        with open(workspace["lexicon"], "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        assert main(["index", "--mode", "semantic"] + common_args(workspace)) == 2
+        assert "line 3: invalid JSON" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestBatchCommand:
@@ -227,7 +266,17 @@ class TestEvalCommand:
         bad_run.write_text("q1 Q0 d1\n", encoding="utf-8")
         assert main(["eval", str(bad_run)] + common_args(workspace)) == 2
 
-    @pytest.mark.parametrize("sidecar", ["{broken", '{"q1": "many"}', '{"q1": -1}', "[1]"])
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            "{broken",
+            '{"q1": "many"}',
+            '{"q1": -1}',
+            "[1]",
+            pytest.param(DEEP_JSON, id="deep"),
+            pytest.param(LONG_INT_JSON, id="long-int"),
+        ],
+    )
     def test_malformed_sidecar_is_data_error(self, workspace, capsys, caplog, sidecar):
         build_indexes(workspace)
         assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 0
@@ -393,6 +442,45 @@ class TestConfigHandling:
         config = tmp_path / "bad.conf"
         config.write_text("depth = soon\n", encoding="utf-8")
         assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize(
+        "flag", [["--k1", "nan"], ["--k1", "inf"], ["--b", "nan"]], ids=["k1-nan", "k1-inf", "b-nan"]
+    )
+    def test_non_finite_bm25_flag_is_rejected(self, workspace, caplog, flag):
+        assert main(["pipeline"] + flag + common_args(workspace)) == 1
+        assert "bad BM25 parameters" in caplog.text
+        assert not workspace["report_dir"].exists()
+
+    def test_non_finite_k1_in_config_file_is_rejected(self, workspace, tmp_path, caplog):
+        config = tmp_path / "nan.conf"
+        config.write_text("k1 = nan\n", encoding="utf-8")
+        code = main(["pipeline", "--config", str(config)] + common_args(workspace))
+        assert code == 1
+        assert "bad BM25 parameters" in caplog.text
+        assert not workspace["report_dir"].exists()
+
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys, caplog):
+        config = tmp_path / "latin1.conf"
+        config.write_bytes("tag = café\n".encode("latin-1"))
+        assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
+        assert "latin1.conf" in caplog.text and "UTF-8" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_every_config_field_has_a_coercer(self):
+        assert set(config_module._COERCERS) == {f.name for f in dataclasses.fields(Config)}
+
+    def test_option_help_shows_the_config_defaults(self, capsys):
+        assert main(["pipeline", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for default in (
+            f"(default {Config.k1})",
+            f"(default {Config.b})",
+            f"(default {Config.max_concept_tokens})",
+            f"(default {Config.depth})",
+            f"(default {Config.workers})",
+            f"(default {Config.tag!r})",
+        ):
+            assert default in out
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1

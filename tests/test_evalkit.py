@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semindex import (
     EvalRecord,
@@ -19,8 +21,15 @@ from semindex import (
     threeway_report,
 )
 from semindex.evalkit import (
+    DEFAULT_PRECISION_CUTOFFS,
+    BucketReport,
+    DeltaRecord,
     EvalError,
+    PrecisionSummary,
     QrelsError,
+    SignBuckets,
+    ThreeWayBuckets,
+    ThreeWayReport,
     format_percent,
     render_buckets,
     render_deltas,
@@ -30,6 +39,14 @@ from semindex.evalkit import (
     sign_buckets,
 )
 from semindex.index import ScoredDoc
+
+from helpers import (
+    reference_render_buckets,
+    reference_render_deltas,
+    reference_render_records,
+    reference_render_summaries,
+    reference_render_threeway,
+)
 
 
 def make_ranking(doc_ids, qid="q1", found=None) -> RankedList:
@@ -351,6 +368,13 @@ class TestRendering:
         with pytest.raises(ValueError, match="unknown report format"):
             render_records([], "xml")
 
+    @pytest.mark.parametrize(
+        "render", [render_records, render_summaries, render_deltas, render_buckets, render_threeway]
+    )
+    def test_unknown_format_is_checked_before_the_input_is_read(self, render):
+        with pytest.raises(ValueError, match="unknown report format"):
+            render([], "xml")
+
     def test_deterministic(self):
         records = reference_records("R1")
         assert render_records(records, "tsv") == render_records(records, "tsv")
@@ -424,3 +448,90 @@ class TestRendering:
         parsed = json.loads(render_threeway(report, "json"))
         assert parsed["found"]["all_equal"] == 4
         assert parsed["labels"] == ["R1", "R2", "R3"]
+
+
+# -- renderers against the hand-written reference renderers -----------------
+
+NAMES = st.sampled_from(["q1", "ق١", "سؤال-٢", "semindex.R1", ""]) | st.text(max_size=6)
+FLOATS = st.sampled_from([0.0, 1 / 3, 1e-7, 0.5, 1.0]) | st.floats()
+COUNTS = st.sampled_from([0, 1, 3, 7]) | st.integers(min_value=0, max_value=10**6)
+CUTOFFS = st.sampled_from([DEFAULT_PRECISION_CUTOFFS, (), (1,), (3, 7, 15)]) | st.lists(
+    st.integers(min_value=1, max_value=2000), unique=True, max_size=6
+).map(tuple)
+BY_CUTOFF = st.dictionaries(
+    st.sampled_from(DEFAULT_PRECISION_CUTOFFS) | st.integers(min_value=1, max_value=2000), FLOATS, max_size=6
+)
+EVAL_RECORDS = st.lists(
+    st.builds(EvalRecord, qid=NAMES, found=COUNTS, relevant_found=COUNTS, p_at=BY_CUTOFF, ap=FLOATS),
+    max_size=5,
+)
+SUMMARIES = st.lists(
+    st.builds(
+        PrecisionSummary,
+        system=NAMES,
+        mean_ap=FLOATS,
+        median_ap=FLOATS,
+        mean_p_at=BY_CUTOFF,
+        query_count=COUNTS,
+    ),
+    max_size=4,
+)
+DELTA_RECORDS = st.lists(
+    st.builds(
+        DeltaRecord,
+        qid=NAMES,
+        found_before=COUNTS,
+        found_after=COUNTS,
+        relevant_before=COUNTS,
+        relevant_after=COUNTS,
+    ),
+    max_size=5,
+)
+SIGN_BUCKETS = st.builds(SignBuckets, COUNTS, COUNTS, COUNTS)
+BUCKET_REPORTS = st.builds(BucketReport, SIGN_BUCKETS, SIGN_BUCKETS)
+LABELS = st.sampled_from([("R1", "R2", "R3"), ("semindex.R1", "semindex.R2", "semindex.R3"), ("أ", "ب", "ج")]) | st.tuples(
+    NAMES, NAMES, NAMES
+)
+
+
+def _threeway_buckets(labels):
+    return st.builds(ThreeWayBuckets, st.just(labels), st.tuples(COUNTS, COUNTS, COUNTS), COUNTS, COUNTS)
+
+
+THREEWAY_REPORTS = LABELS.flatmap(
+    lambda labels: st.builds(ThreeWayReport, _threeway_buckets(labels), _threeway_buckets(labels))
+)
+FORMATS = pytest.mark.parametrize("fmt", ["tsv", "json"])
+
+
+class TestRenderersMatchReference:
+    """Each renderer writes the same bytes as the hand-written one it replaced."""
+
+    @FORMATS
+    @given(records=EVAL_RECORDS, cutoffs=CUTOFFS)
+    def test_records(self, fmt, records, cutoffs):
+        assert render_records(records, fmt, cutoffs) == reference_render_records(records, fmt, cutoffs)
+        assert render_records(records, fmt) == reference_render_records(records, fmt)
+
+    @FORMATS
+    @given(summaries=SUMMARIES, cutoffs=CUTOFFS)
+    def test_summaries(self, fmt, summaries, cutoffs):
+        assert render_summaries(summaries, fmt, cutoffs) == reference_render_summaries(
+            summaries, fmt, cutoffs
+        )
+        assert render_summaries(summaries, fmt) == reference_render_summaries(summaries, fmt)
+
+    @FORMATS
+    @given(records=DELTA_RECORDS)
+    def test_deltas(self, fmt, records):
+        assert render_deltas(records, fmt) == reference_render_deltas(records, fmt)
+
+    @FORMATS
+    @given(report=BUCKET_REPORTS)
+    def test_buckets(self, fmt, report):
+        assert render_buckets(report, fmt) == reference_render_buckets(report, fmt)
+
+    @FORMATS
+    @given(report=THREEWAY_REPORTS)
+    def test_threeway(self, fmt, report):
+        assert render_threeway(report, fmt) == reference_render_threeway(report, fmt)

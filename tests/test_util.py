@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import io
+import json
 import os
 
 import pytest
 
-from semindex._util import DataError, atomic_write_bytes, read_text
+from semindex._util import DataError, atomic_write_bytes, iter_lines, parse_json, read_text
 
 
 class TestAtomicWrite:
@@ -49,3 +50,25 @@ class TestReadText:
     def test_non_utf8_stream(self):
         with pytest.raises(DataError, match="not UTF-8"):
             read_text(io.BytesIO(b"\xff"))
+
+
+class TestIterLines:
+    def test_skips_blank_lines_and_keeps_line_numbers(self):
+        text = "a\n\n  \t\nb \r\nc"
+        assert list(iter_lines(io.StringIO(text))) == [(1, "a"), (4, "b "), (5, "c")]
+
+    def test_empty_source(self):
+        assert list(iter_lines(io.BytesIO(b""))) == []
+
+
+class TestParseJson:
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("[" * 100_000, "nesting too deep"), ("1" * 5000, "number too long"), ("{x", "Expecting")],
+    )
+    def test_every_failure_is_a_decode_error(self, text, reason):
+        with pytest.raises(json.JSONDecodeError, match=reason):
+            parse_json(text)
+
+    def test_valid_document(self):
+        assert parse_json('{"a": [1, 2.5, "ب"]}') == {"a": [1, 2.5, "ب"]}

@@ -49,7 +49,7 @@ from .index import (
     load_index,
     read_corpus,
 )
-from .lexicon import Lexicon, LexiconError, LexiconStats, Synset, load_lexicon, normalize_lemma
+from .lexicon import Lexicon, LexiconError, Synset, load_lexicon, normalize_lemma
 from .semantics import ConceptMatch, expand, match_concepts, semantize
 from .textnorm import TokenStream, load_stopwords, normalize, remove_stopwords, tokenize
 

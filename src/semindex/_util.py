@@ -57,8 +57,13 @@ def parse_json(text: str):
 
 
 def is_field(value: str) -> bool:
-    """True if ``value`` can be one field of a whitespace-separated line
-    (a TREC run or qrels line): non-empty and free of whitespace."""
+    """True if ``value`` can be one field of a whitespace-separated UTF-8
+    line (a TREC run or qrels line): non-empty, free of whitespace, and free
+    of lone surrogates, which UTF-8 cannot encode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
     return value.split() == [value]
 
 

@@ -96,4 +96,4 @@ def validate_sanity(config: Config) -> None:
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
     if not is_field(config.tag):
-        raise ConfigError(f"tag {config.tag!r} must be non-empty and contain no whitespace")
+        raise ConfigError(f"tag {config.tag!r} must be non-empty UTF-8 with no whitespace")

@@ -162,7 +162,9 @@ def read_queries(source: TextSource) -> list[Query]:
         if not qid:
             raise QueryFileError(f"line {line_no}: empty qid")
         if not is_field(qid):
-            raise QueryFileError(f"line {line_no}: qid {qid!r} contains whitespace")
+            raise QueryFileError(
+                f"line {line_no}: qid {qid!r} contains whitespace or cannot be encoded as UTF-8"
+            )
         if qid in seen:
             raise QueryFileError(
                 f"line {line_no}: duplicate qid {qid!r} (first seen on line {seen[qid]})"

@@ -96,11 +96,6 @@ class SignBuckets:
     def total(self) -> int:
         return self.negative + self.zero + self.positive
 
-    def percentages(self) -> tuple[float, float, float]:
-        if self.total == 0:
-            return (0.0, 0.0, 0.0)
-        return tuple(100.0 * c / self.total for c in (self.negative, self.zero, self.positive))
-
 
 @dataclass(frozen=True)
 class BucketReport:
@@ -131,12 +126,6 @@ class ThreeWayBuckets:
     @property
     def total(self) -> int:
         return sum(self.wins) + self.all_equal + self.partial_tie
-
-    def percentages(self) -> tuple[float, float, float, float, float]:
-        counts = (*self.wins, self.all_equal, self.partial_tie)
-        if self.total == 0:
-            return (0.0,) * 5
-        return tuple(100.0 * c / self.total for c in counts)
 
 
 @dataclass(frozen=True)

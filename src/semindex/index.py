@@ -9,7 +9,6 @@ one query term.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import hashlib
 import json
@@ -68,9 +67,6 @@ class RankedList:
     qid: str
     entries: tuple[ScoredDoc, ...]
     found_count: int
-
-    def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
 
 
 class Index:
@@ -135,18 +131,6 @@ class Index:
         columns = self._postings.get(term)
         return len(columns[0]) if columns is not None else 0
 
-    def _ordinal(self, doc_id: str) -> int:
-        i = bisect.bisect_left(self._doc_ids, doc_id)
-        if i == len(self._doc_ids) or self._doc_ids[i] != doc_id:
-            raise KeyError(f"unknown doc_id: {doc_id!r}")
-        return i
-
-    def doc_length(self, doc_id: str) -> int:
-        return self._doc_lengths[self._ordinal(doc_id)]
-
-    def doc_ids(self) -> list[str]:
-        return list(self._doc_ids)
-
     # -- scoring -----------------------------------------------------------
 
     def _idf(self, df: int) -> float:
@@ -157,9 +141,9 @@ class Index:
     def _impacts(self, term: str, k1: float, b: float) -> array:
         """BM25 contribution of an indexed term to each document in its postings.
 
-        Built on first use, with the expression ``score`` uses, and cached
-        with the length norms for the last (k1, b); new parameters drop
-        both. The cache holds 8 bytes per posting of each queried term.
+        Built on first use and cached with the length norms for the last
+        (k1, b); new parameters drop both. The cache holds 8 bytes per
+        posting of each queried term.
         """
         cached = self._bm25
         if cached is None or cached[0] != (k1, b):
@@ -179,35 +163,6 @@ class Index:
             )
         return column
 
-    def score(
-        self,
-        query_terms: TokenStream,
-        doc_id: str,
-        *,
-        k1: float = DEFAULT_K1,
-        b: float = DEFAULT_B,
-    ) -> float:
-        """BM25 score of one document; duplicate query terms accumulate.
-
-        An exhaustive per-document evaluation, kept as the reference that
-        ``retrieve`` is tested against.
-        """
-        ordinal = self._ordinal(doc_id)
-        dl = self._doc_lengths[ordinal]
-        total = 0.0
-        for term in query_terms:
-            columns = self._postings.get(term)
-            if columns is None:
-                continue
-            ordinals, tfs = columns
-            i = bisect.bisect_left(ordinals, ordinal)
-            if i == len(ordinals) or ordinals[i] != ordinal:
-                continue
-            norm = k1 * (1.0 - b + b * dl / self.average_doc_length)
-            tf = tfs[i]
-            total += self._idf(len(ordinals)) * (tf * (k1 + 1.0)) / (tf + norm)
-        return total
-
     def retrieve(
         self,
         query_terms: TokenStream,
@@ -219,8 +174,8 @@ class Index:
         """All documents matching any query term, best first.
 
         Ties break by ascending doc_id. found_count is taken before the
-        optional truncation to ``depth``. Each score is the same sum, in
-        query-term order, that ``score`` computes.
+        optional truncation to ``depth``. Each score is the BM25 sum over
+        the query terms in query-term order, so duplicate terms accumulate.
         """
         scores: dict[int, float] = {}
         for term in query_terms:
@@ -544,8 +499,10 @@ def read_corpus(source: TextSource) -> CorpusReadResult:
             skipped.append(SkippedDocument(line_no, "missing or invalid 'id'"))
             continue
         if not is_field(doc_id):
-            # A run file could not be read back: its fields split on whitespace.
-            skipped.append(SkippedDocument(line_no, f"'id' {doc_id!r} contains whitespace"))
+            # A run file could not be read back, or not be written: its
+            # fields split on whitespace and are UTF-8.
+            fault = "contains whitespace" if doc_id.split() != [doc_id] else "cannot be encoded as UTF-8"
+            skipped.append(SkippedDocument(line_no, f"'id' {doc_id!r} {fault}"))
             continue
         if not isinstance(text, str):
             skipped.append(SkippedDocument(line_no, "missing or invalid 'text'"))

@@ -1,4 +1,4 @@
-"""WordNet-style lexical database: synsets, lemma lookup, monosemy tests.
+"""WordNet-style lexical database: synsets and lemma lookup.
 
 The native file format is JSONL, one synset per line:
 
@@ -38,13 +38,6 @@ class Synset:
     lemmas: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LexiconStats:
-    total_synsets: int
-    per_pos: dict[str, int]
-    total_words: int
-
-
 def normalize_lemma(raw: str) -> str:
     """Normalize a lemma the same way document text is tokenized."""
     return " ".join(tokenize(raw))
@@ -53,9 +46,9 @@ def normalize_lemma(raw: str) -> str:
 class Lexicon:
     """Immutable bidirectional lemma <-> synset store.
 
-    ``synsets_of`` returns ids in lexicon-file encounter order, which makes
-    every derived choice (canonical lemma, expansion order) deterministic
-    for a given lexicon file.
+    A lemma's synset ids are kept in lexicon-file encounter order, which
+    makes every derived choice (canonical lemma, expansion order)
+    deterministic for a given lexicon file.
     """
 
     def __init__(self, synsets: Iterable[Synset] = ()):
@@ -87,37 +80,12 @@ class Lexicon:
         except KeyError:
             raise KeyError(f"unknown synset id: {synset_id!r}") from None
 
-    def synset_ids(self) -> list[str]:
-        return list(self._synsets)
-
-    def synsets_of(self, lemma: str) -> list[str]:
-        """All synset ids containing the lemma, in encounter order."""
-        return list(self._inverted.get(lemma, ()))
-
-    def is_monosemous(self, lemma: str) -> bool:
-        """True iff the lemma belongs to exactly one synset.
-
-        Words absent from the lexicon have zero senses and are not
-        monosemous. Senses are counted across all POS classes.
-        """
-        return len(self._inverted.get(lemma, ())) == 1
-
     def canonical_lemma(self, synset_id: str) -> str:
         """The synset's representative: its first lemma in stored order."""
         return self.synset(synset_id).lemmas[0]
 
     def lemmas_of(self, synset_id: str) -> list[str]:
         return list(self.synset(synset_id).lemmas)
-
-    def stats(self) -> LexiconStats:
-        per_pos = {pos: 0 for pos in POS_BY_TAG.values()}
-        for syn in self._synsets.values():
-            per_pos[syn.pos] += 1
-        return LexiconStats(
-            total_synsets=len(self._synsets),
-            per_pos=per_pos,
-            total_words=len(self._inverted),
-        )
 
     def digest(self) -> str:
         """SHA-256 over the canonical synset listing; identifies the lexicon

@@ -28,6 +28,7 @@ class ConceptMatch(NamedTuple):
 
     @property
     def monosemous(self) -> bool:
+        """Exactly one sense, counted across all POS classes."""
         return len(self.synset_ids) == 1
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 import re
 import string
 import unicodedata
+from collections import Counter
 from typing import Sequence
 
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from semindex.evalkit import (
     ThreeWayReport,
     format_percent,
 )
-from semindex.semantics import DEFAULT_MAX_CONCEPT_TOKENS, ConceptMatch
+from semindex.semantics import DEFAULT_MAX_CONCEPT_TOKENS, ConceptMatch, match_concepts
 
 # Already-normalized single tokens (Arabic letters and lowercase Latin).
 TOKEN_POOL = ["ا", "ب", "ت", "ث", "ج", "ح", "خ", "د", "x", "y", "z", "w"]
@@ -49,9 +51,9 @@ def lemma_strategy(max_tokens: int = 3, pool=TOKEN_POOL):
 
 
 def lexicon_strategy(max_synsets: int = 6, max_lemma_tokens: int = 3, pool=TOKEN_POOL):
-    """Random lexicons with unique ids s0..sN over a token pool (the shared
-    one by default; a small pool makes lemmas share first tokens and
-    synsets share lemmas)."""
+    """Random lexicons with unique ids s0..sN (see ``strategy_ids``) over a
+    token pool (the shared one by default; a small pool makes lemmas share
+    first tokens and synsets share lemmas)."""
     synset_lemmas = st.lists(
         lemma_strategy(max_lemma_tokens, pool), min_size=1, max_size=4, unique=True
     )
@@ -62,6 +64,20 @@ def lexicon_strategy(max_synsets: int = 6, max_lemma_tokens: int = 3, pool=TOKEN
     )
 
 
+def strategy_ids(lex: Lexicon) -> list[str]:
+    """The synset ids of a ``lexicon_strategy`` lexicon, in file order."""
+    return [f"s{i}" for i in range(len(lex))]
+
+
+def senses(lex: Lexicon, lemma: str) -> tuple[str, ...]:
+    """A lemma's synset ids as concept matching reads them: those of a
+    match spanning the whole lemma, in file order; none for an absent one."""
+    matches = match_concepts(lemma.split(" "), lex)
+    if matches and matches[0].surface_lemma == lemma:
+        return matches[0].synset_ids
+    return ()
+
+
 def token_stream_strategy(max_size: int = 12, pool=TOKEN_POOL):
     return st.lists(st.sampled_from(pool), max_size=max_size)
 
@@ -70,15 +86,22 @@ def reference_match_concepts(
     tokens, lex: Lexicon, max_len: int = DEFAULT_MAX_CONCEPT_TOKENS
 ) -> list[ConceptMatch]:
     """Exhaustive greedy leftmost-longest matcher: at every position, every
-    window from max_len tokens down to 1 is joined and looked up."""
+    window from max_len tokens down to 1 is joined and looked up in a lemma
+    -> synset ids map rebuilt from the lexicon's synsets in file order."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
+    senses_of: dict[str, list[str]] = {}
+    # The stored synset records are the loader's output, not the lookup
+    # tables that match_concepts reads.
+    for syn in lex._synsets.values():
+        for lemma in syn.lemmas:
+            senses_of.setdefault(lemma, []).append(syn.id)
     matches: list[ConceptMatch] = []
     i, n = 0, len(tokens)
     while i < n:
         for length in range(min(max_len, n - i), 0, -1):
             lemma = " ".join(tokens[i : i + length])
-            synset_ids = lex.synsets_of(lemma)
+            synset_ids = senses_of.get(lemma)
             if synset_ids:
                 matches.append(ConceptMatch(i, i + length, lemma, tuple(synset_ids)))
                 i += length
@@ -104,6 +127,29 @@ def reference_normalize(text: str) -> str:
     text = text.replace("\u0640", "")
     text = text.translate(_REF_FOLDS)
     return text.translate(_REF_ASCII_LOWER)
+
+
+def reference_bm25(corpus_tokens: dict[str, list[str]], query: list[str], doc_id: str,
+                   k1: float = 1.2, b: float = 0.75) -> float:
+    """From-scratch BM25 over raw token lists, independent of the Index code.
+
+    idf is log(1 + (N - df + 0.5) / (df + 0.5)), and each query-term
+    occurrence adds its term's contribution in query order, so duplicate
+    terms accumulate.
+    """
+    n_docs = len(corpus_tokens)
+    avgdl = sum(len(toks) for toks in corpus_tokens.values()) / n_docs
+    counts = Counter(corpus_tokens[doc_id])
+    dl = len(corpus_tokens[doc_id])
+    score = 0.0
+    for term in query:
+        tf = counts.get(term, 0)
+        if tf == 0:
+            continue
+        df = sum(1 for toks in corpus_tokens.values() if term in toks)
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        score += idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+    return score
 
 
 def random_corpus(rng: random.Random, n_docs: int, vocab=None, min_len=3, max_len=40):

@@ -82,6 +82,17 @@ class TestIndexCommand:
         assert "indexed 5 documents" in capsys.readouterr().out
         assert not list(workspace["index_dir"].glob("*.tmp"))
 
+    def test_doc_id_with_lone_surrogate_is_skipped(self, workspace, capsys):
+        # json.dumps writes the surrogate as a \u escape, so the file is UTF-8;
+        # the parsed id could not be written to the index or a run file.
+        with open(workspace["corpus"], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "\ud800", "text": "اثم"}) + "\n")
+        assert main(["index", "--mode", "plain"] + common_args(workspace)) == 0
+        report = json.loads((workspace["index_dir"] / "plain.build.json").read_text(encoding="utf-8"))
+        assert report["documents_indexed"] == 5
+        assert report["skipped"] == [{"line": 6, "reason": "'id' '\\ud800' cannot be encoded as UTF-8"}]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_two_doc_fixture_reports_two(self, tmp_path, workspace):
         corpus = tmp_path / "two.jsonl"
         corpus.write_text(
@@ -425,7 +436,8 @@ class TestConfigHandling:
         run = read_run(run_path)
         assert all(len(rl.entries) <= 2 for rl in run.results)
 
-    @pytest.mark.parametrize("tag", ["my tag", "tab\there", ""])
+    # "t\udcff" is how argv decodes the non-UTF-8 bytes of --tag $'t\xff'.
+    @pytest.mark.parametrize("tag", ["my tag", "tab\there", "", "t\udcff"])
     def test_tag_that_would_break_run_lines_is_rejected(self, workspace, caplog, tag):
         build_indexes(workspace)
         code = main(["batch", "--search-type", "R0", "--tag", tag] + common_args(workspace))

@@ -124,8 +124,8 @@ class TestRunQuery:
             corpus = random_corpus(rng, rng.randint(1, 8), vocab=vocab, min_len=1, max_len=10)
             system = build_system(corpus, lex)
             query = Query("q", " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3))))
-            r0 = set(system.run_query(query, SearchType.R0).doc_ids())
-            r2 = set(system.run_query(query, SearchType.R2).doc_ids())
+            r0 = {e.doc_id for e in system.run_query(query, SearchType.R0).entries}
+            r2 = {e.doc_id for e in system.run_query(query, SearchType.R2).entries}
             assert r0 <= r2
 
     def test_r1_and_r3_produce_valid_rankings(self):

@@ -215,6 +215,13 @@ def reference_records(system):
     return [record(qid, *row[system]) for qid, row in REFERENCE_COUNTS.items()]
 
 
+def pct_fields(rendered_json: str, metric: str) -> list[float]:
+    """The ``*_pct`` values a JSON bucket or three-way report prints for
+    ``metric``, in bucket order."""
+    entry = json.loads(rendered_json)[metric]
+    return [value for key, value in entry.items() if key.endswith("_pct")]
+
+
 class TestDeltaReport:
     def test_reference_counts_reproduce_exact_deltas(self):
         report = delta_report(reference_records("R0"), reference_records("R1"))
@@ -229,7 +236,7 @@ class TestDeltaReport:
         assert report.buckets.found.zero == len(before)
         assert report.buckets.found.negative == 0
         assert report.buckets.found.positive == 0
-        assert report.buckets.found.percentages() == (0.0, 100.0, 0.0)
+        assert pct_fields(render_buckets(report.buckets, "json"), "found") == [0.0, 100.0, 0.0]
 
     def test_planted_sign_pattern(self):
         # 0 negative, 9 zero, 61 positive out of 70
@@ -242,10 +249,7 @@ class TestDeltaReport:
         assert report.buckets.found.negative == 0
         assert report.buckets.found.zero == 9
         assert report.buckets.found.positive == 61
-        neg, zero, pos = report.buckets.found.percentages()
-        assert neg == 0.0
-        assert zero == pytest.approx(100 * 9 / 70)
-        assert pos == pytest.approx(100 * 61 / 70)
+        assert pct_fields(render_buckets(report.buckets, "json"), "found") == [0.0, 12.86, 87.14]
         assert format_percent(9, 70) == "12.86"
         assert format_percent(61, 70) == "87.14"
 
@@ -264,15 +268,11 @@ class TestDeltaReport:
         before = [record(f"q{i}", rng.randint(0, 50), rng.randint(0, 20)) for i in range(37)]
         after = [record(f"q{i}", rng.randint(0, 50), rng.randint(0, 20)) for i in range(37)]
         report = delta_report(before, after)
-        for buckets in (report.buckets.found, report.buckets.relevant):
-            assert buckets.total == 37
-            assert sum(buckets.percentages()) == pytest.approx(100.0)
-            rendered = [
-                format_percent(buckets.negative, buckets.total),
-                format_percent(buckets.zero, buckets.total),
-                format_percent(buckets.positive, buckets.total),
-            ]
-            assert abs(sum(float(p) for p in rendered) - 100.0) <= 0.01 + 1e-9
+        rendered = render_buckets(report.buckets, "json")
+        for metric in ("found", "relevant"):
+            assert getattr(report.buckets, metric).total == 37
+            # Each of the three percentages is rounded to 2 decimals.
+            assert abs(sum(pct_fields(rendered, metric)) - 100.0) <= 0.01 + 1e-9
 
     def test_buckets_match_independent_filter(self):
         rng = random.Random(17)
@@ -293,7 +293,7 @@ class TestThreeWayReport:
         assert report.found.all_equal == 4
         assert report.found.wins == (0, 0, 0)
         assert report.found.partial_tie == 0
-        assert report.found.percentages()[3] == 100.0
+        assert pct_fields(render_threeway(report, "json"), "found")[3] == 100.0
 
     def test_planted_winners_and_partial_tie(self):
         r1 = [record("q1", 10, 9), record("q2", 10, 9), record("q3", 5, 4)]
@@ -303,9 +303,8 @@ class TestThreeWayReport:
         assert report.found.wins == (2, 0, 0)
         assert report.found.all_equal == 0
         assert report.found.partial_tie == 1
-        pct = report.found.percentages()
-        assert pct[0] == pytest.approx(200 / 3)
-        assert pct[4] == pytest.approx(100 / 3)
+        pct = pct_fields(render_threeway(report, "json"), "found")
+        assert pct == [66.67, 0.0, 0.0, 0.0, 33.33]
 
     def test_dominant_system_wins_most_queries(self):
         # first system strictly largest on most queries
@@ -317,7 +316,7 @@ class TestThreeWayReport:
             r2.append(record(f"q{i}", base + rng.randint(0, 100), base))
             r3.append(record(f"q{i}", base - rng.randint(0, 50), base - 10))
         report = threeway_report(r1, r2, r3)
-        pct = report.found.percentages()
+        pct = pct_fields(render_threeway(report, "json"), "found")
         assert pct[0] > max(pct[1], pct[2])
         assert pct[0] > 50.0
 
@@ -334,9 +333,11 @@ class TestThreeWayReport:
             for _ in range(3)
         ]
         report = threeway_report(*systems)
-        for buckets in (report.found, report.relevant):
-            assert buckets.total == 50
-            assert sum(buckets.percentages()) == pytest.approx(100.0)
+        rendered = render_threeway(report, "json")
+        for metric in ("found", "relevant"):
+            assert getattr(report, metric).total == 50
+            # Each of the five percentages is rounded to 2 decimals.
+            assert abs(sum(pct_fields(rendered, metric)) - 100.0) <= 0.025 + 1e-9
 
 
 class TestReadQrels:

@@ -7,7 +7,6 @@ import json
 import math
 import random
 import struct
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,7 @@ from semindex import (
 )
 from semindex.index import process_document
 
-from helpers import make_lexicon, random_corpus, token_stream_strategy
+from helpers import make_lexicon, random_corpus, reference_bm25, token_stream_strategy
 
 
 def v2_file(doc_ids, doc_lengths, terms, *, mode=0, version=2, digest="") -> bytes:
@@ -47,29 +46,16 @@ def v2_file(doc_ids, doc_lengths, terms, *, mode=0, version=2, digest="") -> byt
     return body + hashlib.sha256(body).digest()
 
 
-def reference_bm25(corpus_tokens: dict[str, list[str]], query: list[str], doc_id: str,
-                   k1: float = 1.2, b: float = 0.75) -> float:
-    """From-scratch BM25 over raw token lists, independent of the Index code."""
-    n_docs = len(corpus_tokens)
-    avgdl = sum(len(toks) for toks in corpus_tokens.values()) / n_docs
-    counts = Counter(corpus_tokens[doc_id])
-    dl = len(corpus_tokens[doc_id])
-    score = 0.0
-    for term in query:
-        tf = counts.get(term, 0)
-        if tf == 0:
-            continue
-        df = sum(1 for toks in corpus_tokens.values() if term in toks)
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        score += idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl / avgdl))
-    return score
+def scores(idx, query, **params) -> dict[str, float]:
+    """doc_id -> score of every document ``retrieve`` finds for ``query``."""
+    return {e.doc_id: e.score for e in idx.retrieve(query, **params).entries}
 
 
 class TestBuild:
     def test_plain_single_doc(self):
         idx = build_index([("d1", "اثم")], IndexMode.PLAIN)
         assert idx.doc_count == 1
-        assert idx.doc_length("d1") == 1
+        assert idx.to_jsonable()["doc_lengths"] == {"d1": 1}
         assert idx.postings("اثم") == [("d1", 1)]
 
     def test_semantic_replaces_terms(self):
@@ -89,7 +75,7 @@ class TestBuild:
     def test_stopwords_removed(self):
         idx = build_index([("d1", "في اثم")], IndexMode.PLAIN, stoplist=frozenset({"في"}))
         assert idx.document_frequency("في") == 0
-        assert idx.doc_length("d1") == 1
+        assert idx.to_jsonable()["doc_lengths"] == {"d1": 1}
 
     def test_document_frequency_recount_oracle(self):
         lex = make_lexicon([("s1", "n", ["خطيئة", "إثم"]), ("s2", "n", ["ذنب"]), ("s3", "v", ["ذنب"])])
@@ -117,50 +103,46 @@ class TestBuild:
         # multiword canonical lemma changes the token count
         lex = make_lexicon([("s1", "n", ["x y", "z"])])
         idx = build_index([("d1", "z a")], IndexMode.SEMANTIC, lex)
-        assert idx.doc_length("d1") == 3
+        assert idx.to_jsonable()["doc_lengths"] == {"d1": 3}
 
 
 class TestScore:
+    """BM25 scores as ``retrieve`` reports them."""
+
     def test_zero_when_no_term_present(self):
         idx = build_index([("d1", "اثم"), ("d2", "ذنب")], IndexMode.PLAIN)
-        assert idx.score(["غائب"], "d1") == 0.0
-        assert idx.score([], "d1") == 0.0
-
-    def test_unknown_doc(self):
-        idx = build_index([("d1", "اثم")], IndexMode.PLAIN)
-        with pytest.raises(KeyError, match="unknown doc_id"):
-            idx.score(["اثم"], "d9")
+        assert scores(idx, ["غائب", "ذنب"]).keys() == {"d2"}
 
     def test_hand_evaluated_formula_single_doc(self):
         idx = build_index([("d1", "ا ب ا")], IndexMode.PLAIN)
         # N=1, df=1, tf=2, dl=avgdl=3
         idf = math.log(1.0 + (1 - 1 + 0.5) / (1 + 0.5))
         expected = idf * (2 * 2.2) / (2 + 1.2 * (1 - 0.75 + 0.75 * 1.0))
-        assert idx.score(["ا"], "d1") == pytest.approx(expected, rel=1e-15)
+        assert scores(idx, ["ا"])["d1"] == pytest.approx(expected, rel=1e-15)
 
     def test_matches_reference_on_small_corpus(self):
         texts = {"d1": "ا ب ا ت", "d2": "ب ت ث", "d3": "ا ا ا ا ب"}
         idx = build_index(list(texts.items()), IndexMode.PLAIN)
         corpus_tokens = {d: tokenize(t) for d, t in texts.items()}
         for query in (["ا"], ["ا", "ب"], ["ث", "ث"], ["غائب", "ت"]):
+            got = scores(idx, query)
             for doc_id in texts:
-                assert idx.score(query, doc_id) == pytest.approx(
-                    reference_bm25(corpus_tokens, query, doc_id), rel=1e-12
-                )
+                assert got.get(doc_id, 0.0) == reference_bm25(corpus_tokens, query, doc_id)
 
     def test_duplicate_query_terms_accumulate(self):
         idx = build_index([("d1", "ا ب"), ("d2", "ب ت")], IndexMode.PLAIN)
-        single = idx.score(["ا"], "d1")
-        double = idx.score(["ا", "ا"], "d1")
+        single = scores(idx, ["ا"])["d1"]
+        double = scores(idx, ["ا", "ا"])["d1"]
         assert double == pytest.approx(2 * single, rel=1e-15)
 
     def test_tf_monotonicity(self):
         idx = build_index([("d1", "ا ا ب"), ("d2", "ا ب ب")], IndexMode.PLAIN)
-        assert idx.score(["ا"], "d1") > idx.score(["ا"], "d2")
+        got = scores(idx, ["ا"])
+        assert got["d1"] > got["d2"]
 
     def test_custom_parameters(self):
         idx = build_index([("d1", "ا ا ب")], IndexMode.PLAIN)
-        assert idx.score(["ا"], "d1", k1=2.0, b=0.5) != idx.score(["ا"], "d1")
+        assert scores(idx, ["ا"], k1=2.0, b=0.5) != scores(idx, ["ا"])
 
 
 class TestRetrieve:
@@ -183,8 +165,9 @@ class TestRetrieve:
             "d5": "ب ت ث ج ح",
         }
         idx = build_index(list(texts.items()), IndexMode.PLAIN)
+        corpus_tokens = {d: tokenize(t) for d, t in texts.items()}
         for query in (["ا", "ث"], ["ب"], ["ا", "ا", "ج"], ["غائب"]):
-            scored = [(d, idx.score(query, d)) for d in texts]
+            scored = [(d, reference_bm25(corpus_tokens, query, d)) for d in texts]
             positive = [(d, s) for d, s in scored if s > 0]
             expected = sorted(positive, key=lambda item: (-item[1], item[0]))
             ranked = idx.retrieve(query)
@@ -196,15 +179,15 @@ class TestRetrieve:
         texts = {"d1": "ا ب", "d2": "ت", "d3": "ب ت"}
         idx = build_index(list(texts.items()), IndexMode.PLAIN)
         query = ["ب", "ت"]
-        ranked = idx.retrieve(query)
-        found = set(ranked.doc_ids())
+        found = scores(idx, query).keys()
+        corpus_tokens = {d: tokenize(t) for d, t in texts.items()}
         for doc_id in texts:
-            assert (doc_id in found) == (idx.score(query, doc_id) > 0)
+            assert (doc_id in found) == (reference_bm25(corpus_tokens, query, doc_id) > 0)
 
     def test_tie_broken_by_doc_id(self):
         idx = build_index([("b", "ا"), ("a", "ا"), ("c", "ا")], IndexMode.PLAIN)
         ranked = idx.retrieve(["ا"])
-        assert ranked.doc_ids() == ["a", "b", "c"]
+        assert [e.doc_id for e in ranked.entries] == ["a", "b", "c"]
         assert len({e.score for e in ranked.entries}) == 1
 
     def test_depth_truncation_keeps_found_count(self):
@@ -223,15 +206,16 @@ class TestRetrieve:
         random.Random(7).shuffle(corpus)
         ranked = build_index(corpus, IndexMode.PLAIN).retrieve(["ت", "ا"], depth)
         expected = ["top"] + sorted(doc_id for doc_id, _ in tied)
-        assert ranked.doc_ids() == expected[:depth]
+        assert [e.doc_id for e in ranked.entries] == expected[:depth]
         assert ranked.found_count == 25
         assert len({e.score for e in ranked.entries[1:]}) == 1
         assert [e.rank for e in ranked.entries] == list(range(1, len(ranked.entries) + 1))
 
     def test_cache_follows_parameters_across_calls(self):
         """Norms and term impacts are cached per (k1, b): interleaved
-        parameters and term sets score as a fresh index and as score()."""
+        parameters and term sets score as a fresh index and as the reference."""
         corpus = random_corpus(random.Random(3), n_docs=30)
+        corpus_tokens = {doc_id: tokenize(text) for doc_id, text in corpus}
         idx = build_index(corpus, IndexMode.PLAIN)
         terms = sorted(idx.terms(), key=idx.document_frequency, reverse=True)
         params_a, params_b = (1.2, 0.75), (2.0, 0.3)
@@ -250,7 +234,8 @@ class TestRetrieve:
             assert as_hex == [(e.doc_id, e.score.hex(), e.rank) for e in fresh.entries]
             assert got.found_count == fresh.found_count > 0
             for entry in got.entries:
-                assert entry.score.hex() == idx.score(query, entry.doc_id, k1=k1, b=b).hex()
+                expected = reference_bm25(corpus_tokens, query, entry.doc_id, k1=k1, b=b)
+                assert entry.score.hex() == expected.hex()
 
     @settings(max_examples=40)
     @given(token_stream_strategy(max_size=5), st.sampled_from(["ا", "ب", "x"]))
@@ -276,11 +261,13 @@ class TestRetrieve:
         k1, b = params
         idx.retrieve(query)  # fill the length-norm cache with other parameters first
         full = idx.retrieve(query, k1=k1, b=b)
-        holders = {doc_id for doc_id, text in corpus if set(tokenize(text)) & set(query)}
+        corpus_tokens = {doc_id: tokenize(text) for doc_id, text in corpus}
+        holders = {doc_id for doc_id, tokens in corpus_tokens.items() if set(tokens) & set(query)}
         assert full.found_count == len(holders)
         assert {e.doc_id for e in full.entries} == holders
         for entry in full.entries:
-            assert entry.score == idx.score(query, entry.doc_id, k1=k1, b=b)
+            expected = reference_bm25(corpus_tokens, query, entry.doc_id, k1=k1, b=b)
+            assert entry.score.hex() == expected.hex()
         keys = [(-e.score, e.doc_id) for e in full.entries]
         assert keys == sorted(keys)
         assert [e.rank for e in full.entries] == list(range(1, len(keys) + 1))
@@ -421,7 +408,7 @@ class TestPersistence:
         path.write_bytes(v2_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])]))
         idx = load_index(path)
         assert idx.postings("ا") == [("d1", 1), ("d2", 2)]
-        assert idx.doc_length("d2") == 2
+        assert idx.to_jsonable()["doc_lengths"] == {"d1": 1, "d2": 2}
 
     def test_checksum_failure(self, tmp_path):
         idx = build_index([("d1", "اثم")], IndexMode.PLAIN)

@@ -6,30 +6,27 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from semindex import Lexicon, LexiconError, load_lexicon
-from semindex.lexicon import normalize_lemma
+from semindex import Lexicon, LexiconError, load_lexicon, match_concepts
+from semindex.lexicon import POS_BY_TAG, normalize_lemma
 
-from helpers import lexicon_jsonl, lexicon_strategy, make_lexicon
+from helpers import lexicon_jsonl, lexicon_strategy, make_lexicon, senses, strategy_ids
 
 
 class TestLoad:
     def test_single_record(self):
         lex = make_lexicon([("s1", "n", ["اثم"])])
         assert len(lex) == 1
-        assert lex.synsets_of("اثم") == ["s1"]
+        assert senses(lex, "اثم") == ("s1",)
 
     def test_empty_stream(self):
         lex = load_lexicon(io.StringIO(""))
         assert len(lex) == 0
-        assert lex.synsets_of("اثم") == []
-        stats = lex.stats()
-        assert stats.total_synsets == 0
-        assert stats.total_words == 0
-        assert all(v == 0 for v in stats.per_pos.values())
+        assert "اثم" not in lex
+        assert match_concepts(["اثم"], lex) == []
 
     def test_lemmas_normalized_at_load(self):
         lex = make_lexicon([("s1", "n", ["إِثْم"])])
-        assert lex.synsets_of("اثم") == ["s1"]
+        assert senses(lex, "اثم") == ("s1",)
         assert lex.lemmas_of("s1") == ["اثم"]
 
     def test_blank_lines_skipped(self):
@@ -77,29 +74,32 @@ class TestLoad:
 
 
 class TestLookups:
+    """Sense lookup as concept matching reads it."""
+
     def test_absent_lemma(self):
         lex = make_lexicon([("s1", "n", ["اثم"])])
-        assert lex.synsets_of("ذنب") == []
+        assert senses(lex, "ذنب") == ()
 
     def test_single_synset(self):
         lex = make_lexicon([("s1", "n", ["اثم"])])
-        assert lex.synsets_of("اثم") == ["s1"]
+        assert senses(lex, "اثم") == ("s1",)
 
     def test_encounter_order(self):
         lex = make_lexicon([("s2", "n", ["اثم"]), ("s1", "v", ["اثم"])])
-        assert lex.synsets_of("اثم") == ["s2", "s1"]
+        assert senses(lex, "اثم") == ("s2", "s1")
 
     def test_monosemous_single(self):
         lex = make_lexicon([("s1", "n", ["اثم"])])
-        assert lex.is_monosemous("اثم")
+        assert match_concepts(["اثم"], lex)[0].monosemous
 
     def test_monosemous_absent(self):
+        # No match, so nothing to rewrite or expand.
         lex = make_lexicon([("s1", "n", ["اثم"])])
-        assert not lex.is_monosemous("ذنب")
+        assert match_concepts(["ذنب"], lex) == []
 
     def test_monosemous_two_synsets(self):
         lex = make_lexicon([("s1", "n", ["اثم"]), ("s2", "v", ["اثم"])])
-        assert not lex.is_monosemous("اثم")
+        assert not match_concepts(["اثم"], lex)[0].monosemous
 
     def test_contains(self):
         lex = make_lexicon([("s1", "n", ["اثم"])])
@@ -118,7 +118,7 @@ class TestCanonicalLemma:
 
     def test_member_of_lemmas(self):
         lex = make_lexicon([("s1", "n", ["خطيئة", "اثم"]), ("s2", "v", ["ذنب"])])
-        for sid in lex.synset_ids():
+        for sid in ("s1", "s2"):
             assert lex.canonical_lemma(sid) in lex.lemmas_of(sid)
 
     def test_unknown_synset(self):
@@ -134,9 +134,9 @@ class TestLemmasOf:
 
     def test_round_trip(self):
         lex = make_lexicon([("s1", "n", ["a", "b"]), ("s2", "v", ["b", "c"])])
-        for sid in lex.synset_ids():
+        for sid in ("s1", "s2"):
             for lemma in lex.lemmas_of(sid):
-                assert sid in lex.synsets_of(lemma)
+                assert sid in senses(lex, lemma)
 
     def test_transpose_oracle_three_synsets(self):
         records = [("s1", "n", ["a", "b"]), ("s2", "v", ["b"]), ("s3", "n", ["c", "a"])]
@@ -144,7 +144,7 @@ class TestLemmasOf:
         all_lemmas = {lemma for _, _, lemmas in records for lemma in lemmas}
         for lemma in all_lemmas | {"zz"}:
             expected = [sid for sid, _, lemmas in records if lemma in lemmas]
-            assert lex.synsets_of(lemma) == expected
+            assert list(senses(lex, lemma)) == expected
 
     def test_unknown_synset(self):
         lex = make_lexicon([("s1", "n", ["a"])])
@@ -153,28 +153,34 @@ class TestLemmasOf:
 
 
 class TestStats:
+    """Lexicon totals (synsets, synsets per POS, distinct lemmas) read
+    through ``len``, ``synset`` and ``lemmas_of``."""
+
     def test_small_fixture(self):
         lex = make_lexicon([("s1", "n", ["a"]), ("s2", "n", ["b"]), ("s3", "v", ["c"])])
-        stats = lex.stats()
-        assert stats.total_synsets == 3
-        assert stats.per_pos == {"noun": 2, "verb": 1, "adjective": 0, "adverb": 0}
-        assert stats.total_words == 3
+        assert len(lex) == 3
+        assert [lex.synset(sid).pos for sid in ("s1", "s2", "s3")] == ["noun", "noun", "verb"]
+        assert {lemma for sid in ("s1", "s2", "s3") for lemma in lex.lemmas_of(sid)} == {"a", "b", "c"}
 
     def test_total_equals_accepted_lines(self):
         records = [(f"s{i}", "n", ["a", f"t{i}"]) for i in range(7)]
         lex = make_lexicon(records)
-        assert lex.stats().total_synsets == 7
+        assert len(lex) == 7
 
     def test_total_words_counts_distinct_lemmas(self):
         lex = make_lexicon([("s1", "n", ["a", "b"]), ("s2", "v", ["b"])])
-        assert lex.stats().total_words == 2
+        assert {lemma for sid in ("s1", "s2") for lemma in lex.lemmas_of(sid)} == {"a", "b"}
+        assert senses(lex, "b") == ("s1", "s2")
 
     def test_per_pos_sums_to_total(self):
         lex = make_lexicon(
             [("s1", "n", ["a"]), ("s2", "v", ["b"]), ("s3", "a", ["c"]), ("s4", "r", ["d"])]
         )
-        stats = lex.stats()
-        assert sum(stats.per_pos.values()) == stats.total_synsets == 4
+        per_pos = {pos: 0 for pos in POS_BY_TAG.values()}
+        for sid in ("s1", "s2", "s3", "s4"):
+            per_pos[lex.synset(sid).pos] += 1
+        assert per_pos == dict.fromkeys(POS_BY_TAG.values(), 1)
+        assert sum(per_pos.values()) == len(lex) == 4
 
 
 class TestProperties:
@@ -182,19 +188,23 @@ class TestProperties:
     @given(lexicon_strategy())
     def test_transpose_rebuild_matches(self, lex: Lexicon):
         rebuilt: dict[str, list[str]] = {}
-        for sid in lex.synset_ids():
+        for sid in strategy_ids(lex):
             for lemma in lex.lemmas_of(sid):
                 rebuilt.setdefault(lemma, []).append(sid)
         for lemma, sids in rebuilt.items():
-            assert lex.synsets_of(lemma) == sids
-        assert lex.stats().total_words == len(rebuilt)
+            assert list(senses(lex, lemma)) == sids
+            assert lemma in lex
 
     @settings(max_examples=50)
     @given(lexicon_strategy())
     def test_monosemy_definition(self, lex: Lexicon):
-        lemmas = {lemma for sid in lex.synset_ids() for lemma in lex.lemmas_of(sid)}
-        for lemma in lemmas | {"غائب"}:
-            assert lex.is_monosemous(lemma) == (len(lex.synsets_of(lemma)) == 1)
+        sense_counts: dict[str, int] = {}
+        for sid in strategy_ids(lex):
+            for lemma in lex.lemmas_of(sid):
+                sense_counts[lemma] = sense_counts.get(lemma, 0) + 1
+        for lemma, count in sense_counts.items():
+            assert match_concepts(lemma.split(" "), lex)[0].monosemous == (count == 1)
+        assert match_concepts(["غائب"], lex) == []
 
     def test_deterministic_reload(self):
         text = lexicon_jsonl(
@@ -203,7 +213,7 @@ class TestProperties:
         first = load_lexicon(io.StringIO(text))
         second = load_lexicon(io.StringIO(text))
         assert first.digest() == second.digest()
-        for sid in first.synset_ids():
+        for sid in ("s1", "s2"):
             assert first.canonical_lemma(sid) == second.canonical_lemma(sid)
 
     def test_digest_changes_with_content(self):

@@ -16,6 +16,8 @@ from helpers import (
     lexicon_strategy,
     make_lexicon,
     reference_match_concepts,
+    senses,
+    strategy_ids,
     token_stream_strategy,
 )
 
@@ -55,7 +57,7 @@ class TestMatchConcepts:
         for start in range(len(tokens)):
             for end in range(start + 1, len(tokens) + 1):
                 lemma = " ".join(tokens[start:end])
-                if lex.synsets_of(lemma):
+                if lemma in lex:
                     candidates.append((start, end, lemma))
         best = min(candidates, key=lambda c: (c[0], -(c[1] - c[0])))
         assert (matches[0].start, matches[0].end, matches[0].surface_lemma) == best
@@ -231,14 +233,14 @@ class TestUnification:
     def test_monosemous_synonym_pairs_unify(self, lex, data):
         monosemous = [
             (sid, lemma)
-            for sid in lex.synset_ids()
+            for sid in strategy_ids(lex)
             for lemma in lex.lemmas_of(sid)
-            if lex.is_monosemous(lemma)
+            if senses(lex, lemma) == (sid,)
         ]
         if not monosemous:
             return
         sid, query_lemma = data.draw(st.sampled_from(monosemous))
-        doc_candidates = [l for l in lex.lemmas_of(sid) if lex.is_monosemous(l)]
+        doc_candidates = [l for l in lex.lemmas_of(sid) if senses(lex, l) == (sid,)]
         doc_lemma = data.draw(st.sampled_from(doc_candidates))
         query_tokens = expand(query_lemma.split(" "), lex)
         doc_tokens = semantize(doc_lemma.split(" "), lex)

@@ -7,6 +7,7 @@ Command-line flags win over file values, which win over the defaults.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,5 +96,6 @@ def validate_sanity(config: Config) -> None:
         raise ConfigError("depth must be >= 1")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if not is_field(config.tag):
-        raise ConfigError(f"tag {config.tag!r} must be non-empty UTF-8 with no whitespace")
+    # The tag names run files inside report_dir, so it holds no path separator.
+    if not is_field(config.tag) or any(sep in config.tag for sep in filter(None, ("/", os.sep, os.altsep))):
+        raise ConfigError(f"tag {config.tag!r} must be non-empty UTF-8 with no whitespace or path separator")

@@ -14,13 +14,14 @@ import hashlib
 import json
 import math
 import operator
+import os
 import struct
 import sys
 from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, compress, islice, repeat
 from typing import Iterable, NamedTuple
 
 from ._util import DataError, TextSource, atomic_write_bytes, is_field, iter_lines, parse_json
@@ -32,7 +33,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 _MAGIC = b"SIDX"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _CHECKSUM_SIZE = 32
 
 
@@ -70,14 +71,16 @@ class RankedList:
 
 
 class Index:
-    """Immutable inverted index over a processed corpus, stored as columns.
+    """Immutable inverted index over a processed corpus, in CSR columns.
 
     Doc ids are kept once, in ascending order; a document's *ordinal* is its
     position in that list, so ordering by ordinal is ordering by doc id.
-    Doc lengths are one ``array('Q')`` in ordinal order. Each term maps to
-    a pair of parallel ``array('I')`` columns: the ordinals of the
-    documents that hold it (strictly ascending) and its term frequency in
-    each. The constructor trusts these invariants; ``build_index`` and
+    Doc lengths are one ``array('Q')`` in ordinal order. Terms are kept
+    once, in ascending order; term number ``t``'s postings are
+    ``offsets[t]:offsets[t + 1]`` of two parallel ``array('I')`` columns:
+    the ordinals of the documents that hold it (strictly ascending within
+    each term) and its term frequency in each. Index files store these same
+    columns. The constructor trusts these invariants; ``build_index`` and
     ``load_index`` establish them.
     """
 
@@ -86,19 +89,22 @@ class Index:
         mode: IndexMode,
         doc_ids: list[str],
         doc_lengths: array,
-        postings: dict[str, tuple[array, array]],
+        terms: list[str],
+        offsets: array,
+        ordinals: array,
+        tfs: array,
         lexicon_digest: str = "",
     ):
         self.mode = mode
         self.lexicon_digest = lexicon_digest
-        self._doc_ids = doc_ids
-        self._doc_lengths = doc_lengths
-        self._postings = postings
+        self._doc_ids, self._doc_lengths = doc_ids, doc_lengths
+        self._terms, self._offsets, self._ordinals, self._tfs = terms, offsets, ordinals, tfs
+        self._term_numbers = dict(zip(terms, range(len(terms))))
         # Kept as an exact integer so average_doc_length is independent of
         # summation order.
         self._total_tokens = sum(doc_lengths)
-        # (k1, b), per-document length norms, term -> impacts column.
-        self._bm25: tuple[tuple[float, float], list[float], dict[str, array]] | None = None
+        # (k1, b), per-document length norms, term -> (ordinals, impacts).
+        self._bm25: tuple[tuple[float, float], list[float], dict[str, tuple[array, array]]] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -114,22 +120,24 @@ class Index:
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self._postings)
+        return len(self._terms)
 
     def terms(self) -> list[str]:
-        return sorted(self._postings)
+        return list(self._terms)
+
+    def _span(self, term: str) -> slice:
+        """Where ``term``'s postings lie in the ordinal and tf columns."""
+        t = self._term_numbers.get(term)
+        return slice(0, 0) if t is None else slice(self._offsets[t], self._offsets[t + 1])
 
     def postings(self, term: str) -> list[tuple[str, int]]:
         """(doc_id, term frequency) pairs for ``term``, by ascending doc_id."""
-        columns = self._postings.get(term)
-        if columns is None:
-            return []
-        doc_ids = self._doc_ids
-        return [(doc_ids[o], tf) for o, tf in zip(*columns)]
+        span = self._span(term)
+        return list(zip(map(self._doc_ids.__getitem__, self._ordinals[span]), self._tfs[span]))
 
     def document_frequency(self, term: str) -> int:
-        columns = self._postings.get(term)
-        return len(columns[0]) if columns is not None else 0
+        span = self._span(term)
+        return span.stop - span.start
 
     # -- scoring -----------------------------------------------------------
 
@@ -137,31 +145,6 @@ class Index:
         # +1 inside the log keeps idf strictly positive, so a document is
         # found exactly when its score is positive.
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-
-    def _impacts(self, term: str, k1: float, b: float) -> array:
-        """BM25 contribution of an indexed term to each document in its postings.
-
-        Built on first use and cached with the length norms for the last
-        (k1, b); new parameters drop both. The cache holds 8 bytes per
-        posting of each queried term.
-        """
-        cached = self._bm25
-        if cached is None or cached[0] != (k1, b):
-            avgdl = self.average_doc_length
-            # avgdl is 0 only when no document has a token, and then no
-            # term has postings, so no norm is ever looked up.
-            norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in self._doc_lengths] if avgdl else []
-            cached = self._bm25 = ((k1, b), norms, {})
-        _, norms, impacts = cached
-        column = impacts.get(term)
-        if column is None:
-            ordinals, tfs = self._postings[term]
-            idf = self._idf(len(ordinals))
-            k1_plus_1 = k1 + 1.0
-            column = impacts[term] = array(
-                "d", [idf * (tf * k1_plus_1) / (tf + norms[o]) for o, tf in zip(ordinals, tfs)]
-            )
-        return column
 
     def retrieve(
         self,
@@ -176,14 +159,33 @@ class Index:
         Ties break by ascending doc_id. found_count is taken before the
         optional truncation to ``depth``. Each score is the BM25 sum over
         the query terms in query-term order, so duplicate terms accumulate.
+
+        Each queried term's ordinals and BM25 contribution to each of those
+        documents ("impacts") are built on first use and cached with the
+        length norms for the last (k1, b); new parameters drop both. The
+        cache holds 12 bytes per posting of each queried term.
         """
+        cached = self._bm25
+        if cached is None or cached[0] != (k1, b):
+            avgdl = self.average_doc_length
+            # avgdl is 0 only when no document has a token, and then no
+            # term has postings, so no norm is ever looked up.
+            norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in self._doc_lengths] if avgdl else []
+            cached = self._bm25 = ((k1, b), norms, {})
+        _, norms, segments = cached
         scores: dict[int, float] = {}
         for term in query_terms:
-            columns = self._postings.get(term)
-            if columns is None:
-                continue
-            ordinals = columns[0]
-            impacts = self._impacts(term, k1, b)
+            segment = segments.get(term)
+            if segment is None:
+                if term not in self._term_numbers:
+                    continue
+                span = self._span(term)
+                # An array slice, not a memoryview: iterating it is faster.
+                ordinals, tfs = self._ordinals[span], self._tfs[span]
+                idf, k1_plus_1 = self._idf(len(ordinals)), k1 + 1.0
+                impacts = [idf * (tf * k1_plus_1) / (tf + norms[o]) for o, tf in zip(ordinals, tfs)]
+                segment = segments[term] = (ordinals, array("d", impacts))
+            ordinals, impacts = segment
             # scores[o] = scores.get(o, 0.0) + impact, one C-level pass per term.
             scores.update(
                 zip(ordinals, map(operator.add, map(scores.get, ordinals, repeat(0.0)), impacts))
@@ -211,97 +213,79 @@ class Index:
             "lexicon_digest": self.lexicon_digest,
             "doc_lengths": dict(zip(self._doc_ids, self._doc_lengths)),
             "postings": {
-                term: [[doc_id, tf] for doc_id, tf in self.postings(term)] for term in self.terms()
+                term: [[doc_id, tf] for doc_id, tf in self.postings(term)] for term in self._terms
             },
         }
 
     def export_json(self) -> str:
         return json.dumps(self.to_jsonable(), ensure_ascii=False, indent=2, sort_keys=True)
 
-    def _encode(self) -> bytearray:
-        buf = bytearray(_MAGIC)
-        buf += struct.pack("<IB", _FORMAT_VERSION, _MODE_BYTES[self.mode])
-        buf += _pack_str(self.lexicon_digest)
-        buf += struct.pack("<Q", len(self._doc_ids))
-        for doc_id in self._doc_ids:
-            buf += _pack_str(doc_id)
-        buf += _little_endian(self._doc_lengths)
-        buf += struct.pack("<Q", len(self._postings))
-        for term in self.terms():
-            ordinals, tfs = self._postings[term]
-            encoded = term.encode("utf-8")
-            buf += struct.pack("<II", len(encoded), len(ordinals))
-            buf += encoded
-            buf += _little_endian(ordinals)
-            buf += _little_endian(tfs)
-        buf += hashlib.sha256(buf).digest()
-        return buf
-
     def save(self, path) -> None:
         """Write the index atomically; identical indexes produce identical bytes."""
-        atomic_write_bytes(path, self._encode())
+        digest = self.lexicon_digest.encode("utf-8")
+        doc_ids, terms = _join(self._doc_ids), _join(self._terms)
+        sizes = (len(digest), len(self._doc_ids), len(doc_ids), len(self._terms), len(terms))
+        buf = bytearray(_HEADER.pack(_MAGIC, _FORMAT_VERSION, _MODE_BYTES[self.mode], *sizes))
+        buf += digest + doc_ids
+        buf += _little_endian(self._doc_lengths)
+        buf += terms
+        for column in (self._offsets, self._ordinals, self._tfs):
+            buf += _little_endian(column)
+        buf += hashlib.sha256(buf).digest()
+        atomic_write_bytes(path, buf)
 
 
-# -- file format v2 -----------------------------------------------------------
+# -- file format v3 -----------------------------------------------------------
 #
-# All integers little-endian; strings are <I byte length + UTF-8 bytes.
-#
-#   "SIDX" | <I version = 2 | <B mode (0 plain, 1 semantic) | str lexicon digest
-#   <Q doc_count | doc_count x str doc_id, strictly ascending
-#   doc_count x <Q doc length
-#   <Q term_count | term_count x (<II term byte length, df | term bytes
-#                                 | df x <I ordinal, strictly ascending
-#                                 | df x <I tf >= 1), terms strictly ascending
-#   SHA-256 of everything above
+# The Index columns in order, integers little-endian (README, "Index files"):
+#   "SIDX" | <I version 3 | <B mode | <I digest bytes | <Q doc_count | <Q doc-id bytes
+#   | <Q term_count | <Q term bytes | digest | "\n"-joined doc ids | <Q doc lengths
+#   | "\n"-joined terms | term_count + 1 <Q offsets | <I ordinals | <I tfs | SHA-256
 
+_HEADER = struct.Struct("<4sIBIQQQQ")
 _MODE_BYTES = {IndexMode.PLAIN: 0, IndexMode.SEMANTIC: 1}
 _MODES_BY_BYTE = {v: k for k, v in _MODE_BYTES.items()}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _pack_str(value: str) -> bytes:
-    encoded = value.encode("utf-8")
-    return struct.pack("<I", len(encoded)) + encoded
+def _join(names: list[str]) -> bytes:
+    blob = "\n".join(names)
+    if blob.count("\n") != max(len(names) - 1, 0):
+        raise ValueError("an index file cannot hold a doc id or term with a newline")
+    return blob.encode("utf-8")
 
 
 def _little_endian(column: array) -> array:
+    """``column`` in file byte order, or a file column in host order."""
     if _BIG_ENDIAN:
         column = array(column.typecode, column)
         column.byteswap()
     return column
 
 
-class _Reader:
-    """Cursor over the binary index format; short reads raise IndexFormatError."""
+def _column(typecode: str, data: memoryview) -> array:
+    column = array(typecode)
+    column.frombytes(data)
+    return _little_endian(column)
 
-    def __init__(self, data: memoryview):
-        self.data = data
-        self.pos = 0
 
-    def take(self, size: int) -> memoryview:
-        if self.pos + size > len(self.data):
-            raise IndexFormatError("index file truncated")
-        chunk = self.data[self.pos : self.pos + size]
-        self.pos += size
-        return chunk
+def _decode(blob: memoryview) -> str:
+    try:
+        return str(blob, "utf-8")
+    except UnicodeDecodeError:
+        raise IndexFormatError("index file holds a string that is not UTF-8") from None
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def take_str(self, size: int | None = None) -> str:
-        if size is None:
-            (size,) = self.unpack("<I")
-        try:
-            return str(self.take(size), "utf-8")
-        except UnicodeDecodeError:
-            raise IndexFormatError("index file holds a string that is not UTF-8") from None
-
-    def take_column(self, typecode: str, count: int) -> array:
-        column = array(typecode)
-        column.frombytes(self.take(count * column.itemsize))
-        if _BIG_ENDIAN:
-            column.byteswap()
-        return column
+def _names(blob: memoryview, count: int, what: str) -> list[str]:
+    """The ``count`` strictly ascending names of a "\n"-joined blob."""
+    text = _decode(blob)
+    # An empty blob is no names, or one empty name: "".split("\n") is [""].
+    names = text.split("\n") if text or count else []
+    if len(names) != count:
+        raise IndexFormatError(f"index file holds {len(names)} {what} where its header counts {count}")
+    if not _strictly_ascending(names):
+        raise IndexFormatError(f"{what} out of order or repeated")
+    return names
 
 
 def _strictly_ascending(values) -> bool:
@@ -311,66 +295,68 @@ def _strictly_ascending(values) -> bool:
 def load_index(path) -> Index:
     """Load an index file written by Index.save, verifying its checksum.
 
-    Loading costs O(terms + docs) Python operations: each column is read
-    with one ``frombytes``. Every structural invariant ``retrieve`` relies
-    on is checked, so a damaged or hand-made file raises IndexFormatError.
+    Loading is the checksum, one header unpack, one decode and split per
+    name list and one ``frombytes`` per column, then C-level passes that
+    check every structural invariant ``retrieve`` relies on, so a damaged or
+    hand-made file raises IndexFormatError. No step loops over terms.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < len(_MAGIC) + _CHECKSUM_SIZE:
+    if len(data) < len(_MAGIC) + 4 + _CHECKSUM_SIZE:
         raise IndexFormatError("index file truncated")
     body = memoryview(data)[:-_CHECKSUM_SIZE]
     if hashlib.sha256(body).digest() != data[-_CHECKSUM_SIZE:]:
         raise IndexFormatError("index file checksum mismatch")
-
-    reader = _Reader(body)
-    if reader.take(len(_MAGIC)) != _MAGIC:
+    # Magic and version come first in every format version, v1 and v2 too.
+    magic, version = struct.unpack_from("<4sI", body)
+    if magic != _MAGIC:
         raise IndexFormatError("not an index file (bad magic)")
-    (version,) = reader.unpack("<I")
-    if version == 1:
+    if version in (1, 2):
         raise IndexFormatError(
-            f"{path}: index format version 1 is no longer readable; "
+            f"{path}: index format version {version} is no longer readable; "
             "rebuild the index with 'semindex index'"
         )
     if version != _FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported index format version {version} (expected {_FORMAT_VERSION})"
         )
-    (mode_byte,) = reader.unpack("<B")
+    if len(body) < _HEADER.size:
+        raise IndexFormatError("index file truncated")
+    _, _, mode_byte, digest_size, doc_count, ids_size, term_count, terms_size = _HEADER.unpack_from(body)
     mode = _MODES_BY_BYTE.get(mode_byte)
     if mode is None:
         raise IndexFormatError(f"unknown index mode byte {mode_byte}")
-    lexicon_digest = reader.take_str()
 
-    (doc_count,) = reader.unpack("<Q")
-    doc_ids = [reader.take_str() for _ in range(doc_count)]
-    if not _strictly_ascending(doc_ids):
-        raise IndexFormatError("doc ids are not sorted and unique")
-    doc_lengths = reader.take_column("Q", doc_count)
+    sizes = (_HEADER.size, digest_size, ids_size, 8 * doc_count, terms_size, 8 * term_count + 8)
+    ends = list(accumulate(sizes))
+    if ends[-1] > len(body):
+        raise IndexFormatError("index file truncated")
+    digest, ids, lengths, names, offset_bytes = (body[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    offsets = _column("Q", offset_bytes)
+    postings = body[ends[-1] :]
+    count = offsets[-1]
+    if len(postings) != 8 * count:
+        raise IndexFormatError(f"{len(postings)} bytes of postings where the offsets need {8 * count}")
+    ordinals, tfs = _column("I", postings[: 4 * count]), _column("I", postings[4 * count :])
 
-    (term_count,) = reader.unpack("<Q")
-    postings: dict[str, tuple[array, array]] = {}
-    previous = None
-    for _ in range(term_count):
-        size, df = reader.unpack("<II")
-        term = reader.take_str(size)
-        if previous is not None and term <= previous:
-            raise IndexFormatError(f"term {term!r} out of order")
-        previous = term
-        ordinals = reader.take_column("I", df)
-        tfs = reader.take_column("I", df)
-        if not df:
-            raise IndexFormatError(f"term {term!r} has no postings")
-        if ordinals[-1] >= doc_count or not _strictly_ascending(ordinals):
-            raise IndexFormatError(
-                f"term {term!r}: ordinals not strictly ascending below doc count {doc_count}"
-            )
-        if min(tfs) == 0:
-            raise IndexFormatError(f"term {term!r}: posting with term frequency 0")
-        postings[term] = (ordinals, tfs)
-    if reader.pos != len(body):
-        raise IndexFormatError("trailing bytes after postings")
-    return Index(mode, doc_ids, doc_lengths, postings, lexicon_digest)
+    doc_ids = _names(ids, doc_count, "doc ids")
+    terms = _names(names, term_count, "terms")
+    if offsets[0] != 0 or not _strictly_ascending(offsets):
+        raise IndexFormatError("term offsets do not start at 0, or a term has no postings")
+    if ordinals and max(ordinals) >= doc_count:
+        raise IndexFormatError(f"ordinals not all below the doc count {doc_count}")
+    # Ordinals may fail to rise only where a term's postings begin.
+    falls = set(compress(range(1, count), map(operator.ge, ordinals, islice(ordinals, 1, None))))
+    if not falls.issubset(offsets):
+        raise IndexFormatError("ordinals not strictly ascending within a term")
+    if 0 in tfs:
+        raise IndexFormatError("posting with term frequency 0")
+    # A document's length is the sum of its term frequencies; this also
+    # keeps the average length above 0 whenever a term has postings.
+    doc_lengths = _column("Q", lengths)
+    if sum(doc_lengths) != sum(tfs):
+        raise IndexFormatError("doc lengths do not add up to the term frequencies")
+    return Index(mode, doc_ids, doc_lengths, terms, offsets, ordinals, tfs, _decode(digest))
 
 
 # -- construction -----------------------------------------------------------
@@ -407,8 +393,9 @@ def _count_batch(texts: list[str]) -> list[tuple[Counter, int]]:
     return [_count_document(text, *_WORKER_STATE["args"]) for text in texts]
 
 
-def _fill_columns(counted: Iterable[tuple[Counter, int]]) -> tuple[array, dict[str, tuple[array, array]]]:
-    """Stream per-document counts, in ordinal order, into the columns."""
+def _fill_columns(counted: Iterable[tuple[Counter, int]]) -> tuple[array, list[str], array, array, array]:
+    """Stream per-document counts, in ordinal order, into the columns:
+    doc lengths, sorted terms, offsets, ordinals and tfs."""
     doc_lengths = array("Q")
     columns: dict[str, tuple[array, array]] = {}
     for ordinal, (counts, length) in enumerate(counted):
@@ -419,7 +406,15 @@ def _fill_columns(counted: Iterable[tuple[Counter, int]]) -> tuple[array, dict[s
                 pair = columns[term] = (array("I"), array("I"))
             pair[0].append(ordinal)
             pair[1].append(tf)
-    return doc_lengths, {term: columns[term] for term in sorted(columns)}
+    terms = sorted(columns)
+    offsets, ordinals, tfs = array("Q", [0]), array("I"), array("I")
+    for term in terms:
+        # Popped, so a term's postings are never held twice at once.
+        term_ordinals, term_tfs = columns.pop(term)
+        ordinals += term_ordinals
+        tfs += term_tfs
+        offsets.append(len(ordinals))
+    return doc_lengths, terms, offsets, ordinals, tfs
 
 
 def build_index(
@@ -447,18 +442,21 @@ def build_index(
     texts = [text for _, text in docs]
     args = (mode, lex, stoplist, max_concept_tokens)
 
-    if workers > 1 and len(texts) > 1:
+    # Output is the same for any worker count, so the pool is no larger than
+    # the documents or the CPUs can use: a fork pool starts every worker at
+    # the first submit.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(texts), cpus)
+    if workers > 1:
         chunk = max(1, (len(texts) + workers * 4 - 1) // (workers * 4))
         batches = [texts[i : i + chunk] for i in range(0, len(texts), chunk)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=args) as pool:
-            doc_lengths, postings = _fill_columns(
-                row for result in pool.map(_count_batch, batches) for row in result
-            )
+            columns = _fill_columns(row for result in pool.map(_count_batch, batches) for row in result)
     else:
-        doc_lengths, postings = _fill_columns(_count_document(text, *args) for text in texts)
+        columns = _fill_columns(_count_document(text, *args) for text in texts)
 
     digest = lex.digest() if (mode is IndexMode.SEMANTIC and lex is not None) else ""
-    return Index(mode, doc_ids, doc_lengths, postings, lexicon_digest=digest)
+    return Index(mode, doc_ids, *columns, lexicon_digest=digest)
 
 
 # -- corpus file format ------------------------------------------------------

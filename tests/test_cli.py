@@ -437,13 +437,17 @@ class TestConfigHandling:
         assert all(len(rl.entries) <= 2 for rl in run.results)
 
     # "t\udcff" is how argv decodes the non-UTF-8 bytes of --tag $'t\xff'.
-    @pytest.mark.parametrize("tag", ["my tag", "tab\there", "", "t\udcff"])
-    def test_tag_that_would_break_run_lines_is_rejected(self, workspace, caplog, tag):
+    # A tag with a path separator would put run files outside report_dir;
+    # "{tmp}" stands for the test's own directory, so nothing lands elsewhere.
+    @pytest.mark.parametrize("tag", ["my tag", "tab\there", "", "t\udcff", "a/b", "{tmp}/abs/x"])
+    def test_tag_that_would_break_run_lines_is_rejected(self, workspace, tmp_path, caplog, tag):
         build_indexes(workspace)
+        tag = tag.format(tmp=tmp_path)
         code = main(["batch", "--search-type", "R0", "--tag", tag] + common_args(workspace))
         assert code == 1
         assert "tag" in caplog.text
         assert not workspace["report_dir"].exists()
+        assert not (tmp_path / "abs").exists()
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "bad.conf"

@@ -5,11 +5,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semindex import (
@@ -22,27 +23,40 @@ from semindex import (
     read_corpus,
     tokenize,
 )
+from semindex import index as index_module
 from semindex.index import process_document
 
 from helpers import make_lexicon, random_corpus, reference_bm25, token_stream_strategy
 
 
-def v2_file(doc_ids, doc_lengths, terms, *, mode=0, version=2, digest="") -> bytes:
-    """Index file bytes written straight from the v2 layout, independently of
-    Index.save; ``terms`` holds (term, ordinals, tfs) triples."""
+def v3_file(doc_ids, doc_lengths, terms, *, mode=0, version=3, digest="", offsets=None) -> bytes:
+    """Index file bytes written straight from the v3 layout, independently of
+    Index.save; ``terms`` holds (term, ordinals, tfs) triples. The header's
+    doc count is ``len(doc_lengths)``, and ``offsets`` defaults to the one the
+    postings imply. Lone surrogates in names become bytes that are not UTF-8.
+    """
 
-    def pack_str(value: str) -> bytes:
-        encoded = value.encode("utf-8")
-        return struct.pack("<I", len(encoded)) + encoded
+    def blob(names) -> bytes:
+        return "\n".join(names).encode("utf-8", "surrogateescape")
 
-    body = b"SIDX" + struct.pack("<IB", version, mode) + pack_str(digest)
-    body += struct.pack("<Q", len(doc_ids)) + b"".join(pack_str(d) for d in doc_ids)
-    body += struct.pack(f"<{len(doc_lengths)}Q", *doc_lengths)
-    body += struct.pack("<Q", len(terms))
-    for term, ordinals, tfs in terms:
-        encoded = term.encode("utf-8")
-        body += struct.pack("<II", len(encoded), len(ordinals)) + encoded
-        body += struct.pack(f"<{len(ordinals)}I", *ordinals) + struct.pack(f"<{len(tfs)}I", *tfs)
+    if offsets is None:
+        offsets = [0]
+        for _, ordinals, _ in terms:
+            offsets.append(offsets[-1] + len(ordinals))
+    ids, names = blob(doc_ids), blob(term for term, _, _ in terms)
+    ordinals = [o for _, term_ordinals, _ in terms for o in term_ordinals]
+    tfs = [tf for _, _, term_tfs in terms for tf in term_tfs]
+    body = b"SIDX" + struct.pack(
+        "<IBIQQQQ", version, mode, len(digest), len(doc_lengths), len(ids), len(terms), len(names)
+    )
+    body += digest.encode("ascii") + ids + struct.pack(f"<{len(doc_lengths)}Q", *doc_lengths)
+    body += names + struct.pack(f"<{len(offsets)}Q", *offsets)
+    body += struct.pack(f"<{len(ordinals)}I", *ordinals) + struct.pack(f"<{len(tfs)}I", *tfs)
+    return body + hashlib.sha256(body).digest()
+
+
+def sealed(body: bytes) -> bytes:
+    """``body`` with a valid checksum, so the loader reads past the checksum."""
     return body + hashlib.sha256(body).digest()
 
 
@@ -320,12 +334,12 @@ class TestPersistence:
         assert loaded.mode is IndexMode.SEMANTIC
         assert loaded.lexicon_digest == lex.digest()
 
-    def test_save_writes_the_v2_layout(self, tmp_path):
+    def test_save_writes_the_v3_layout(self, tmp_path):
         lex = make_lexicon([("s1", "n", ["خطيئة", "إثم"])])
         idx = build_index([("d2", "اثم بيت اثم"), ("d1", "بيت")], IndexMode.SEMANTIC, lex)
         path = tmp_path / "x.idx"
         idx.save(path)
-        expected = v2_file(
+        expected = v3_file(
             ["d1", "d2"],
             [1, 3],
             [("بيت", [0, 1], [1, 1]), ("خطيئه", [1], [2])],
@@ -333,6 +347,16 @@ class TestPersistence:
             digest=lex.digest(),
         )
         assert path.read_bytes() == expected
+
+    def test_empty_index_layout(self, tmp_path):
+        path = tmp_path / "x.idx"
+        build_index([], IndexMode.PLAIN).save(path)
+        assert path.read_bytes() == v3_file([], [], [])
+
+    def test_newline_in_a_doc_id_cannot_be_saved(self, tmp_path):
+        idx = build_index([("d\n1", "اثم")], IndexMode.PLAIN)
+        with pytest.raises(ValueError, match="newline"):
+            idx.save(tmp_path / "x.idx")
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         corpus = random_corpus(random.Random(9), 60)
@@ -376,10 +400,17 @@ class TestPersistence:
 
     def test_v1_file_names_the_rebuild(self, tmp_path):
         path = tmp_path / "old.idx"
-        path.write_bytes(v2_file(["d1"], [1], [("ا", [0], [1])], version=1))
-        with pytest.raises(IndexFormatError, match="rebuild the index with 'semindex index'"):
-            load_index(path)
+        for version in (1, 2):
+            # The empty index as format v2 wrote it: shorter than a v3 header.
+            path.write_bytes(sealed(b"SIDX" + struct.pack("<IBIQQ", version, 0, 0, 0, 0)))
+            with pytest.raises(IndexFormatError, match=f"version {version} .* rebuild the index with 'semindex index'"):
+                load_index(path)
+            path.write_bytes(v3_file(["d1"], [1], [("ا", [0], [1])], version=version))
+            with pytest.raises(IndexFormatError, match="rebuild the index with 'semindex index'"):
+                load_index(path)
 
+    # One case per loader check. Each spec starts from two documents of
+    # length 1 that hold one term once each.
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -387,28 +418,43 @@ class TestPersistence:
             ({"terms": [("ا", [0, 2], [1, 1])]}, "ordinals"),
             ({"terms": [("ا", [1, 0], [1, 1])]}, "ordinals"),
             ({"terms": [("ا", [1, 1], [1, 1])]}, "ordinals"),
-            ({"terms": [("ا", [0, 1], [1, 0])]}, "term frequency 0"),
-            ({"terms": [("ا", [], [])]}, "no postings"),
+            ({"terms": [("ا", [0, 1], [2, 0])]}, "term frequency 0"),
+            ({"terms": [("ا", [], []), ("ب", [0, 1], [1, 1])]}, "no postings"),
             ({"terms": [("ب", [0], [1]), ("ا", [1], [1])]}, "out of order"),
             ({"doc_ids": ["d2", "d1"]}, "doc ids"),
             ({"doc_ids": ["d1", "d1"]}, "doc ids"),
+            ({"doc_ids": ["d1"]}, "1 doc ids where its header counts 2"),
+            ({"doc_ids": ["d1"], "doc_lengths": [], "terms": []}, "1 doc ids where its header counts 0"),
+            ({"offsets": [1, 2]}, "start at 0"),
+            ({"offsets": [0, 1]}, "bytes of postings"),
+            ({"doc_ids": ["d1", "d\udcff"]}, "not UTF-8"),
+            ({"doc_lengths": [0, 0]}, "add up"),
+            ({"doc_lengths": [1, 2]}, "add up"),
         ],
     )
     def test_structural_violations_rejected(self, tmp_path, fields, message):
         spec = {"doc_ids": ["d1", "d2"], "doc_lengths": [1, 1], "terms": [("ا", [0, 1], [1, 1])]}
         spec.update(fields)
-        mode = spec.pop("mode", 0)
         path = tmp_path / "x.idx"
-        path.write_bytes(v2_file(**spec, mode=mode))
+        path.write_bytes(v3_file(**spec))
         with pytest.raises(IndexFormatError, match=message):
             load_index(path)
 
     def test_crafted_valid_file_loads(self, tmp_path):
         path = tmp_path / "x.idx"
-        path.write_bytes(v2_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])]))
+        path.write_bytes(v3_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])]))
         idx = load_index(path)
         assert idx.postings("ا") == [("d1", 1), ("d2", 2)]
         assert idx.to_jsonable()["doc_lengths"] == {"d1": 1, "d2": 2}
+
+    @pytest.mark.parametrize("size", [20, 60])
+    def test_truncated_under_a_valid_checksum(self, tmp_path, size):
+        # 20 bytes end inside the header, 60 inside the sections it sizes.
+        path = tmp_path / "x.idx"
+        body = v3_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])])[:-32]
+        path.write_bytes(sealed(body[:size]))
+        with pytest.raises(IndexFormatError, match="truncated"):
+            load_index(path)
 
     def test_checksum_failure(self, tmp_path):
         idx = build_index([("d1", "اثم")], IndexMode.PLAIN)
@@ -427,6 +473,89 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(IndexFormatError):
             load_index(path)
+
+
+def spec_of(index) -> tuple[list[str], list[int], list[tuple[str, list[int], list[int]]]]:
+    """The ``v3_file`` arguments that describe ``index``, read through its public API."""
+    form = index.to_jsonable()
+    ordinal_of = {doc_id: i for i, doc_id in enumerate(form["doc_lengths"])}
+    terms = [
+        (term, [ordinal_of[doc_id] for doc_id, _ in pairs], [tf for _, tf in pairs])
+        for term, pairs in form["postings"].items()
+    ]
+    return list(form["doc_lengths"]), list(form["doc_lengths"].values()), terms
+
+
+def swapped(items: list, i: int) -> list:
+    items = list(items)
+    items[i], items[i + 1] = items[i + 1], items[i]
+    return items
+
+
+# Byte offset and format of each size field of the v3 header.
+HEADER_SIZES = [("<I", 9), ("<Q", 13), ("<Q", 21), ("<Q", 29), ("<Q", 37)]
+
+
+def mutants(data: bytes, index):
+    """Damaged variants of the index file ``data`` of ``index``."""
+    body = data[:-32]
+    for size in range(len(data)):
+        yield data[:size]
+        yield sealed(data[:size])
+    for bit in range(8 * len(body)):
+        flipped = bytearray(body)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield sealed(bytes(flipped))
+    for fmt, offset in HEADER_SIZES:
+        (value,) = struct.unpack_from(fmt, body, offset)
+        for changed in (value - 1, value + 1):
+            if changed >= 0:
+                patched = bytearray(body)
+                struct.pack_into(fmt, patched, offset, changed)
+                yield sealed(bytes(patched))
+    doc_ids, doc_lengths, terms = spec_of(index)
+    header = {"mode": int(index.mode is IndexMode.SEMANTIC), "digest": index.lexicon_digest}
+    for i in range(len(doc_ids) - 1):
+        yield v3_file(swapped(doc_ids, i), doc_lengths, terms, **header)
+    for i in range(len(terms) - 1):
+        yield v3_file(doc_ids, doc_lengths, swapped(terms, i), **header)
+    ordinals = [o for _, term_ordinals, _ in terms for o in term_ordinals]
+    for i in range(len(ordinals) - 1):
+        column, regrouped = iter(swapped(ordinals, i)), []
+        for term, term_ordinals, tfs in terms:
+            regrouped.append((term, [next(column) for _ in term_ordinals], tfs))
+        yield v3_file(doc_ids, doc_lengths, regrouped, **header)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=6, deadline=None)
+    @example(docs=[], mode=IndexMode.PLAIN)
+    @given(
+        docs=st.lists(token_stream_strategy(max_size=4), max_size=3),
+        mode=st.sampled_from(IndexMode),
+    )
+    def test_damaged_files_are_refused_or_round_trip(self, workdir, docs, mode):
+        lex = make_lexicon([("s1", "n", ["ا", "ب"])])
+        index = build_index([(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(docs)], mode, lex)
+        path = workdir / "x.idx"
+        index.save(path)
+        data = path.read_bytes()
+        doc_ids, doc_lengths, terms = spec_of(index)
+        assert v3_file(doc_ids, doc_lengths, terms, mode=int(mode is IndexMode.SEMANTIC), digest=index.lexicon_digest) == data
+        for mutant in mutants(data, index):
+            path.write_bytes(mutant)
+            try:
+                loaded = load_index(path)
+            except IndexFormatError:
+                continue
+            loaded.save(path)
+            assert load_index(path).to_jsonable() == loaded.to_jsonable()
+            loaded.retrieve(loaded.terms())
 
 
 class TestDeterminism:
@@ -451,6 +580,37 @@ class TestDeterminism:
             assert serial.to_jsonable() == parallel.to_jsonable()
             parallel.save(tmp_path / "parallel.idx")
             assert (tmp_path / "parallel.idx").read_bytes() == (tmp_path / "serial.idx").read_bytes()
+
+    def test_pool_is_no_larger_than_its_input(self, monkeypatch):
+        """Workers beyond the documents or the usable CPUs are never started.
+        An in-process stand-in for the pool records its size, so no process
+        starts here."""
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                requested.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(index_module, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(index_module, "_WORKER_STATE", {})
+        corpus = [("d1", "اثم ذنب"), ("d2", "ذنب"), ("d3", "بيت اثم")]
+        serial = build_index(corpus, IndexMode.PLAIN)
+        for cpus, expected in ((64, 3), (2, 2)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            pooled = build_index(corpus, IndexMode.PLAIN, workers=10_000)
+            assert requested == [expected]
+            assert pooled.to_jsonable() == serial.to_jsonable()
+            requested.clear()
 
     def test_postings_sorted_ascending(self):
         corpus = random_corpus(random.Random(5), 30)

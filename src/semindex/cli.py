@@ -11,11 +11,11 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from ._util import DataError, atomic_write_text
-from .config import Config, ConfigError, apply_overrides, load_config, validate_sanity
+from .config import Config, ConfigError, load_config, validate_sanity
 from .engine import (
     MissingIndexError,
     Query,
@@ -80,12 +80,6 @@ def _load_stoplist(cfg: Config) -> frozenset[str]:
     return load_stopwords(cfg.stopwords)
 
 
-def _load_lexicon(cfg: Config) -> Lexicon:
-    if cfg.lexicon is None:
-        return Lexicon()
-    return load_lexicon(cfg.lexicon)
-
-
 def _require(cfg: Config, key: str, why: str) -> Path:
     value = getattr(cfg, key)
     if value is None:
@@ -114,7 +108,6 @@ def _build_and_save(
         mode,
         lex,
         stoplist,
-        max_concept_tokens=cfg.max_concept_tokens,
         workers=cfg.workers,
     )
     cfg.index_dir.mkdir(parents=True, exist_ok=True)
@@ -151,11 +144,13 @@ def _search_system(
         stoplist=stoplist,
         k1=cfg.k1,
         b=cfg.b,
-        max_concept_tokens=cfg.max_concept_tokens,
     )
 
 
 def _load_system(cfg: Config, st: SearchType) -> SearchSystem:
+    lex = Lexicon()
+    if st.expands_query:  # without a lexicon, R1 would quietly run as R3 and R2 as R0
+        lex = load_lexicon(_require(cfg, "lexicon", f"to expand {st.value} queries"))
     needed = IndexMode.SEMANTIC if st.uses_semantic_index else IndexMode.PLAIN
     path = _index_path(cfg, needed)
     if not path.exists():
@@ -163,7 +158,6 @@ def _load_system(cfg: Config, st: SearchType) -> SearchSystem:
             f"missing index file {path}; build it with 'semindex index --mode {needed.value}'"
         )
     idx = load_index(path)
-    lex = _load_lexicon(cfg) if st.expands_query else Lexicon()
     if needed is IndexMode.SEMANTIC:
         return _search_system(cfg, lex, _load_stoplist(cfg), semantic_index=idx)
     return _search_system(cfg, lex, _load_stoplist(cfg), plain_index=idx)
@@ -237,8 +231,7 @@ def cmd_index(cfg: Config, args: argparse.Namespace) -> int:
     mode = IndexMode(args.mode)
     lex = None
     if mode is IndexMode.SEMANTIC:
-        _require(cfg, "lexicon", "for a semantic index")
-        lex = _load_lexicon(cfg)
+        lex = load_lexicon(_require(cfg, "lexicon", "for a semantic index"))
     corpus = _read_corpus(cfg)
     _, report = _build_and_save(cfg, mode, corpus, lex, _load_stoplist(cfg), args.export_json)
     print(
@@ -294,7 +287,7 @@ def cmd_pipeline(cfg: Config, args: argparse.Namespace) -> int:
     """
     for key in ("corpus", "lexicon", "queries", "qrels"):
         _require(cfg, key, "for the pipeline")
-    lex = _load_lexicon(cfg)
+    lex = load_lexicon(cfg.lexicon)
     stoplist = _load_stoplist(cfg)
     corpus = _read_corpus(cfg)
     plain, _ = _build_and_save(cfg, IndexMode.PLAIN, corpus, None, stoplist)
@@ -332,12 +325,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--report-dir", dest="report_dir", type=Path, help="report output directory")
     parser.add_argument("--k1", type=float, help=f"BM25 k1 (default {Config.k1})")
     parser.add_argument("--b", type=float, help=f"BM25 b (default {Config.b})")
-    parser.add_argument(
-        "--max-concept-tokens",
-        dest="max_concept_tokens",
-        type=int,
-        help=f"longest multiword concept to match (default {Config.max_concept_tokens})",
-    )
     parser.add_argument("--depth", type=int, help=f"ranking depth kept in run files (default {Config.depth})")
     parser.add_argument(
         "--workers", type=int, help=f"parallel workers for index builds (default {Config.workers})"
@@ -390,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> Config:
     cfg = load_config(args.config) if args.config else Config()
-    apply_overrides(cfg, {f.name: getattr(args, f.name) for f in fields(Config)})
+    # argparse has already typed every flag value; a flag left out is None.
+    set_values = {f.name: getattr(args, f.name) for f in fields(Config)}
+    cfg = replace(cfg, **{key: value for key, value in set_values.items() if value is not None})
     validate_sanity(cfg)
     return cfg
 

@@ -14,7 +14,6 @@ from pathlib import Path
 from ._util import DataError, TextSource, is_field, iter_lines
 from .engine import DEFAULT_RUN_TAG
 from .index import DEFAULT_B, DEFAULT_K1
-from .semantics import DEFAULT_MAX_CONCEPT_TOKENS
 
 
 class ConfigError(ValueError):
@@ -32,7 +31,6 @@ class Config:
     report_dir: Path = Path("reports")
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    max_concept_tokens: int = DEFAULT_MAX_CONCEPT_TOKENS
     depth: int = 1000
     workers: int = 1
     tag: str = DEFAULT_RUN_TAG
@@ -42,7 +40,7 @@ class Config:
 _COERCERS = {
     **dict.fromkeys(("lexicon", "corpus", "stopwords", "queries", "qrels", "index_dir", "report_dir"), Path),
     **dict.fromkeys(("k1", "b"), float),
-    **dict.fromkeys(("max_concept_tokens", "depth", "workers"), int),
+    **dict.fromkeys(("depth", "workers"), int),
     "tag": str,
 }
 
@@ -75,23 +73,11 @@ def load_config(source: TextSource) -> Config:
     return Config(**values)
 
 
-def apply_overrides(config: Config, overrides: dict) -> Config:
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in _COERCERS:
-            raise ConfigError(f"unknown option {key!r}")
-        setattr(config, key, _coerce(key, str(value)) if isinstance(value, str) else value)
-    return config
-
-
 def validate_sanity(config: Config) -> None:
     """Cheap value checks shared by every command."""
     # Chained comparisons with nan are false, so nan fails both checks.
     if not (0.0 <= config.k1 < math.inf and 0.0 <= config.b <= 1.0):
         raise ConfigError(f"bad BM25 parameters: k1={config.k1}, b={config.b}")
-    if config.max_concept_tokens < 1:
-        raise ConfigError("max_concept_tokens must be >= 1")
     if config.depth < 1:
         raise ConfigError("depth must be >= 1")
     if config.workers < 1:

@@ -22,7 +22,7 @@ from typing import Sequence
 from ._util import DataError, TextSource, atomic_write_text, is_field, iter_lines, parse_json, read_text
 from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList, ScoredDoc
 from .lexicon import Lexicon
-from .semantics import DEFAULT_MAX_CONCEPT_TOKENS, expand
+from .semantics import expand
 from .textnorm import remove_stopwords, tokenize
 
 DEFAULT_RUN_TAG = "semindex"
@@ -88,7 +88,6 @@ class SearchSystem:
     stoplist: frozenset[str] = frozenset()
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    max_concept_tokens: int = DEFAULT_MAX_CONCEPT_TOKENS
 
     def _index_for(self, search_type: SearchType) -> Index:
         if search_type.uses_semantic_index:
@@ -106,7 +105,7 @@ class SearchSystem:
     def query_terms(self, query: Query, search_type: SearchType) -> list[str]:
         terms = remove_stopwords(tokenize(query.text), self.stoplist)
         if search_type.expands_query:
-            terms = expand(terms, self.lexicon, self.max_concept_tokens)
+            terms = expand(terms, self.lexicon)
         return terms
 
     def run_query(

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 from ._util import DataError, TextSource, atomic_write_bytes, is_field, iter_lines, parse_json
 from .lexicon import Lexicon
-from .semantics import DEFAULT_MAX_CONCEPT_TOKENS, semantize
+from .semantics import semantize
 from .textnorm import TokenStream, remove_stopwords, tokenize
 
 DEFAULT_K1 = 1.2
@@ -367,25 +367,24 @@ def process_document(
     mode: IndexMode,
     lex: Lexicon | None,
     stoplist: frozenset[str],
-    max_concept_tokens: int = DEFAULT_MAX_CONCEPT_TOKENS,
 ) -> TokenStream:
     """The per-document pipeline: tokenize, stop, then semantize if asked."""
     tokens = remove_stopwords(tokenize(text), stoplist)
     if mode is IndexMode.SEMANTIC:
         assert lex is not None
-        tokens = semantize(tokens, lex, max_concept_tokens)
+        tokens = semantize(tokens, lex)
     return tokens
 
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(mode, lex, stoplist, max_concept_tokens):
-    _WORKER_STATE["args"] = (mode, lex, stoplist, max_concept_tokens)
+def _init_worker(mode, lex, stoplist):
+    _WORKER_STATE["args"] = (mode, lex, stoplist)
 
 
-def _count_document(text, mode, lex, stoplist, max_concept_tokens) -> tuple[Counter, int]:
-    tokens = process_document(text, mode, lex, stoplist, max_concept_tokens)
+def _count_document(text, mode, lex, stoplist) -> tuple[Counter, int]:
+    tokens = process_document(text, mode, lex, stoplist)
     return Counter(tokens), len(tokens)
 
 
@@ -423,7 +422,6 @@ def build_index(
     lex: Lexicon | None = None,
     stoplist: frozenset[str] = frozenset(),
     *,
-    max_concept_tokens: int = DEFAULT_MAX_CONCEPT_TOKENS,
     workers: int = 1,
 ) -> Index:
     """Build an index from (doc_id, text) pairs.
@@ -440,7 +438,7 @@ def build_index(
         if previous == doc_id:
             raise DuplicateDocumentError(f"duplicate doc_id: {doc_id!r}")
     texts = [text for _, text in docs]
-    args = (mode, lex, stoplist, max_concept_tokens)
+    args = (mode, lex, stoplist)
 
     # Output is the same for any worker count, so the pool is no larger than
     # the documents or the CPUs can use: a fork pool starts every worker at

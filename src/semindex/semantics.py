@@ -15,8 +15,6 @@ from typing import NamedTuple
 from .lexicon import Lexicon
 from .textnorm import TokenStream
 
-DEFAULT_MAX_CONCEPT_TOKENS = 4
-
 
 class ConceptMatch(NamedTuple):
     """A lexicon lemma found in a token stream at [start, end)."""
@@ -35,21 +33,16 @@ class ConceptMatch(NamedTuple):
 def match_concepts(
     tokens: TokenStream,
     lex: Lexicon,
-    max_len: int = DEFAULT_MAX_CONCEPT_TOKENS,
 ) -> list[ConceptMatch]:
     """Greedy leftmost-longest lexicon matching over a normalized stream.
 
-    At each position, windows of max_len down to 1 tokens are tried; the
-    first window whose space-joined form is a lexicon lemma becomes a match
-    and scanning resumes after it. Matches never overlap and come out
-    sorted by start position.
-
-    Tokens must contain no space, as every ``tokenize`` token does: a
-    window is only tried at a token that starts some lemma, and only up to
-    the length of the longest lemma starting there.
+    The lexicon bounds the window: at a token that starts some lemma,
+    windows from the longest lemma starting there down to 1 token are
+    tried; the first window whose space-joined form is a lexicon lemma
+    becomes a match and scanning resumes after it. Matches never overlap
+    and come out sorted by start position. Tokens must contain no space,
+    as every ``tokenize`` token does.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
     # Package-internal lookups, read directly: this loop runs per token.
     senses, longest_from = lex._inverted, lex._longest_from
     matches: list[ConceptMatch] = []
@@ -59,7 +52,7 @@ def match_concepts(
         if longest is None:
             i += 1
             continue
-        for length in range(min(max_len, n - i, longest), 0, -1):
+        for length in range(min(n - i, longest), 0, -1):
             lemma = " ".join(tokens[i : i + length])
             synset_ids = senses.get(lemma)
             if synset_ids:
@@ -74,7 +67,6 @@ def match_concepts(
 def semantize(
     tokens: TokenStream,
     lex: Lexicon,
-    max_len: int = DEFAULT_MAX_CONCEPT_TOKENS,
 ) -> TokenStream:
     """Rewrite a document-side stream onto canonical concept lemmas.
 
@@ -85,7 +77,7 @@ def semantize(
     """
     out: TokenStream = []
     prev_end = 0
-    for match in match_concepts(tokens, lex, max_len):
+    for match in match_concepts(tokens, lex):
         out.extend(tokens[prev_end : match.start])
         if match.monosemous:
             out.extend(lex.canonical_lemma(match.synset_ids[0]).split(" "))
@@ -99,7 +91,6 @@ def semantize(
 def expand(
     tokens: TokenStream,
     lex: Lexicon,
-    max_len: int = DEFAULT_MAX_CONCEPT_TOKENS,
 ) -> TokenStream:
     """Append the synonyms of each monosemous concept to a query stream.
 
@@ -108,7 +99,7 @@ def expand(
     appended (multiword lemmas contribute their tokens contiguously).
     """
     out = list(tokens)
-    for match in match_concepts(tokens, lex, max_len):
+    for match in match_concepts(tokens, lex):
         if not match.monosemous:
             continue
         for lemma in lex.lemmas_of(match.synset_ids[0]):

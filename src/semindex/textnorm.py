@@ -11,7 +11,7 @@ import re
 import string
 import unicodedata
 
-from ._util import TextSource, iter_lines
+from ._util import DataError, TextSource, iter_lines
 
 TokenStream = list[str]
 
@@ -89,7 +89,16 @@ def remove_stopwords(tokens: TokenStream, stoplist: frozenset[str] | set[str]) -
 
 
 def load_stopwords(source: TextSource) -> frozenset[str]:
-    """Read a stopword file (one token per line); entries are normalized."""
-    words = frozenset(normalize(line.strip()) for _, line in iter_lines(source))
-    # A line of marks or tatweel alone normalizes to nothing.
-    return words - {""}
+    """Read a stopword file, one token per line.
+
+    Each line is tokenized like document and query text, so a stopword
+    matches exactly the token it stops. A line that yields no token (marks
+    or punctuation alone) is skipped; one that yields more is a DataError.
+    """
+    words: set[str] = set()
+    for line_no, line in iter_lines(source):
+        tokens = tokenize(line)
+        if len(tokens) > 1:
+            raise DataError(f"line {line_no}: stopword {line.strip()!r} is more than one token")
+        words.update(tokens)
+    return frozenset(words)

@@ -26,7 +26,7 @@ from semindex.evalkit import (
     ThreeWayReport,
     format_percent,
 )
-from semindex.semantics import DEFAULT_MAX_CONCEPT_TOKENS, ConceptMatch, match_concepts
+from semindex.semantics import ConceptMatch, match_concepts
 
 # Already-normalized single tokens (Arabic letters and lowercase Latin).
 TOKEN_POOL = ["ا", "ب", "ت", "ث", "ج", "ح", "خ", "د", "x", "y", "z", "w"]
@@ -82,14 +82,11 @@ def token_stream_strategy(max_size: int = 12, pool=TOKEN_POOL):
     return st.lists(st.sampled_from(pool), max_size=max_size)
 
 
-def reference_match_concepts(
-    tokens, lex: Lexicon, max_len: int = DEFAULT_MAX_CONCEPT_TOKENS
-) -> list[ConceptMatch]:
+def reference_match_concepts(tokens, lex: Lexicon) -> list[ConceptMatch]:
     """Exhaustive greedy leftmost-longest matcher: at every position, every
-    window from max_len tokens down to 1 is joined and looked up in a lemma
-    -> synset ids map rebuilt from the lexicon's synsets in file order."""
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    window from the rest of the stream down to 1 token is joined and looked
+    up in a lemma -> synset ids map rebuilt from the lexicon's synsets in
+    file order."""
     senses_of: dict[str, list[str]] = {}
     # The stored synset records are the loader's output, not the lookup
     # tables that match_concepts reads.
@@ -99,7 +96,7 @@ def reference_match_concepts(
     matches: list[ConceptMatch] = []
     i, n = 0, len(tokens)
     while i < n:
-        for length in range(min(max_len, n - i), 0, -1):
+        for length in range(n - i, 0, -1):
             lemma = " ".join(tokens[i : i + length])
             synset_ids = senses_of.get(lemma)
             if synset_ids:

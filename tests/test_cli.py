@@ -235,6 +235,19 @@ class TestBatchCommand:
         assert (workspace["report_dir"] / "semindex.R1.run").read_bytes() == first
 
 
+@pytest.mark.parametrize("command", [["batch"], ["search", "اثم"]], ids=["batch", "search"])
+@pytest.mark.parametrize("search_type", ["R1", "R2"])
+def test_query_expansion_without_lexicon_is_usage_error(workspace, caplog, capsys, command, search_type):
+    build_indexes(workspace)
+    capsys.readouterr()
+    args = common_args(workspace)
+    del args[2:4]  # --lexicon and its path
+    assert main(command + ["--search-type", search_type] + args) == 1
+    assert "--lexicon" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert not workspace["report_dir"].exists()
+
+
 class TestSearchCommand:
     def test_prints_ranking(self, workspace, capsys):
         build_indexes(workspace)
@@ -454,6 +467,14 @@ class TestConfigHandling:
         config.write_text("nonsense = 1\n", encoding="utf-8")
         assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
 
+    def test_max_concept_tokens_is_not_an_option(self, workspace, tmp_path):
+        # The lexicon's own lemmas bound concept matching.
+        assert main(["index", "--mode", "plain", "--max-concept-tokens", "2"] + common_args(workspace)) == 1
+        config = tmp_path / "old.conf"
+        config.write_text("max_concept_tokens = 4\n", encoding="utf-8")
+        assert main(["index", "--mode", "plain", "--config", str(config)] + common_args(workspace)) == 1
+        assert not workspace["index_dir"].exists()
+
     def test_invalid_value(self, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("depth = soon\n", encoding="utf-8")
@@ -491,7 +512,6 @@ class TestConfigHandling:
         for default in (
             f"(default {Config.k1})",
             f"(default {Config.b})",
-            f"(default {Config.max_concept_tokens})",
             f"(default {Config.depth})",
             f"(default {Config.workers})",
             f"(default {Config.tag!r})",

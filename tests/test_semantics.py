@@ -42,10 +42,6 @@ class TestMatchConcepts:
     def test_unknown_tokens(self, sin_lexicon):
         assert match_concepts(["غائب", "اخر"], sin_lexicon) == []
 
-    def test_max_len_must_be_positive(self, sin_lexicon):
-        with pytest.raises(ValueError):
-            match_concepts(["اثم"], sin_lexicon, max_len=0)
-
     def test_longest_match_wins(self):
         lex = make_lexicon([("s1", "n", ["x y"]), ("s2", "n", ["x"])])
         matches = match_concepts(["x", "y"], lex)
@@ -92,10 +88,6 @@ class TestSemantize:
     def test_replacement(self, sin_lexicon):
         assert semantize(["اثم"], sin_lexicon) == [SIN]
 
-    def test_max_len_must_be_positive(self, sin_lexicon):
-        with pytest.raises(ValueError):
-            semantize(["اثم"], sin_lexicon, max_len=0)
-
     def test_empty_lexicon_is_identity(self):
         empty = Lexicon()
         tokens = ["اثم", "غائب", "x"]
@@ -134,10 +126,6 @@ class TestSemantize:
 class TestExpand:
     def test_synonym_appended_original_kept(self, sin_lexicon):
         assert expand(["اثم"], sin_lexicon) == ["اثم", SIN]
-
-    def test_max_len_must_be_positive(self, sin_lexicon):
-        with pytest.raises(ValueError):
-            expand(["اثم"], sin_lexicon, max_len=0)
 
     def test_polysemous_and_unknown_untouched(self):
         lex = make_lexicon([("s1", "n", ["اثم"]), ("s2", "v", ["اثم"])])
@@ -181,30 +169,29 @@ dense_lexicons = lexicon_strategy(
     max_synsets=8, max_lemma_tokens=MAX_LEMMA_TOKENS, pool=_SMALL_POOL
 )
 dense_streams = token_stream_strategy(max_size=16, pool=_SMALL_POOL)
-max_lens = st.integers(min_value=1, max_value=MAX_LEMMA_TOKENS + 1)
 
 
 class TestAgainstExhaustiveMatcher:
     """The first-token-bounded matcher against the exhaustive reference."""
 
     @settings(max_examples=200)
-    @given(dense_lexicons, dense_streams, max_lens)
-    def test_match_concepts(self, lex, tokens, max_len):
-        assert match_concepts(tokens, lex, max_len) == reference_match_concepts(tokens, lex, max_len)
+    @given(dense_lexicons, dense_streams)
+    def test_match_concepts(self, lex, tokens):
+        assert match_concepts(tokens, lex) == reference_match_concepts(tokens, lex)
 
     @settings(max_examples=100)
-    @given(dense_lexicons, dense_streams, max_lens)
-    def test_semantize(self, lex, tokens, max_len):
+    @given(dense_lexicons, dense_streams)
+    def test_semantize(self, lex, tokens):
         with mock.patch.object(semantics, "match_concepts", reference_match_concepts):
-            expected = semantize(tokens, lex, max_len)
-        assert semantize(tokens, lex, max_len) == expected
+            expected = semantize(tokens, lex)
+        assert semantize(tokens, lex) == expected
 
     @settings(max_examples=100)
-    @given(dense_lexicons, dense_streams, max_lens)
-    def test_expand(self, lex, tokens, max_len):
+    @given(dense_lexicons, dense_streams)
+    def test_expand(self, lex, tokens):
         with mock.patch.object(semantics, "match_concepts", reference_match_concepts):
-            expected = expand(tokens, lex, max_len)
-        assert expand(tokens, lex, max_len) == expected
+            expected = expand(tokens, lex)
+        assert expand(tokens, lex) == expected
 
     def test_shared_first_token_tries_every_length(self):
         # "x" starts a 1-, a 2- and a 4-token lemma; the bound is 4, and

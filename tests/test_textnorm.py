@@ -4,9 +4,11 @@ import io
 import re
 import string
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semindex._util import DataError
 from semindex.textnorm import load_stopwords, normalize, remove_stopwords, tokenize
 
 from helpers import reference_normalize
@@ -151,3 +153,16 @@ class TestLoadStopwords:
 
     def test_empty_file(self):
         assert load_stopwords(io.StringIO("")) == frozenset()
+
+    def test_entries_are_tokens(self):
+        # "café" tokenizes to "caf", so only a tokenized entry stops the query "café".
+        words = load_stopwords(io.StringIO("café\n«في»\n"))
+        assert words == {"caf", "في"}
+        assert remove_stopwords(tokenize("café في بيت"), words) == ["بيت"]
+
+    def test_line_without_a_token_is_skipped(self):
+        assert load_stopwords(io.StringIO("ـ\nً\n!!\nو\n")) == {"و"}
+
+    def test_line_of_two_tokens_is_data_error(self):
+        with pytest.raises(DataError, match="line 2"):
+            load_stopwords(io.StringIO("في\nعلى الرغم\n"))

@@ -7,6 +7,7 @@ resulting retrieval configurations (R0-R3).
 """
 
 from .engine import (
+    IndexModeError,
     LexiconMismatchWarning,
     MissingIndexError,
     Query,

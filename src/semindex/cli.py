@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from ._util import DataError, atomic_write_text
-from .config import Config, ConfigError, load_config, validate_sanity
+from .config import Config, ConfigError, coerce, load_config, validate_sanity
 from .engine import (
     MissingIndexError,
     Query,
@@ -130,37 +130,24 @@ def _build_and_save(
     return idx, report
 
 
-def _search_system(
-    cfg: Config,
-    lex: Lexicon,
-    stoplist: frozenset[str],
-    plain_index: Index | None = None,
-    semantic_index: Index | None = None,
-) -> SearchSystem:
-    return SearchSystem(
-        plain_index=plain_index,
-        semantic_index=semantic_index,
-        lexicon=lex,
-        stoplist=stoplist,
-        k1=cfg.k1,
-        b=cfg.b,
-    )
-
-
 def _load_system(cfg: Config, st: SearchType) -> SearchSystem:
     lex = Lexicon()
     if st.expands_query:  # without a lexicon, R1 would quietly run as R3 and R2 as R0
         lex = load_lexicon(_require(cfg, "lexicon", f"to expand {st.value} queries"))
-    needed = IndexMode.SEMANTIC if st.uses_semantic_index else IndexMode.PLAIN
-    path = _index_path(cfg, needed)
+    mode = st.index_mode
+    path = _index_path(cfg, mode)
     if not path.exists():
         raise FileNotFoundError(
-            f"missing index file {path}; build it with 'semindex index --mode {needed.value}'"
+            f"missing index file {path}; build it with 'semindex index --mode {mode.value}'"
         )
-    idx = load_index(path)
-    if needed is IndexMode.SEMANTIC:
-        return _search_system(cfg, lex, _load_stoplist(cfg), semantic_index=idx)
-    return _search_system(cfg, lex, _load_stoplist(cfg), plain_index=idx)
+    # The index goes in the field of st's mode, where SearchSystem checks its mode.
+    return SearchSystem(
+        **{f"{mode.value}_index": load_index(path)},
+        lexicon=lex,
+        stoplist=_load_stoplist(cfg),
+        k1=cfg.k1,
+        b=cfg.b,
+    )
 
 
 def _write_run_files(cfg: Config, st: SearchType, run: Run) -> tuple[Path, Path]:
@@ -171,12 +158,13 @@ def _write_run_files(cfg: Config, st: SearchType, run: Run) -> tuple[Path, Path]
     return run_path, found_path
 
 
-def _evaluate(run: Run, qrels, system_label: str) -> EvalResult:
-    result = evaluate_run(run, qrels, system=system_label)
+def _evaluate(run: Run, qrels, run_path: Path) -> EvalResult:
+    """Evaluate ``run``, labelled as a system by its file name without ``.run``."""
+    result = evaluate_run(run, qrels, run_path.name.removesuffix(".run"))
     if result.skipped_qids:
         logger.warning(
             "%s: %d queries without relevance judgments skipped: %s",
-            system_label,
+            result.summary.system,
             len(result.skipped_qids),
             ", ".join(result.skipped_qids),
         )
@@ -184,8 +172,7 @@ def _evaluate(run: Run, qrels, system_label: str) -> EvalResult:
 
 
 def _evaluate_run_file(run_file: Path, qrels) -> EvalResult:
-    run = read_run(run_file, _sidecar_for(run_file))
-    return _evaluate(run, qrels, run_file.name.removesuffix(".run"))
+    return _evaluate(read_run(run_file, _sidecar_for(run_file)), qrels, run_file)
 
 
 def _write_report(cfg: Config, name: str, render, table) -> str:
@@ -293,7 +280,9 @@ def cmd_pipeline(cfg: Config, args: argparse.Namespace) -> int:
     plain, _ = _build_and_save(cfg, IndexMode.PLAIN, corpus, None, stoplist)
     semantic, _ = _build_and_save(cfg, IndexMode.SEMANTIC, corpus, lex, stoplist)
     del corpus  # the texts are not needed past the builds
-    system = _search_system(cfg, lex, stoplist, plain_index=plain, semantic_index=semantic)
+    system = SearchSystem(
+        plain_index=plain, semantic_index=semantic, lexicon=lex, stoplist=stoplist, k1=cfg.k1, b=cfg.b
+    )
     queries = read_queries(cfg.queries)
     qrels = read_qrels(cfg.qrels)
 
@@ -301,7 +290,7 @@ def cmd_pipeline(cfg: Config, args: argparse.Namespace) -> int:
     for st in SearchType:
         run = system.batch_run(queries, st, depth=cfg.depth, tag=cfg.tag)
         run_path, _ = _write_run_files(cfg, st, run)
-        results[st] = _evaluate(run, qrels, run_path.name.removesuffix(".run"))
+        results[st] = _evaluate(run, qrels, run_path)
     summary_tsv = _write_eval_outputs(cfg, list(results.values()))
     comparison = _write_comparison(
         cfg, results[SearchType.R0], [results[SearchType.R1], results[SearchType.R2], results[SearchType.R3]]
@@ -316,19 +305,17 @@ def cmd_pipeline(cfg: Config, args: argparse.Namespace) -> int:
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="flat key = value config file")
-    parser.add_argument("--lexicon", type=Path, help="lexicon JSONL file")
-    parser.add_argument("--corpus", type=Path, help="corpus JSONL file")
-    parser.add_argument("--stopwords", type=Path, help="stopword file, one token per line")
-    parser.add_argument("--queries", type=Path, help="query TSV file (qid<TAB>text)")
-    parser.add_argument("--qrels", type=Path, help="TREC qrels file")
-    parser.add_argument("--index-dir", dest="index_dir", type=Path, help="index output directory")
-    parser.add_argument("--report-dir", dest="report_dir", type=Path, help="report output directory")
-    parser.add_argument("--k1", type=float, help=f"BM25 k1 (default {Config.k1})")
-    parser.add_argument("--b", type=float, help=f"BM25 b (default {Config.b})")
-    parser.add_argument("--depth", type=int, help=f"ranking depth kept in run files (default {Config.depth})")
-    parser.add_argument(
-        "--workers", type=int, help=f"parallel workers for index builds (default {Config.workers})"
-    )
+    parser.add_argument("--lexicon", help="lexicon JSONL file")
+    parser.add_argument("--corpus", help="corpus JSONL file")
+    parser.add_argument("--stopwords", help="stopword file, one token per line")
+    parser.add_argument("--queries", help="query TSV file (qid<TAB>text)")
+    parser.add_argument("--qrels", help="TREC qrels file")
+    parser.add_argument("--index-dir", dest="index_dir", help="index output directory")
+    parser.add_argument("--report-dir", dest="report_dir", help="report output directory")
+    parser.add_argument("--k1", help=f"BM25 k1 (default {Config.k1})")
+    parser.add_argument("--b", help=f"BM25 b (default {Config.b})")
+    parser.add_argument("--depth", help=f"ranking depth kept in run files (default {Config.depth})")
+    parser.add_argument("--workers", help=f"parallel workers for index builds (default {Config.workers})")
     parser.add_argument("--tag", help=f"run tag (default {Config.tag!r})")
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
 
@@ -377,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> Config:
     cfg = load_config(args.config) if args.config else Config()
-    # argparse has already typed every flag value; a flag left out is None.
-    set_values = {f.name: getattr(args, f.name) for f in fields(Config)}
-    cfg = replace(cfg, **{key: value for key, value in set_values.items() if value is not None})
+    # Flag values are text, read like config file values; a flag left out is None.
+    flags = {f.name: getattr(args, f.name) for f in fields(Config)}
+    cfg = replace(cfg, **{key: coerce(key, raw) for key, raw in flags.items() if raw is not None})
     validate_sanity(cfg)
     return cfg
 

@@ -36,16 +36,23 @@ class Config:
     tag: str = DEFAULT_RUN_TAG
 
 
+def _path(raw: str) -> Path:
+    if not raw:  # Path("") would be the working directory
+        raise ValueError("empty path")
+    return Path(raw)
+
+
 # Config key -> the function that reads its value from text.
 _COERCERS = {
-    **dict.fromkeys(("lexicon", "corpus", "stopwords", "queries", "qrels", "index_dir", "report_dir"), Path),
+    **dict.fromkeys(("lexicon", "corpus", "stopwords", "queries", "qrels", "index_dir", "report_dir"), _path),
     **dict.fromkeys(("k1", "b"), float),
     **dict.fromkeys(("depth", "workers"), int),
     "tag": str,
 }
 
 
-def _coerce(key: str, raw: str):
+def coerce(key: str, raw: str):
+    """The value of config key ``key`` given as text, in a file or a flag."""
     try:
         return _COERCERS[key](raw)
     except ValueError:
@@ -69,7 +76,7 @@ def load_config(source: TextSource) -> Config:
             raise ConfigError(f"line {line_no}: unknown option {key!r}")
         if raw and raw[0] in "\"'" and raw[-1:] == raw[0]:
             raw = raw[1:-1]
-        values[key] = _coerce(key, raw)
+        values[key] = coerce(key, raw)
     return Config(**values)
 
 

@@ -32,6 +32,10 @@ class MissingIndexError(RuntimeError):
     """The search type requires an index that was not supplied."""
 
 
+class IndexModeError(DataError):
+    """The index given for a search type was built in the other mode."""
+
+
 class RunFormatError(DataError):
     """Malformed run file."""
 
@@ -52,8 +56,8 @@ class SearchType(enum.Enum):
     R3 = "R3"
 
     @property
-    def uses_semantic_index(self) -> bool:
-        return self in (SearchType.R1, SearchType.R3)
+    def index_mode(self) -> IndexMode:
+        return IndexMode.SEMANTIC if self in (SearchType.R1, SearchType.R3) else IndexMode.PLAIN
 
     @property
     def expands_query(self) -> bool:
@@ -70,7 +74,6 @@ class Query:
 class Run:
     """One RankedList per query, in query order."""
 
-    search_type: SearchType | None
     tag: str
     results: tuple[RankedList, ...]
 
@@ -90,17 +93,16 @@ class SearchSystem:
     b: float = DEFAULT_B
 
     def _index_for(self, search_type: SearchType) -> Index:
-        if search_type.uses_semantic_index:
-            if self.semantic_index is None:
-                raise MissingIndexError(f"{search_type.value} requires a semantic index")
-            if self.semantic_index.mode is not IndexMode.SEMANTIC:
-                raise ValueError("semantic_index was not built in Semantic mode")
-            return self.semantic_index
-        if self.plain_index is None:
-            raise MissingIndexError(f"{search_type.value} requires a plain index")
-        if self.plain_index.mode is not IndexMode.PLAIN:
-            raise ValueError("plain_index was not built in Plain mode")
-        return self.plain_index
+        mode = search_type.index_mode
+        index = self.semantic_index if mode is IndexMode.SEMANTIC else self.plain_index
+        if index is None:
+            raise MissingIndexError(f"{search_type.value} requires a {mode.value} index")
+        if index.mode is not mode:
+            raise IndexModeError(
+                f"{search_type.value} requires a {mode.value} index, but the index given "
+                f"was built in {index.mode.value} mode"
+            )
+        return index
 
     def query_terms(self, query: Query, search_type: SearchType) -> list[str]:
         terms = remove_stopwords(tokenize(query.text), self.stoplist)
@@ -138,13 +140,8 @@ class SearchSystem:
             if q.qid in seen:
                 raise QueryFileError(f"duplicate qid: {q.qid!r}")
             seen.add(q.qid)
-        results = []
-        for q in queries:
-            try:
-                results.append(self.run_query(q, search_type, depth))
-            except (MissingIndexError, ValueError) as exc:
-                raise type(exc)(f"query {q.qid!r}: {exc}") from exc
-        return Run(search_type, tag, tuple(results))
+        self._index_for(search_type)  # fail before any query, and for an empty batch too
+        return Run(tag, tuple(self.run_query(q, search_type, depth) for q in queries))
 
 
 # -- query file (TSV: qid<TAB>text) ------------------------------------------
@@ -198,11 +195,7 @@ def write_run(run: Run, run_path, found_path=None) -> None:
         atomic_write_text(found_path, json.dumps(run.found_counts(), indent=0) + "\n")
 
 
-def read_run(
-    run_source: TextSource,
-    found_source: TextSource | None = None,
-    search_type: SearchType | None = None,
-) -> Run:
+def read_run(run_source: TextSource, found_source: TextSource | None = None) -> Run:
     """Parse a TREC run file back into a Run.
 
     Without a sidecar, found_count falls back to the ranking length.
@@ -241,7 +234,7 @@ def read_run(
         entries = tuple(per_qid.get(qid, ()))
         found = found_counts.get(qid, len(entries))
         results.append(RankedList(qid=qid, entries=entries, found_count=found))
-    return Run(search_type, tag, tuple(results))
+    return Run(tag, tuple(results))
 
 
 def _read_found_counts(source: TextSource) -> dict[str, int]:

@@ -162,19 +162,12 @@ def average_precision(ranked: RankedList, relevant: set[str]) -> float:
     return acc / len(relevant)
 
 
-def evaluate_run(
-    run: Run,
-    qrels: Qrels,
-    cutoffs: Sequence[int] = DEFAULT_PRECISION_CUTOFFS,
-    system: str | None = None,
-) -> EvalResult:
-    """Per-query records plus a summary row.
+def evaluate_run(run: Run, qrels: Qrels, system: str) -> EvalResult:
+    """Per-query records plus a summary row labelled ``system``.
 
     Queries without (non-empty) relevance judgments are excluded and listed
     in skipped_qids rather than silently scored as zero.
     """
-    if system is None:
-        system = run.search_type.value if run.search_type is not None else run.tag
     records: list[EvalRecord] = []
     skipped: list[str] = []
     for ranked in run.results:
@@ -182,7 +175,7 @@ def evaluate_run(
         if not relevant:
             skipped.append(ranked.qid)
             continue
-        p_at = {k: precision_at_k(ranked, relevant, k) for k in cutoffs}
+        p_at = {k: precision_at_k(ranked, relevant, k) for k in DEFAULT_PRECISION_CUTOFFS}
         records.append(
             EvalRecord(
                 qid=ranked.qid,
@@ -199,7 +192,7 @@ def evaluate_run(
         median_ap=statistics.median(aps) if aps else 0.0,
         mean_p_at={
             k: statistics.fmean([r.p_at[k] for r in records]) if records else 0.0
-            for k in cutoffs
+            for k in DEFAULT_PRECISION_CUTOFFS
         },
         query_count=len(records),
     )
@@ -268,7 +261,7 @@ def threeway_report(
     first: Sequence[EvalRecord],
     second: Sequence[EvalRecord],
     third: Sequence[EvalRecord],
-    labels: tuple[str, str, str] = ("R1", "R2", "R3"),
+    labels: tuple[str, str, str],
 ) -> ThreeWayReport:
     """Which of three systems strictly returned the most, per query."""
     by_label = [
@@ -344,19 +337,18 @@ def _render(
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
-def _by_cutoff(values: dict[int, float], cutoffs: Sequence[int]) -> dict[str, float]:
-    return {str(k): values.get(k, 0.0) for k in cutoffs}
+_CUTOFF_COLUMNS = [f"p@{k}" for k in DEFAULT_PRECISION_CUTOFFS]
 
 
-def render_records(
-    records: Sequence[EvalRecord],
-    fmt: str,
-    cutoffs: Sequence[int] = DEFAULT_PRECISION_CUTOFFS,
-) -> str:
+def _by_cutoff(values: dict[int, float]) -> dict[str, float]:
+    return {str(k): values.get(k, 0.0) for k in DEFAULT_PRECISION_CUTOFFS}
+
+
+def render_records(records: Sequence[EvalRecord], fmt: str) -> str:
     """Per-query counts and metrics (the found/relevant table analogue)."""
-    header = ["qid", "found", "relevant_found", *(f"p@{k}" for k in cutoffs), "ap"]
+    header = ["qid", "found", "relevant_found", *_CUTOFF_COLUMNS, "ap"]
     keys = ("qid", "found", "relevant_found", "p_at", "ap")
-    rows = [(r.qid, r.found, r.relevant_found, _by_cutoff(r.p_at, cutoffs), r.ap) for r in records]
+    rows = [(r.qid, r.found, r.relevant_found, _by_cutoff(r.p_at), r.ap) for r in records]
     return _render(
         fmt,
         header,
@@ -365,18 +357,11 @@ def render_records(
     )
 
 
-def render_summaries(
-    summaries: Sequence[PrecisionSummary],
-    fmt: str,
-    cutoffs: Sequence[int] = DEFAULT_PRECISION_CUTOFFS,
-) -> str:
+def render_summaries(summaries: Sequence[PrecisionSummary], fmt: str) -> str:
     """One row per system: mean/median AP and mean P@k values."""
-    header = ["system", "mean_ap", "median_ap", *(f"p@{k}" for k in cutoffs), "queries"]
+    header = ["system", "mean_ap", "median_ap", *_CUTOFF_COLUMNS, "queries"]
     keys = ("system", "mean_ap", "median_ap", "mean_p_at", "query_count")
-    rows = [
-        (s.system, s.mean_ap, s.median_ap, _by_cutoff(s.mean_p_at, cutoffs), s.query_count)
-        for s in summaries
-    ]
+    rows = [(s.system, s.mean_ap, s.median_ap, _by_cutoff(s.mean_p_at), s.query_count) for s in summaries]
     return _render(
         fmt,
         header,

@@ -175,12 +175,9 @@ def _reference_json_dumps(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
 
 
-def reference_render_records(
-    records: Sequence[EvalRecord],
-    fmt: str,
-    cutoffs: Sequence[int] = DEFAULT_PRECISION_CUTOFFS,
-) -> str:
+def reference_render_records(records: Sequence[EvalRecord], fmt: str) -> str:
     """Per-query counts and metrics (the found/relevant table analogue)."""
+    cutoffs = DEFAULT_PRECISION_CUTOFFS
     _reference_check_format(fmt)
     if fmt == "json":
         return _reference_json_dumps(
@@ -205,12 +202,9 @@ def reference_render_records(
     return "\n".join(lines) + "\n"
 
 
-def reference_render_summaries(
-    summaries: Sequence[PrecisionSummary],
-    fmt: str,
-    cutoffs: Sequence[int] = DEFAULT_PRECISION_CUTOFFS,
-) -> str:
+def reference_render_summaries(summaries: Sequence[PrecisionSummary], fmt: str) -> str:
     """One row per system: mean/median AP and mean P@k values."""
+    cutoffs = DEFAULT_PRECISION_CUTOFFS
     _reference_check_format(fmt)
     if fmt == "json":
         return _reference_json_dumps(

@@ -32,6 +32,8 @@ QRELS = "q1 0 d1 1\nq1 0 d2 1\nq2 0 d3 1\nq3 0 d4 1\n"
 DEEP_JSON = "[" * 100_000
 LONG_INT_JSON = '{"id": ' + "1" * 5000 + "}"
 
+PATH_KEYS = [f.name for f in dataclasses.fields(Config) if "Path" in str(f.type)]
+
 
 @pytest.fixture
 def workspace(tmp_path: Path) -> dict[str, Path]:
@@ -64,6 +66,10 @@ def common_args(ws, lexicon_key="lexicon"):
         "--index-dir", str(ws["index_dir"]),
         "--report-dir", str(ws["report_dir"]),
     ]
+
+
+def flag_of(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_indexes(ws, lexicon_key="lexicon"):
@@ -245,6 +251,23 @@ def test_query_expansion_without_lexicon_is_usage_error(workspace, caplog, capsy
     assert main(command + ["--search-type", search_type] + args) == 1
     assert "--lexicon" in caplog.text
     assert capsys.readouterr().out == ""
+    assert not workspace["report_dir"].exists()
+
+
+@pytest.mark.parametrize("command", [["batch"], ["search", "اثم"]], ids=["batch", "search"])
+@pytest.mark.parametrize("search_type", ["R0", "R1", "R2", "R3"])
+def test_index_file_of_the_other_mode_is_data_error(workspace, caplog, capsys, command, search_type):
+    # plain.idx holds the semantic index and semantic.idx the plain one.
+    build_indexes(workspace)
+    plain, semantic = (workspace["index_dir"] / f"{mode}.idx" for mode in ("plain", "semantic"))
+    plain_bytes = plain.read_bytes()
+    plain.write_bytes(semantic.read_bytes())
+    semantic.write_bytes(plain_bytes)
+    capsys.readouterr()
+    assert main(command + ["--search-type", search_type] + common_args(workspace)) == 2
+    (error,) = [record.getMessage() for record in caplog.records if record.levelname == "ERROR"]
+    assert "plain" in error and "semantic" in error and "\n" not in error
+    assert capsys.readouterr() == ("", "")
     assert not workspace["report_dir"].exists()
 
 
@@ -461,6 +484,31 @@ class TestConfigHandling:
         assert "tag" in caplog.text
         assert not workspace["report_dir"].exists()
         assert not (tmp_path / "abs").exists()
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_empty_path_flag_is_usage_error(self, workspace, tmp_path, monkeypatch, caplog, key):
+        # Path("") is the working directory, which no path option means.
+        build_indexes(workspace)
+        monkeypatch.chdir(tmp_path)
+        code = main(["batch", "--search-type", "R2"] + common_args(workspace) + [flag_of(key), ""])
+        assert code == 1
+        assert f"invalid value for {key!r}: ''" in caplog.text
+        assert not workspace["report_dir"].exists() and not list(tmp_path.glob("*.run"))
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_empty_path_in_config_file_is_usage_error(self, workspace, tmp_path, monkeypatch, caplog, key):
+        build_indexes(workspace)
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "empty.conf"
+        config.write_text(f"{key} =\n", encoding="utf-8")
+        args = common_args(workspace)
+        if flag_of(key) in args:  # the flag would override the file's value
+            at = args.index(flag_of(key))
+            del args[at:at + 2]
+        code = main(["batch", "--search-type", "R2", "--config", str(config)] + args)
+        assert code == 1
+        assert f"invalid value for {key!r}: ''" in caplog.text
+        assert not workspace["report_dir"].exists() and not list(tmp_path.glob("*.run"))
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "bad.conf"

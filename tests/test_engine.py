@@ -7,6 +7,7 @@ import pytest
 
 from semindex import (
     IndexMode,
+    IndexModeError,
     Lexicon,
     LexiconMismatchWarning,
     MissingIndexError,
@@ -38,10 +39,11 @@ def build_system(corpus, lex: Lexicon, stoplist=frozenset()) -> SearchSystem:
 
 class TestSearchType:
     def test_index_and_expansion_mapping(self):
-        assert not SearchType.R0.uses_semantic_index and not SearchType.R0.expands_query
-        assert SearchType.R1.uses_semantic_index and SearchType.R1.expands_query
-        assert not SearchType.R2.uses_semantic_index and SearchType.R2.expands_query
-        assert SearchType.R3.uses_semantic_index and not SearchType.R3.expands_query
+        plain, semantic = IndexMode.PLAIN, IndexMode.SEMANTIC
+        assert SearchType.R0.index_mode is plain and not SearchType.R0.expands_query
+        assert SearchType.R1.index_mode is semantic and SearchType.R1.expands_query
+        assert SearchType.R2.index_mode is plain and SearchType.R2.expands_query
+        assert SearchType.R3.index_mode is semantic and not SearchType.R3.expands_query
 
 
 class TestRunQuery:
@@ -92,9 +94,12 @@ class TestRunQuery:
 
     def test_swapped_index_modes_rejected(self):
         plain = build_index([], IndexMode.PLAIN)
-        system = SearchSystem(plain_index=plain, semantic_index=plain)
-        with pytest.raises(ValueError, match="Semantic mode"):
-            system.run_query(Query("q", "اثم"), SearchType.R3)
+        semantic = build_index([], IndexMode.SEMANTIC, Lexicon())
+        system = SearchSystem(plain_index=semantic, semantic_index=plain)
+        for st in SearchType:
+            other = "plain" if st.index_mode is IndexMode.SEMANTIC else "semantic"
+            with pytest.raises(IndexModeError, match=f"requires a {st.index_mode.value} index.*{other} mode"):
+                system.run_query(Query("q", "اثم"), st)
 
     def test_lexicon_mismatch_warns_on_expansion(self):
         lex = make_lexicon(SIN_RECORDS)
@@ -191,10 +196,13 @@ class TestBatchRun:
         run = system.batch_run([Query("b", "اثم"), Query("a", "اثم")], SearchType.R0)
         assert [rl.qid for rl in run.results] == ["b", "a"]
 
-    def test_error_annotated_with_qid(self):
-        system = SearchSystem(plain_index=build_index([], IndexMode.PLAIN))
-        with pytest.raises(MissingIndexError, match="query 'q7'"):
-            system.batch_run([Query("q7", "اثم")], SearchType.R1)
+    def test_index_checked_before_any_query(self):
+        # A missing or wrong-mode index fails the batch whatever its queries.
+        plain = build_index([], IndexMode.PLAIN)
+        with pytest.raises(MissingIndexError, match="semantic"):
+            SearchSystem(plain_index=plain).batch_run([], SearchType.R1)
+        with pytest.raises(IndexModeError, match="plain mode"):
+            SearchSystem(semantic_index=plain).batch_run([], SearchType.R3)
 
 
 class TestRunFiles:

@@ -47,6 +47,7 @@ from .index import (
     RankedList,
     ScoredDoc,
     build_index,
+    build_indexes,
     load_index,
     read_corpus,
 )

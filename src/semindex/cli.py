@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from ._util import DataError, atomic_write_text
-from .config import Config, ConfigError, coerce, load_config, validate_sanity
+from .config import Config, ConfigError, coerce, load_config, nonempty_path, validate_sanity
 from .engine import (
     MissingIndexError,
     Query,
@@ -38,7 +38,7 @@ from .evalkit import (
     render_threeway,
     threeway_report,
 )
-from .index import CorpusReadResult, Index, IndexMode, build_index, load_index, read_corpus
+from .index import CorpusReadResult, Index, IndexMode, build_index, build_indexes, load_index, read_corpus
 from .lexicon import Lexicon, load_lexicon
 from .textnorm import load_stopwords
 
@@ -94,40 +94,23 @@ def _read_corpus(cfg: Config) -> CorpusReadResult:
     return result
 
 
-def _build_and_save(
-    cfg: Config,
-    mode: IndexMode,
-    corpus: CorpusReadResult,
-    lex: Lexicon | None,
-    stoplist: frozenset[str],
-    export_json: Path | None = None,
-) -> tuple[Index, dict]:
-    """Build one index, save it with its ``*.build.json``, and return both."""
-    idx = build_index(
-        corpus.documents,
-        mode,
-        lex,
-        stoplist,
-        workers=cfg.workers,
-    )
+def _save_index(cfg: Config, idx: Index, corpus: CorpusReadResult) -> None:
+    """Save ``idx`` with its ``*.build.json``."""
     cfg.index_dir.mkdir(parents=True, exist_ok=True)
-    index_path = _index_path(cfg, mode)
+    index_path = _index_path(cfg, idx.mode)
     idx.save(index_path)
     report = {
-        "mode": mode.value,
+        "mode": idx.mode.value,
         "documents_indexed": idx.doc_count,
         "documents_skipped": len(corpus.skipped),
         "skipped": [{"line": s.line_no, "reason": s.reason} for s in corpus.skipped],
         "vocabulary_size": idx.vocabulary_size,
     }
     atomic_write_text(
-        cfg.index_dir / f"{mode.value}.build.json",
+        cfg.index_dir / f"{idx.mode.value}.build.json",
         json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
     )
-    if export_json is not None:
-        atomic_write_text(export_json, idx.export_json() + "\n")
     logger.info("wrote %s (%d docs, %d terms)", index_path, idx.doc_count, idx.vocabulary_size)
-    return idx, report
 
 
 def _load_system(cfg: Config, st: SearchType) -> SearchSystem:
@@ -220,11 +203,13 @@ def cmd_index(cfg: Config, args: argparse.Namespace) -> int:
     if mode is IndexMode.SEMANTIC:
         lex = load_lexicon(_require(cfg, "lexicon", "for a semantic index"))
     corpus = _read_corpus(cfg)
-    _, report = _build_and_save(cfg, mode, corpus, lex, _load_stoplist(cfg), args.export_json)
+    idx = build_index(corpus.documents, mode, lex, _load_stoplist(cfg), workers=cfg.workers)
+    _save_index(cfg, idx, corpus)
+    if args.export_json is not None:
+        atomic_write_text(args.export_json, idx.export_json() + "\n")
     print(
-        f"indexed {report['documents_indexed']} documents "
-        f"({report['documents_skipped']} skipped, "
-        f"{report['vocabulary_size']} terms) -> {_index_path(cfg, mode)}"
+        f"indexed {idx.doc_count} documents ({len(corpus.skipped)} skipped, "
+        f"{idx.vocabulary_size} terms) -> {_index_path(cfg, mode)}"
     )
     return EXIT_OK
 
@@ -277,8 +262,10 @@ def cmd_pipeline(cfg: Config, args: argparse.Namespace) -> int:
     lex = load_lexicon(cfg.lexicon)
     stoplist = _load_stoplist(cfg)
     corpus = _read_corpus(cfg)
-    plain, _ = _build_and_save(cfg, IndexMode.PLAIN, corpus, None, stoplist)
-    semantic, _ = _build_and_save(cfg, IndexMode.SEMANTIC, corpus, lex, stoplist)
+    modes = (IndexMode.PLAIN, IndexMode.SEMANTIC)
+    plain, semantic = build_indexes(corpus.documents, modes, lex, stoplist, workers=cfg.workers)
+    for idx in (plain, semantic):
+        _save_index(cfg, idx, corpus)
     del corpus  # the texts are not needed past the builds
     system = SearchSystem(
         plain_index=plain, semantic_index=semantic, lexicon=lex, stoplist=stoplist, k1=cfg.k1, b=cfg.b
@@ -304,7 +291,7 @@ def cmd_pipeline(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="flat key = value config file")
+    parser.add_argument("--config", type=nonempty_path, help="flat key = value config file")
     parser.add_argument("--lexicon", help="lexicon JSONL file")
     parser.add_argument("--corpus", help="corpus JSONL file")
     parser.add_argument("--stopwords", help="stopword file, one token per line")
@@ -329,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="build and persist an inverted index")
     p.add_argument("--mode", choices=[m.value for m in IndexMode], required=True)
-    p.add_argument("--export-json", dest="export_json", type=Path, help="also dump the index as JSON")
+    p.add_argument("--export-json", dest="export_json", type=nonempty_path, help="also dump the index as JSON")
     _add_common_options(p)
     p.set_defaults(func=cmd_index)
 
@@ -345,13 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="evaluate run files against qrels")
-    p.add_argument("runs", nargs="+", type=Path, help="run files to evaluate")
+    p.add_argument("runs", nargs="+", type=nonempty_path, help="run files to evaluate")
     _add_common_options(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="delta/bucket/three-way comparison of runs")
-    p.add_argument("baseline", type=Path, help="baseline run file")
-    p.add_argument("treatments", nargs="+", type=Path, help="treatment run files")
+    p.add_argument("baseline", type=nonempty_path, help="baseline run file")
+    p.add_argument("treatments", nargs="+", type=nonempty_path, help="treatment run files")
     _add_common_options(p)
     p.set_defaults(func=cmd_compare)
 

@@ -36,7 +36,7 @@ class Config:
     tag: str = DEFAULT_RUN_TAG
 
 
-def _path(raw: str) -> Path:
+def nonempty_path(raw: str) -> Path:
     if not raw:  # Path("") would be the working directory
         raise ValueError("empty path")
     return Path(raw)
@@ -44,7 +44,7 @@ def _path(raw: str) -> Path:
 
 # Config key -> the function that reads its value from text.
 _COERCERS = {
-    **dict.fromkeys(("lexicon", "corpus", "stopwords", "queries", "qrels", "index_dir", "report_dir"), _path),
+    **dict.fromkeys(("lexicon", "corpus", "stopwords", "queries", "qrels", "index_dir", "report_dir"), nonempty_path),
     **dict.fromkeys(("k1", "b"), float),
     **dict.fromkeys(("depth", "workers"), int),
     "tag": str,

@@ -22,7 +22,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice, repeat
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from ._util import DataError, TextSource, atomic_write_bytes, is_field, iter_lines, parse_json
 from .lexicon import Lexicon
@@ -362,75 +362,69 @@ def load_index(path) -> Index:
 # -- construction -----------------------------------------------------------
 
 
-def process_document(
-    text: str,
-    mode: IndexMode,
-    lex: Lexicon | None,
-    stoplist: frozenset[str],
-) -> TokenStream:
-    """The per-document pipeline: tokenize, stop, then semantize if asked."""
-    tokens = remove_stopwords(tokenize(text), stoplist)
-    if mode is IndexMode.SEMANTIC:
-        assert lex is not None
-        tokens = semantize(tokens, lex)
-    return tokens
-
-
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(mode, lex, stoplist):
-    _WORKER_STATE["args"] = (mode, lex, stoplist)
+def _init_worker(modes, lex, stoplist):
+    _WORKER_STATE["args"] = (modes, lex, stoplist)
 
 
-def _count_document(text, mode, lex, stoplist) -> tuple[Counter, int]:
-    tokens = process_document(text, mode, lex, stoplist)
-    return Counter(tokens), len(tokens)
+def _count_document(text, modes, lex, stoplist) -> list[tuple[Counter, int]]:
+    """Tokenize and stop ``text`` once; count its terms for each mode."""
+    tokens = remove_stopwords(tokenize(text), stoplist)
+    streams = (semantize(tokens, lex) if mode is IndexMode.SEMANTIC else tokens for mode in modes)
+    return [(Counter(terms), len(terms)) for terms in streams]
 
 
-def _count_batch(texts: list[str]) -> list[tuple[Counter, int]]:
+def _count_batch(texts: list[str]) -> list[list[tuple[Counter, int]]]:
     return [_count_document(text, *_WORKER_STATE["args"]) for text in texts]
 
 
-def _fill_columns(counted: Iterable[tuple[Counter, int]]) -> tuple[array, list[str], array, array, array]:
-    """Stream per-document counts, in ordinal order, into the columns:
-    doc lengths, sorted terms, offsets, ordinals and tfs."""
-    doc_lengths = array("Q")
-    columns: dict[str, tuple[array, array]] = {}
-    for ordinal, (counts, length) in enumerate(counted):
-        doc_lengths.append(length)
-        for term, tf in counts.items():
-            pair = columns.get(term)
-            if pair is None:
-                pair = columns[term] = (array("I"), array("I"))
-            pair[0].append(ordinal)
-            pair[1].append(tf)
-    terms = sorted(columns)
-    offsets, ordinals, tfs = array("Q", [0]), array("I"), array("I")
-    for term in terms:
-        # Popped, so a term's postings are never held twice at once.
-        term_ordinals, term_tfs = columns.pop(term)
-        ordinals += term_ordinals
-        tfs += term_tfs
-        offsets.append(len(ordinals))
-    return doc_lengths, terms, offsets, ordinals, tfs
+def _fill_columns(counted: Iterable[list[tuple[Counter, int]]], width: int) -> list[tuple]:
+    """Stream each document's counts for ``width`` indexes, in ordinal order,
+    into each index's columns: doc lengths, sorted terms, offsets, ordinals
+    and tfs. While filling, a term's ordinals and tfs are arrays in two dicts,
+    not a pair: the garbage collector tracks a tuple, not an array."""
+    filling = [(array("Q"), {}, {}) for _ in range(width)]
+    for ordinal, row in enumerate(counted):
+        for (doc_lengths, ordinals, tfs), (counts, length) in zip(filling, row):
+            doc_lengths.append(length)
+            for term, tf in counts.items():
+                term_ordinals = ordinals.get(term)
+                if term_ordinals is None:
+                    term_ordinals = ordinals[term] = array("I")
+                    tfs[term] = array("I")
+                term_ordinals.append(ordinal)
+                tfs[term].append(tf)
+    columns = []
+    for doc_lengths, ordinals, tfs in filling:
+        terms = sorted(ordinals)
+        offsets, ordinal_column, tf_column = array("Q", [0]), array("I"), array("I")
+        for term in terms:
+            # Popped, so a term's postings are never held twice at once.
+            ordinal_column += ordinals.pop(term)
+            tf_column += tfs.pop(term)
+            offsets.append(len(ordinal_column))
+        columns.append((doc_lengths, terms, offsets, ordinal_column, tf_column))
+    return columns
 
 
-def build_index(
+def build_indexes(
     corpus: Iterable[tuple[str, str]],
-    mode: IndexMode,
+    modes: Sequence[IndexMode],
     lex: Lexicon | None = None,
     stoplist: frozenset[str] = frozenset(),
     *,
     workers: int = 1,
-) -> Index:
-    """Build an index from (doc_id, text) pairs.
+) -> list[Index]:
+    """Build one index per mode from (doc_id, text) pairs, in ``modes`` order.
 
-    The result is identical for any worker count and corpus order: documents
-    are counted in doc-id order, and each count goes straight into the
-    columns, so ordinals arrive ascending.
+    Each document is tokenized and stopped once, and semantized only for a
+    semantic index. The result is identical for any worker count and corpus
+    order: documents are counted in doc-id order, and each count goes
+    straight into its index's columns, so ordinals arrive ascending.
     """
-    if mode is IndexMode.SEMANTIC and lex is None:
+    if IndexMode.SEMANTIC in modes and lex is None:
         raise ValueError("semantic mode requires a lexicon")
     docs = sorted(corpus, key=operator.itemgetter(0))
     doc_ids = [doc_id for doc_id, _ in docs]
@@ -438,7 +432,7 @@ def build_index(
         if previous == doc_id:
             raise DuplicateDocumentError(f"duplicate doc_id: {doc_id!r}")
     texts = [text for _, text in docs]
-    args = (mode, lex, stoplist)
+    args = (tuple(modes), lex, stoplist)
 
     # Output is the same for any worker count, so the pool is no larger than
     # the documents or the CPUs can use: a fork pool starts every worker at
@@ -449,12 +443,27 @@ def build_index(
         chunk = max(1, (len(texts) + workers * 4 - 1) // (workers * 4))
         batches = [texts[i : i + chunk] for i in range(0, len(texts), chunk)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=args) as pool:
-            columns = _fill_columns(row for result in pool.map(_count_batch, batches) for row in result)
+            counted = (row for result in pool.map(_count_batch, batches) for row in result)
+            columns = _fill_columns(counted, len(modes))
     else:
-        columns = _fill_columns(_count_document(text, *args) for text in texts)
+        columns = _fill_columns((_count_document(text, *args) for text in texts), len(modes))
 
-    digest = lex.digest() if (mode is IndexMode.SEMANTIC and lex is not None) else ""
-    return Index(mode, doc_ids, *columns, lexicon_digest=digest)
+    return [
+        Index(mode, doc_ids, *cols, lexicon_digest=lex.digest() if mode is IndexMode.SEMANTIC else "")
+        for mode, cols in zip(modes, columns)
+    ]
+
+
+def build_index(
+    corpus: Iterable[tuple[str, str]],
+    mode: IndexMode,
+    lex: Lexicon | None = None,
+    stoplist: frozenset[str] = frozenset(),
+    *,
+    workers: int = 1,
+) -> Index:
+    """Build one index from (doc_id, text) pairs; see ``build_indexes``."""
+    return build_indexes(corpus, (mode,), lex, stoplist, workers=workers)[0]
 
 
 # -- corpus file format ------------------------------------------------------

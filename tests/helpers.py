@@ -14,7 +14,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from semindex import Lexicon, load_lexicon
+from semindex import IndexMode, Lexicon, load_lexicon, remove_stopwords, semantize, tokenize
 from semindex.evalkit import (
     DEFAULT_PRECISION_CUTOFFS,
     BucketReport,
@@ -80,6 +80,13 @@ def senses(lex: Lexicon, lemma: str) -> tuple[str, ...]:
 
 def token_stream_strategy(max_size: int = 12, pool=TOKEN_POOL):
     return st.lists(st.sampled_from(pool), max_size=max_size)
+
+
+def reference_document_terms(text: str, mode: IndexMode, lex: Lexicon | None, stoplist) -> list[str]:
+    """The terms a document of ``text`` contributes to an index of ``mode``:
+    its tokens, stopped, then semantized for a semantic index."""
+    tokens = remove_stopwords(tokenize(text), stoplist)
+    return semantize(tokens, lex) if mode is IndexMode.SEMANTIC else tokens
 
 
 def reference_match_concepts(tokens, lex: Lexicon) -> list[ConceptMatch]:

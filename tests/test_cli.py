@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from semindex import config as config_module
-from semindex import read_run
+from semindex import index as index_module
+from semindex import read_run, tokenize
 from semindex.cli import main
 from semindex.config import Config
 
@@ -421,6 +422,17 @@ class TestPipelineCommand:
             step_files = {p.name: p.read_bytes() for p in steps[key].iterdir()}
             assert pipeline_files == step_files, key
 
+    def test_each_document_is_tokenized_once(self, workspace, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(index_module, "tokenize", counting_tokenize)
+        assert main(["pipeline"] + common_args(workspace)) == 0
+        assert sorted(calls) == sorted(line["text"] for line in CORPUS_LINES)
+
     def test_whitespace_in_doc_id_is_skipped_and_runs_read_back(self, workspace):
         with open(workspace["corpus"], "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"id": "d 6", "text": "اثم"}, ensure_ascii=False) + "\n")
@@ -509,6 +521,23 @@ class TestConfigHandling:
         assert code == 1
         assert f"invalid value for {key!r}: ''" in caplog.text
         assert not workspace["report_dir"].exists() and not list(tmp_path.glob("*.run"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--config", "", "x"],
+            ["index", "--mode", "plain", "--export-json", ""],
+            ["eval", ""],
+            ["compare", "", ""],
+        ],
+        ids=["config", "export-json", "eval-run", "compare-run"],
+    )
+    def test_empty_path_argument_is_usage_error(self, workspace, tmp_path, monkeypatch, capsys, argv):
+        # Path("") is the working directory, which no path argument means.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + common_args(workspace)) == 1
+        assert "invalid nonempty_path value: ''" in capsys.readouterr().err
+        assert not workspace["index_dir"].exists() and not workspace["report_dir"].exists()
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "bad.conf"

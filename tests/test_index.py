@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import io
@@ -19,14 +20,22 @@ from semindex import (
     IndexMode,
     ScoredDoc,
     build_index,
+    build_indexes,
     load_index,
     read_corpus,
     tokenize,
 )
 from semindex import index as index_module
-from semindex.index import process_document
 
-from helpers import make_lexicon, random_corpus, reference_bm25, token_stream_strategy
+from helpers import (
+    TOKEN_POOL,
+    lexicon_strategy,
+    make_lexicon,
+    random_corpus,
+    reference_bm25,
+    reference_document_terms,
+    token_stream_strategy,
+)
 
 
 def v3_file(doc_ids, doc_lengths, terms, *, mode=0, version=3, digest="", offsets=None) -> bytes:
@@ -98,7 +107,7 @@ class TestBuild:
         for mode in IndexMode:
             idx = build_index(corpus, mode, lex, stoplist)
             processed = {
-                doc_id: process_document(text, mode, lex, stoplist)
+                doc_id: reference_document_terms(text, mode, lex, stoplist)
                 for doc_id, text in corpus
             }
             vocabulary = {t for toks in processed.values() for t in toks}
@@ -558,6 +567,33 @@ class TestLoaderFuzz:
             loaded.retrieve(loaded.terms())
 
 
+@contextlib.contextmanager
+def in_process_pool(cpus: int):
+    """Builds see ``cpus`` usable CPUs and run their pool's calls in this
+    process, so no process starts; yields the size of each pool started."""
+    sizes: list[int] = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(index_module, "ProcessPoolExecutor", InProcessPool)
+        mp.setattr(index_module, "_WORKER_STATE", {})
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        yield sizes
+
+
 class TestDeterminism:
     def test_rebuild_is_byte_identical(self, tmp_path):
         corpus = random_corpus(random.Random(3), 50)
@@ -581,36 +617,37 @@ class TestDeterminism:
             parallel.save(tmp_path / "parallel.idx")
             assert (tmp_path / "parallel.idx").read_bytes() == (tmp_path / "serial.idx").read_bytes()
 
-    def test_pool_is_no_larger_than_its_input(self, monkeypatch):
-        """Workers beyond the documents or the usable CPUs are never started.
-        An in-process stand-in for the pool records its size, so no process
-        starts here."""
-        requested = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                requested.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(index_module, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(index_module, "_WORKER_STATE", {})
+    def test_pool_is_no_larger_than_its_input(self):
+        """Workers beyond the documents or the usable CPUs are never started."""
         corpus = [("d1", "اثم ذنب"), ("d2", "ذنب"), ("d3", "بيت اثم")]
         serial = build_index(corpus, IndexMode.PLAIN)
         for cpus, expected in ((64, 3), (2, 2)):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-            pooled = build_index(corpus, IndexMode.PLAIN, workers=10_000)
+            with in_process_pool(cpus) as requested:
+                pooled = build_index(corpus, IndexMode.PLAIN, workers=10_000)
             assert requested == [expected]
             assert pooled.to_jsonable() == serial.to_jsonable()
-            requested.clear()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        docs=st.lists(token_stream_strategy(max_size=8), max_size=6),
+        lex=lexicon_strategy(),
+        stoplist=st.frozensets(st.sampled_from(TOKEN_POOL), max_size=4),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_one_pass_equals_one_build_per_mode(self, workdir, docs, lex, stoplist, workers):
+        """Both indexes from one pass over the documents are those of two
+        separate builds, in memory and on disk."""
+        corpus = [(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(docs)]
+        with in_process_pool(cpus=2) as requested:
+            both = build_indexes(corpus, (IndexMode.PLAIN, IndexMode.SEMANTIC), lex, stoplist, workers=workers)
+        assert requested == ([2] if workers == 2 and len(corpus) > 1 else [])
+        for mode, index in zip((IndexMode.PLAIN, IndexMode.SEMANTIC), both):
+            alone = build_index(corpus, mode, lex, stoplist)
+            assert index.mode is mode
+            assert index.to_jsonable() == alone.to_jsonable()
+            index.save(workdir / "one_pass.idx")
+            alone.save(workdir / "alone.idx")
+            assert (workdir / "one_pass.idx").read_bytes() == (workdir / "alone.idx").read_bytes()
 
     def test_postings_sorted_ascending(self):
         corpus = random_corpus(random.Random(5), 30)

@@ -61,17 +61,9 @@ def _index_path(cfg: Config, mode: IndexMode) -> Path:
     return cfg.index_dir / f"{mode.value}.idx"
 
 
-def _run_path(cfg: Config, st: SearchType) -> Path:
-    return cfg.report_dir / f"{cfg.tag}.{st.value}.run"
-
-
-def _found_path(cfg: Config, st: SearchType) -> Path:
-    return cfg.report_dir / f"{cfg.tag}.{st.value}.found.json"
-
-
-def _sidecar_for(run_path: Path) -> Path | None:
-    candidate = run_path.with_name(run_path.name.removesuffix(".run") + ".found.json")
-    return candidate if candidate.exists() else None
+def _found_path(run_path: Path) -> Path:
+    """The found-count sidecar of a run file: ``x.run`` -> ``x.found.json``."""
+    return run_path.with_name(run_path.name.removesuffix(".run") + ".found.json")
 
 
 def _load_stoplist(cfg: Config) -> frozenset[str]:
@@ -135,7 +127,8 @@ def _load_system(cfg: Config, st: SearchType) -> SearchSystem:
 
 def _write_run_files(cfg: Config, st: SearchType, run: Run) -> tuple[Path, Path]:
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
-    run_path, found_path = _run_path(cfg, st), _found_path(cfg, st)
+    run_path = cfg.report_dir / f"{cfg.tag}.{st.value}.run"
+    found_path = _found_path(run_path)
     write_run(run, run_path, found_path)
     logger.info("wrote %s (%d queries)", run_path, len(run.results))
     return run_path, found_path
@@ -155,7 +148,8 @@ def _evaluate(run: Run, qrels, run_path: Path) -> EvalResult:
 
 
 def _evaluate_run_file(run_file: Path, qrels) -> EvalResult:
-    return _evaluate(read_run(run_file, _sidecar_for(run_file)), qrels, run_file)
+    found_path = _found_path(run_file)
+    return _evaluate(read_run(run_file, found_path if found_path.exists() else None), qrels, run_file)
 
 
 def _write_report(cfg: Config, name: str, render, table) -> str:

@@ -6,9 +6,6 @@ Search types:
     R1  semantic index, expanded query
     R2  plain index,    expanded query
     R3  semantic index, raw query
-
-The query pipeline is tokenize -> remove stopwords -> (expand for R1/R2);
-document-side processing happened at index build time.
 """
 
 from __future__ import annotations
@@ -22,8 +19,8 @@ from typing import Sequence
 from ._util import DataError, TextSource, atomic_write_text, is_field, iter_lines, parse_json, read_text
 from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList, ScoredDoc
 from .lexicon import Lexicon
-from .semantics import expand
-from .textnorm import remove_stopwords, tokenize
+from .semantics import analyze, expand
+from .textnorm import tokenize
 
 DEFAULT_RUN_TAG = "semindex"
 
@@ -105,10 +102,8 @@ class SearchSystem:
         return index
 
     def query_terms(self, query: Query, search_type: SearchType) -> list[str]:
-        terms = remove_stopwords(tokenize(query.text), self.stoplist)
-        if search_type.expands_query:
-            terms = expand(terms, self.lexicon)
-        return terms
+        step = expand if search_type.expands_query else None
+        return analyze(tokenize(query.text), self.stoplist, step, self.lexicon)
 
     def run_query(
         self, query: Query, search_type: SearchType, depth: int | None = None

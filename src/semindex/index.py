@@ -26,8 +26,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from ._util import DataError, TextSource, atomic_write_bytes, is_field, iter_lines, parse_json
 from .lexicon import Lexicon
-from .semantics import semantize
-from .textnorm import TokenStream, remove_stopwords, tokenize
+from .semantics import analyze, semantize
+from .textnorm import TokenStream, tokenize
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -370,9 +370,10 @@ def _init_worker(modes, lex, stoplist):
 
 
 def _count_document(text, modes, lex, stoplist) -> list[tuple[Counter, int]]:
-    """Tokenize and stop ``text`` once; count its terms for each mode."""
-    tokens = remove_stopwords(tokenize(text), stoplist)
-    streams = (semantize(tokens, lex) if mode is IndexMode.SEMANTIC else tokens for mode in modes)
+    """Tokenize ``text`` once; analyze and count its terms for each mode."""
+    tokens = tokenize(text)
+    steps = (semantize if mode is IndexMode.SEMANTIC else None for mode in modes)
+    streams = (analyze(tokens, stoplist, step, lex) for step in steps)
     return [(Counter(terms), len(terms)) for terms in streams]
 
 
@@ -419,9 +420,9 @@ def build_indexes(
 ) -> list[Index]:
     """Build one index per mode from (doc_id, text) pairs, in ``modes`` order.
 
-    Each document is tokenized and stopped once, and semantized only for a
-    semantic index. The result is identical for any worker count and corpus
-    order: documents are counted in doc-id order, and each count goes
+    Each document is tokenized once and analyzed once per mode (see
+    ``semantics.analyze``). The result is identical for any worker count and
+    corpus order: documents are counted in doc-id order, and each count goes
     straight into its index's columns, so ordinals arrive ascending.
     """
     if IndexMode.SEMANTIC in modes and lex is None:

@@ -10,10 +10,10 @@ against a semantized corpus can miss terms that were rewritten away.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .lexicon import Lexicon
-from .textnorm import TokenStream
+from .textnorm import TokenStream, remove_stopwords
 
 
 class ConceptMatch(NamedTuple):
@@ -107,6 +107,18 @@ def expand(
             if not _contains_run(out, lemma_tokens):
                 out.extend(lemma_tokens)
     return out
+
+
+def analyze(
+    tokens: TokenStream, stoplist: frozenset[str], concept_step: Callable | None, lex: Lexicon
+) -> TokenStream:
+    """The analysis order of documents and queries: run the concept step
+    (``semantize``, ``expand`` or None) on the whole token stream, then drop
+    stopwords. So a lemma may hold a stopword, a stopword never joins the
+    tokens around it into a lemma, and expansion adds no stopword back."""
+    if concept_step is not None:
+        tokens = concept_step(tokens, lex)
+    return remove_stopwords(tokens, stoplist)
 
 
 def _contains_run(haystack: list[str], needle: list[str]) -> bool:

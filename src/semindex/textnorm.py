@@ -82,9 +82,7 @@ def tokenize(text: str) -> TokenStream:
 
 
 def remove_stopwords(tokens: TokenStream, stoplist: frozenset[str] | set[str]) -> TokenStream:
-    """Order-preserving stopword filter. Empty stoplist returns a copy."""
-    if not stoplist:
-        return list(tokens)
+    """Order-preserving stopword filter; always returns a new list."""
     return [t for t in tokens if t not in stoplist]
 
 

@@ -84,9 +84,11 @@ def token_stream_strategy(max_size: int = 12, pool=TOKEN_POOL):
 
 def reference_document_terms(text: str, mode: IndexMode, lex: Lexicon | None, stoplist) -> list[str]:
     """The terms a document of ``text`` contributes to an index of ``mode``:
-    its tokens, stopped, then semantized for a semantic index."""
-    tokens = remove_stopwords(tokenize(text), stoplist)
-    return semantize(tokens, lex) if mode is IndexMode.SEMANTIC else tokens
+    its tokens, semantized for a semantic index, then stopped."""
+    tokens = tokenize(text)
+    if mode is IndexMode.SEMANTIC:
+        tokens = semantize(tokens, lex)
+    return remove_stopwords(tokens, stoplist)
 
 
 def reference_match_concepts(tokens, lex: Lexicon) -> list[ConceptMatch]:

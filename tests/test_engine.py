@@ -4,6 +4,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semindex import (
     IndexMode,
@@ -17,13 +19,14 @@ from semindex import (
     SearchSystem,
     SearchType,
     build_index,
+    build_indexes,
     format_run,
     read_queries,
     read_run,
     write_run,
 )
 
-from helpers import make_lexicon, random_corpus
+from helpers import TOKEN_POOL, lexicon_strategy, make_lexicon, random_corpus, token_stream_strategy
 
 SIN_RECORDS = [("s1", "n", ["خطيئة", "إثم"])]
 
@@ -154,6 +157,56 @@ class TestRunQuery:
                 assert all(a >= b for a, b in zip(scores, scores[1:]))
                 assert all(s > 0 for s in scores)
                 assert ranked.found_count >= len(ranked.entries)
+
+
+class TestAnalysisOrder:
+    """Documents and queries meet concepts before stopwords are removed."""
+
+    # "في" is a stopword inside the lemma "في سبيل"; "x" separates "alpha beta".
+    STOPLIST = frozenset({"في", "x"})
+    RECORDS = [("s1", "n", ["لاجل", "في سبيل"]), ("s2", "n", ["gamma", "alpha beta"])]
+
+    def terms(self, text, search_type):
+        system = SearchSystem(lexicon=make_lexicon(self.RECORDS), stoplist=self.STOPLIST)
+        return system.query_terms(Query("q", text), search_type)
+
+    def test_lemma_holding_stopword_rewritten_in_documents(self):
+        idx = build_index([("d1", "عمل في سبيل الله")], IndexMode.SEMANTIC, make_lexicon(self.RECORDS), self.STOPLIST)
+        assert idx.terms() == sorted(["عمل", "لاجل", "الله"])
+
+    def test_lemma_holding_stopword_expands_queries(self):
+        assert self.terms("في سبيل", SearchType.R1) == ["سبيل", "لاجل"]
+        assert self.terms("في سبيل", SearchType.R3) == ["سبيل"]
+
+    def test_expansion_adds_no_stopword(self):
+        assert self.terms("لاجل", SearchType.R2) == ["لاجل", "سبيل"]
+
+    def test_stopword_between_lemma_tokens_yields_no_concept(self):
+        for mode in IndexMode:
+            idx = build_index([("d1", "alpha x beta")], mode, make_lexicon(self.RECORDS), self.STOPLIST)
+            assert idx.terms() == ["alpha", "beta"]
+        assert self.terms("alpha x beta", SearchType.R1) == ["alpha", "beta"]
+
+    @settings(max_examples=80)
+    @given(
+        lexicon_strategy(pool=TOKEN_POOL[:6]),
+        st.frozensets(st.sampled_from(TOKEN_POOL[:6])),
+        st.lists(token_stream_strategy(pool=TOKEN_POOL[:6]), max_size=4),
+        token_stream_strategy(pool=TOKEN_POOL[:6]),
+    )
+    def test_no_stopword_survives_analysis(self, lex, stoplist, docs, query_tokens):
+        # The stoplist and the lemmas share one token pool, so they overlap.
+        corpus = [(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(docs)]
+        indexes = build_indexes(corpus, list(IndexMode), lex, stoplist)
+        for idx in indexes:
+            assert stoplist.isdisjoint(idx.terms())
+        system = SearchSystem(*indexes, lexicon=lex, stoplist=stoplist)
+        query = Query("q", " ".join(query_tokens))
+        terms = {search_type: system.query_terms(query, search_type) for search_type in SearchType}
+        for search_type_terms in terms.values():
+            assert stoplist.isdisjoint(search_type_terms)
+        # Expansion only appends, so R2's terms start with R0's.
+        assert terms[SearchType.R2][: len(terms[SearchType.R0])] == terms[SearchType.R0]
 
 
 class TestBatchRun:

@@ -101,8 +101,11 @@ class TestBuild:
         assert idx.to_jsonable()["doc_lengths"] == {"d1": 1}
 
     def test_document_frequency_recount_oracle(self):
-        lex = make_lexicon([("s1", "n", ["خطيئة", "إثم"]), ("s2", "n", ["ذنب"]), ("s3", "v", ["ذنب"])])
-        corpus = [("d1", "اثم في البيت"), ("d2", "ذنب و خطيئة"), ("d3", "اثم اثم ذنب")]
+        # s4's second lemma holds a stopword, which concept matching must see.
+        lex = make_lexicon([
+            ("s1", "n", ["خطيئة", "إثم"]), ("s2", "n", ["ذنب"]), ("s3", "v", ["ذنب"]), ("s4", "n", ["لاجل", "في سبيل"]),
+        ])
+        corpus = [("d1", "اثم في البيت"), ("d2", "ذنب و خطيئة"), ("d3", "اثم اثم ذنب"), ("d4", "عمل في سبيل الله")]
         stoplist = frozenset({"في", "و"})
         for mode in IndexMode:
             idx = build_index(corpus, mode, lex, stoplist)

@@ -32,8 +32,13 @@ def read_text(source: TextSource) -> str:
 
 
 def iter_lines(source: TextSource) -> Iterator[tuple[int, str]]:
-    """(line number from 1, line) for each non-blank line of the source."""
-    for line_no, line in enumerate(read_text(source).splitlines(), start=1):
+    """(line number from 1, line) for each non-blank line of the source.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only: str.splitlines would
+    also split at U+2028, U+0085 or a form feed inside a record.
+    """
+    text = read_text(source).replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if line.strip():
             yield line_no, line
 

@@ -134,9 +134,24 @@ def _write_run_files(cfg: Config, st: SearchType, run: Run) -> tuple[Path, Path]
     return run_path, found_path
 
 
+def _label(run_path: Path) -> str:
+    """The system label of a run file: its name without ``.run``."""
+    return run_path.name.removesuffix(".run")
+
+
+def _require_distinct_labels(run_files: list[Path]) -> None:
+    """Reports are named by label, so two runs of one label would overwrite each other's."""
+    seen: dict[str, Path] = {}
+    for run_file in run_files:
+        label = _label(run_file)
+        if label in seen:
+            raise UsageError(f"runs {seen[label]} and {run_file} share the label {label!r}; rename one")
+        seen[label] = run_file
+
+
 def _evaluate(run: Run, qrels, run_path: Path) -> EvalResult:
-    """Evaluate ``run``, labelled as a system by its file name without ``.run``."""
-    result = evaluate_run(run, qrels, run_path.name.removesuffix(".run"))
+    """Evaluate ``run`` as the system ``_label(run_path)``."""
+    result = evaluate_run(run, qrels, _label(run_path))
     if result.skipped_qids:
         logger.warning(
             "%s: %d queries without relevance judgments skipped: %s",
@@ -230,6 +245,7 @@ def cmd_search(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_eval(cfg: Config, args: argparse.Namespace) -> int:
     qrels_path = _require(cfg, "qrels", "to evaluate runs")
+    _require_distinct_labels(args.runs)
     qrels = read_qrels(qrels_path)
     results = [_evaluate_run_file(run_file, qrels) for run_file in args.runs]
     summary_tsv = _write_eval_outputs(cfg, results)
@@ -238,7 +254,9 @@ def cmd_eval(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_compare(cfg: Config, args: argparse.Namespace) -> int:
-    qrels = read_qrels(_require(cfg, "qrels", "to compare runs"))
+    qrels_path = _require(cfg, "qrels", "to compare runs")
+    _require_distinct_labels(args.treatments)  # the baseline may share a treatment's label
+    qrels = read_qrels(qrels_path)
     baseline = _evaluate_run_file(args.baseline, qrels)
     treatments = [_evaluate_run_file(run_file, qrels) for run_file in args.treatments]
     print(_write_comparison(cfg, baseline, treatments), end="")
@@ -286,18 +304,11 @@ def cmd_pipeline(cfg: Config, args: argparse.Namespace) -> int:
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=nonempty_path, help="flat key = value config file")
-    parser.add_argument("--lexicon", help="lexicon JSONL file")
-    parser.add_argument("--corpus", help="corpus JSONL file")
-    parser.add_argument("--stopwords", help="stopword file, one token per line")
-    parser.add_argument("--queries", help="query TSV file (qid<TAB>text)")
-    parser.add_argument("--qrels", help="TREC qrels file")
-    parser.add_argument("--index-dir", dest="index_dir", help="index output directory")
-    parser.add_argument("--report-dir", dest="report_dir", help="report output directory")
-    parser.add_argument("--k1", help=f"BM25 k1 (default {Config.k1})")
-    parser.add_argument("--b", help=f"BM25 b (default {Config.b})")
-    parser.add_argument("--depth", help=f"ranking depth kept in run files (default {Config.depth})")
-    parser.add_argument("--workers", help=f"parallel workers for index builds (default {Config.workers})")
-    parser.add_argument("--tag", help=f"run tag (default {Config.tag!r})")
+    # One flag per Config field (--index-dir for index_dir), with the field's help.
+    for f in fields(Config):
+        shown = repr(f.default) if isinstance(f.default, str) else f.default
+        default = "" if f.default is None else f" (default {shown})"
+        parser.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"] + default)
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
 
 

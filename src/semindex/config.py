@@ -1,15 +1,17 @@
 """Run configuration: defaults, config-file parsing, flag overrides.
 
-The config file is flat ``key = value`` text; ``#`` starts a comment.
-Command-line flags win over file values, which win over the defaults.
+A ``Config`` field is one setting: config-file key ``index_dir`` is flag
+``--index-dir``. The config file is flat ``key = value`` text; ``#`` starts
+a comment. Flags win over file values, which win over the defaults.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from ._util import DataError, TextSource, is_field, iter_lines
 from .engine import DEFAULT_RUN_TAG
@@ -20,20 +22,25 @@ class ConfigError(ValueError):
     """Bad config file or invalid option value."""
 
 
+def _option(default, help: str):
+    """A Config field: its default and the help text of its flag."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class Config:
-    lexicon: Path | None = None
-    corpus: Path | None = None
-    stopwords: Path | None = None
-    queries: Path | None = None
-    qrels: Path | None = None
-    index_dir: Path = Path("indexes")
-    report_dir: Path = Path("reports")
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-    depth: int = 1000
-    workers: int = 1
-    tag: str = DEFAULT_RUN_TAG
+    lexicon: Path | None = _option(None, "lexicon JSONL file")
+    corpus: Path | None = _option(None, "corpus JSONL file")
+    stopwords: Path | None = _option(None, "stopword file, one token per line")
+    queries: Path | None = _option(None, "query TSV file (qid<TAB>text)")
+    qrels: Path | None = _option(None, "TREC qrels file")
+    index_dir: Path = _option(Path("indexes"), "index output directory")
+    report_dir: Path = _option(Path("reports"), "report output directory")
+    k1: float = _option(DEFAULT_K1, "BM25 k1")
+    b: float = _option(DEFAULT_B, "BM25 b")
+    depth: int = _option(1000, "ranking depth kept in run files")
+    workers: int = _option(1, "parallel workers for index builds")
+    tag: str = _option(DEFAULT_RUN_TAG, "run tag")
 
 
 def nonempty_path(raw: str) -> Path:
@@ -42,12 +49,11 @@ def nonempty_path(raw: str) -> Path:
     return Path(raw)
 
 
-# Config key -> the function that reads its value from text.
+# Config key -> the function that reads its value from text: nonempty_path
+# for a Path or Path | None field, the field's type (float, int, str) else.
 _COERCERS = {
-    **dict.fromkeys(("lexicon", "corpus", "stopwords", "queries", "qrels", "index_dir", "report_dir"), nonempty_path),
-    **dict.fromkeys(("k1", "b"), float),
-    **dict.fromkeys(("depth", "workers"), int),
-    "tag": str,
+    key: nonempty_path if Path in (hint, *get_args(hint)) else hint
+    for key, hint in get_type_hints(Config).items()
 }
 
 
@@ -74,7 +80,11 @@ def load_config(source: TextSource) -> Config:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _COERCERS:
             raise ConfigError(f"line {line_no}: unknown option {key!r}")
-        if raw and raw[0] in "\"'" and raw[-1:] == raw[0]:
+        if raw[:1] in ("\"", "'"):
+            if len(raw) < 2 or raw[-1] != raw[0]:
+                raise ConfigError(
+                    f"line {line_no}: unterminated quote in {raw!r} ('#' starts a comment, even in quotes)"
+                )
             raw = raw[1:-1]
         values[key] = coerce(key, raw)
     return Config(**values)

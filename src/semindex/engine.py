@@ -228,6 +228,10 @@ def read_run(run_source: TextSource, found_source: TextSource | None = None) -> 
     for qid in ordered_qids:
         entries = tuple(per_qid.get(qid, ()))
         found = found_counts.get(qid, len(entries))
+        if found < len(entries):
+            raise RunFormatError(
+                f"found-count sidecar: {found} for query {qid!r} is below its {len(entries)} ranked lines"
+            )
         results.append(RankedList(qid=qid, entries=entries, found_count=found))
     return Run(tag, tuple(results))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from semindex import config as config_module
 from semindex import index as index_module
 from semindex import read_run, tokenize
-from semindex.cli import main
+from semindex.cli import build_parser, main, resolve_config
 from semindex.config import Config
 
 from helpers import lexicon_jsonl
@@ -34,6 +35,20 @@ DEEP_JSON = "[" * 100_000
 LONG_INT_JSON = '{"id": ' + "1" * 5000 + "}"
 
 PATH_KEYS = [f.name for f in dataclasses.fields(Config) if "Path" in str(f.type)]
+
+
+# The shortest command line each subcommand parses.
+SUBCOMMAND_ARGV = {
+    "index": ["index", "--mode", "plain"],
+    "batch": ["batch", "--search-type", "R0"],
+    "search": ["search", "text"],
+    "eval": ["eval", "x.run"],
+    "compare": ["compare", "a.run", "b.run"],
+    "pipeline": ["pipeline"],
+}
+
+# A valid value other than the default, by the function that reads a key.
+SAMPLE_VALUES = {config_module.nonempty_path: "some/dir", float: "0.5", int: "7", str: "mytag"}
 
 
 @pytest.fixture
@@ -71,6 +86,20 @@ def common_args(ws, lexicon_key="lexicon"):
 
 def flag_of(key: str) -> str:
     return "--" + key.replace("_", "-")
+
+
+def copy_run(ws, label: str, subdir: str) -> Path:
+    """Copy run ``label`` and its sidecar from report_dir into a sibling directory."""
+    target = ws["report_dir"].parent / subdir
+    target.mkdir()
+    for name in (f"{label}.run", f"{label}.found.json"):
+        (target / name).write_bytes((ws["report_dir"] / name).read_bytes())
+    return target / f"{label}.run"
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices
 
 
 def build_indexes(ws, lexicon_key="lexicon"):
@@ -323,6 +352,7 @@ class TestEvalCommand:
             "[1]",
             pytest.param(DEEP_JSON, id="deep"),
             pytest.param(LONG_INT_JSON, id="long-int"),
+            pytest.param('{"q1": 0}', id="count-below-ranked-lines"),
         ],
     )
     def test_malformed_sidecar_is_data_error(self, workspace, capsys, caplog, sidecar):
@@ -333,6 +363,14 @@ class TestEvalCommand:
         assert main(["eval", str(run_path)] + common_args(workspace)) == 2
         assert "sidecar" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_runs_that_share_a_label_are_usage_error(self, workspace, caplog):
+        build_indexes(workspace)
+        main(["batch", "--search-type", "R0"] + common_args(workspace))
+        first, second = copy_run(workspace, "semindex.R0", "a"), copy_run(workspace, "semindex.R0", "b")
+        assert main(["eval", str(first), str(second)] + common_args(workspace)) == 1
+        assert f"runs {first} and {second} share the label 'semindex.R0'" in caplog.text
+        assert not list(workspace["report_dir"].glob("*.tsv"))
 
     def test_requires_qrels(self, workspace):
         build_indexes(workspace)
@@ -376,6 +414,20 @@ class TestCompareCommand:
         code = main(["compare", str(runs["R0"]), str(runs["R1"])] + common_args(workspace))
         assert code == 0
         assert not (workspace["report_dir"] / "threeway.tsv").exists()
+
+    def test_treatments_that_share_a_label_are_usage_error(self, workspace, caplog):
+        runs = self._runs(workspace)
+        first, second = copy_run(workspace, "semindex.R1", "a"), copy_run(workspace, "semindex.R1", "b")
+        argv = ["compare", str(runs["R0"]), str(first), str(second), str(runs["R2"])]
+        assert main(argv + common_args(workspace)) == 1
+        assert f"runs {first} and {second} share the label 'semindex.R1'" in caplog.text
+        assert not list(workspace["report_dir"].glob("*.tsv"))
+
+    def test_baseline_may_share_a_label_with_a_treatment(self, workspace):
+        runs = self._runs(workspace)
+        old = copy_run(workspace, "semindex.R0", "old")
+        assert main(["compare", str(old), str(runs["R0"])] + common_args(workspace)) == 0
+        assert (workspace["report_dir"] / "semindex.R0_vs_semindex.R0.deltas.tsv").exists()
 
     def test_query_set_mismatch_is_data_error(self, workspace):
         runs = self._runs(workspace)
@@ -552,6 +604,18 @@ class TestConfigHandling:
         assert main(["index", "--mode", "plain", "--config", str(config)] + common_args(workspace)) == 1
         assert not workspace["index_dir"].exists()
 
+    # "#" starts a comment even inside quotes, so each value below loses its
+    # closing quote; it used to become a tag or a path starting with a quote.
+    @pytest.mark.parametrize(
+        "line", ['tag = "a#b"', "corpus = '/d/x#1.jsonl'", 'tag = "', "tag = 'a\""]
+    )
+    def test_unterminated_quote_is_config_error(self, tmp_path, caplog, line):
+        config = tmp_path / "quoted.conf"
+        config.write_text(f"# settings\n{line}\n", encoding="utf-8")
+        assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
+        assert "line 2: unterminated quote" in caplog.text
+        assert "'#' starts a comment" in caplog.text
+
     def test_invalid_value(self, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("depth = soon\n", encoding="utf-8")
@@ -582,6 +646,25 @@ class TestConfigHandling:
 
     def test_every_config_field_has_a_coercer(self):
         assert set(config_module._COERCERS) == {f.name for f in dataclasses.fields(Config)}
+
+    @pytest.mark.parametrize("command", SUBCOMMAND_ARGV)
+    @pytest.mark.parametrize("option", dataclasses.fields(Config), ids=lambda f: f.name)
+    def test_every_config_field_is_a_flag_and_a_key(self, tmp_path, option, command):
+        key = option.name
+        flag_help = {a.dest: a.help for a in subcommand_parsers()[command]._actions}[key]
+        assert flag_help.startswith(option.metadata["help"])
+        raw = SAMPLE_VALUES[config_module._COERCERS[key]]
+        parser = build_parser()
+        from_flag = resolve_config(parser.parse_args(SUBCOMMAND_ARGV[command] + [flag_of(key), raw]))
+        config = tmp_path / "one.conf"
+        config.write_text(f"{key} = {raw}\n", encoding="utf-8")
+        from_file = resolve_config(parser.parse_args(SUBCOMMAND_ARGV[command] + ["--config", str(config)]))
+        assert from_flag == from_file
+        assert getattr(from_flag, key) != getattr(Config(), key)
+        assert dataclasses.replace(from_flag, **{key: getattr(Config(), key)}) == Config()
+
+    def test_flag_test_covers_every_subcommand(self):
+        assert set(subcommand_parsers()) == set(SUBCOMMAND_ARGV)
 
     def test_option_help_shows_the_config_defaults(self, capsys):
         assert main(["pipeline", "--help"]) == 0

@@ -309,6 +309,13 @@ class TestRunFiles:
         with pytest.raises(RunFormatError, match="line 2"):
             read_run(path)
 
+    def test_sidecar_count_below_the_ranked_lines_rejected(self):
+        run = "q1 Q0 d1 1 0.5 t\nq1 Q0 d2 2 0.4 t\nq2 Q0 d3 1 0.3 t\n"
+        loaded = read_run(io.StringIO(run), io.StringIO('{"q1": 2, "q2": 1}'))
+        assert [rl.found_count for rl in loaded.results] == [2, 1]
+        with pytest.raises(RunFormatError, match="sidecar: 1 for query 'q1' is below its 2 ranked lines"):
+            read_run(io.StringIO(run), io.StringIO('{"q1": 1, "q2": 1}'))
+
     def test_out_of_order_rank_rejected(self, tmp_path):
         path = tmp_path / "bad.run"
         path.write_text("q1 Q0 d1 2 0.5 tag\n", encoding="utf-8")

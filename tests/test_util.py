@@ -57,6 +57,10 @@ class TestIterLines:
         text = "a\n\n  \t\nb \r\nc"
         assert list(iter_lines(io.StringIO(text))) == [(1, "a"), (4, "b "), (5, "c")]
 
+    def test_stream_lines_end_at_universal_newlines_only(self):
+        text = "a\rb c\x0cd\r\ne\x85f\n"
+        assert list(iter_lines(io.StringIO(text))) == [(1, "a"), (2, "b c\x0cd"), (3, "e\x85f")]
+
     def test_empty_source(self):
         assert list(iter_lines(io.BytesIO(b""))) == []
 

@@ -22,7 +22,6 @@ from .engine import (
     write_run,
 )
 from .evalkit import (
-    BucketReport,
     DeltaRecord,
     DeltaReport,
     EvalRecord,
@@ -32,10 +31,8 @@ from .evalkit import (
     SignBuckets,
     ThreeWayBuckets,
     ThreeWayReport,
-    average_precision,
     delta_report,
     evaluate_run,
-    precision_at_k,
     read_qrels,
     threeway_report,
 )

@@ -192,7 +192,7 @@ def _write_comparison(cfg: Config, baseline: EvalResult, treatments: list[EvalRe
         report = delta_report(list(baseline.records), list(result.records))
         prefix = f"{baseline.summary.system}_vs_{result.summary.system}"
         _write_report(cfg, f"{prefix}.deltas", render_deltas, report.records)
-        buckets_tsv = _write_report(cfg, f"{prefix}.buckets", render_buckets, report.buckets)
+        buckets_tsv = _write_report(cfg, f"{prefix}.buckets", render_buckets, report)
         stdout_parts.append(f"== {prefix}\n{buckets_tsv}")
 
     if len(treatments) == 3:

@@ -193,9 +193,11 @@ def write_run(run: Run, run_path, found_path=None) -> None:
 def read_run(run_source: TextSource, found_source: TextSource | None = None) -> Run:
     """Parse a TREC run file back into a Run.
 
-    Without a sidecar, found_count falls back to the ranking length.
+    A query ranks each document once. The sidecar, when given, lists every
+    query the run ranks; without one, found_count falls back to the ranking
+    length.
     """
-    per_qid: dict[str, list[ScoredDoc]] = {}
+    per_qid: dict[str, dict[str, ScoredDoc]] = {}
     tag = DEFAULT_RUN_TAG
     for line_no, line in iter_lines(run_source):
         parts = line.split()
@@ -207,27 +209,28 @@ def read_run(run_source: TextSource, found_source: TextSource | None = None) -> 
             score = float(score_str)
         except ValueError:
             raise RunFormatError(f"line {line_no}: bad rank or score") from None
-        entries = per_qid.setdefault(qid, [])
+        entries = per_qid.setdefault(qid, {})
         if rank != len(entries) + 1:
             raise RunFormatError(
                 f"line {line_no}: rank {rank} out of order for query {qid!r}"
             )
-        entries.append(ScoredDoc(doc_id, score, rank))
-
-    found_counts = {} if found_source is None else _read_found_counts(found_source)
+        if doc_id in entries:
+            raise RunFormatError(f"line {line_no}: document {doc_id!r} ranked twice for query {qid!r}")
+        entries[doc_id] = ScoredDoc(doc_id, score, rank)
 
     # The sidecar lists every query in batch order, including zero-result
     # queries that have no TREC lines, so it is the authoritative order.
-    if found_counts:
-        ordered_qids = list(found_counts)
-        ordered_qids.extend(qid for qid in per_qid if qid not in found_counts)
+    if found_source is None:
+        found_counts = {qid: len(entries) for qid, entries in per_qid.items()}
     else:
-        ordered_qids = list(per_qid)
+        found_counts = _read_found_counts(found_source)
+        for qid in per_qid:
+            if qid not in found_counts:
+                raise RunFormatError(f"found-count sidecar does not list the ranked query {qid!r}")
 
     results = []
-    for qid in ordered_qids:
-        entries = tuple(per_qid.get(qid, ()))
-        found = found_counts.get(qid, len(entries))
+    for qid, found in found_counts.items():
+        entries = tuple(per_qid.get(qid, {}).values())
         if found < len(entries):
             raise RunFormatError(
                 f"found-count sidecar: {found} for query {qid!r} is below its {len(entries)} ranked lines"

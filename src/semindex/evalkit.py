@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
@@ -18,7 +19,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ._util import DataError, TextSource, iter_lines
 from .engine import Run
-from .index import RankedList
 
 Qrels = dict[str, set[str]]
 
@@ -98,15 +98,10 @@ class SignBuckets:
 
 
 @dataclass(frozen=True)
-class BucketReport:
-    found: SignBuckets
-    relevant: SignBuckets
-
-
-@dataclass(frozen=True)
 class DeltaReport:
     records: tuple[DeltaRecord, ...]
-    buckets: BucketReport
+    found: SignBuckets
+    relevant: SignBuckets
 
 
 @dataclass(frozen=True)
@@ -134,32 +129,7 @@ class ThreeWayReport:
     relevant: ThreeWayBuckets
 
 
-# -- core metrics -------------------------------------------------------------
-
-
-def precision_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
-    """Fraction of the first k positions holding a relevant document.
-
-    Always divides by k; rankings shorter than k are penalized.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    hits = sum(1 for entry in ranked.entries[:k] if entry.doc_id in relevant)
-    return hits / k
-
-
-def average_precision(ranked: RankedList, relevant: set[str]) -> float:
-    """Mean of precision values at each relevant document's rank, divided
-    by the total number of relevant documents."""
-    if not relevant:
-        raise ValueError("average_precision needs a non-empty relevance set")
-    hits = 0
-    acc = 0.0
-    for position, entry in enumerate(ranked.entries, start=1):
-        if entry.doc_id in relevant:
-            hits += 1
-            acc += hits / position
-    return acc / len(relevant)
+# -- per-query metrics --------------------------------------------------------
 
 
 def evaluate_run(run: Run, qrels: Qrels, system: str) -> EvalResult:
@@ -175,14 +145,16 @@ def evaluate_run(run: Run, qrels: Qrels, system: str) -> EvalResult:
         if not relevant:
             skipped.append(ranked.qid)
             continue
-        p_at = {k: precision_at_k(ranked, relevant, k) for k in DEFAULT_PRECISION_CUTOFFS}
+        # The 1-based ranks of the relevant documents (each document ranks
+        # once); relevant-found, P@k (always over k) and AP all derive from them.
+        hits = [rank for rank, entry in enumerate(ranked.entries, start=1) if entry.doc_id in relevant]
         records.append(
             EvalRecord(
                 qid=ranked.qid,
                 found=ranked.found_count,
-                relevant_found=sum(1 for e in ranked.entries if e.doc_id in relevant),
-                p_at=p_at,
-                ap=average_precision(ranked, relevant),
+                relevant_found=len(hits),
+                p_at={k: bisect_right(hits, k) / k for k in DEFAULT_PRECISION_CUTOFFS},
+                ap=sum(n / rank for n, rank in enumerate(hits, start=1)) / len(relevant),
             )
         )
     aps = [r.ap for r in records]
@@ -202,19 +174,25 @@ def evaluate_run(run: Run, qrels: Qrels, system: str) -> EvalResult:
 # -- before/after deltas -------------------------------------------------------
 
 
-def _records_by_qid(records: Iterable[EvalRecord], label: str) -> dict[str, EvalRecord]:
-    by_qid: dict[str, EvalRecord] = {}
-    for record in records:
-        if record.qid in by_qid:
-            raise EvalError(f"{label}: duplicate qid {record.qid!r}")
-        by_qid[record.qid] = record
-    return by_qid
-
-
-def _require_same_qids(a: dict[str, EvalRecord], b: dict[str, EvalRecord], what: str) -> None:
-    if a.keys() != b.keys():
-        offending = sorted(a.keys() ^ b.keys())
-        raise EvalError(f"{what}: query sets differ on qids {offending}")
+def _records_by_qid(
+    runs: Sequence[Sequence[EvalRecord]], labels: Sequence[str], what: str
+) -> list[dict[str, EvalRecord]]:
+    """Each run's records keyed by qid, in record order. The runs' labels
+    must be distinct, and the runs must cover the same queries, each once."""
+    if len(set(labels)) != len(labels):
+        raise EvalError(f"{what}: labels {list(labels)} are not distinct")
+    by_label: list[dict[str, EvalRecord]] = []
+    for records, label in zip(runs, labels):
+        by_qid: dict[str, EvalRecord] = {}
+        for record in records:
+            if record.qid in by_qid:
+                raise EvalError(f"{label}: duplicate qid {record.qid!r}")
+            by_qid[record.qid] = record
+        if by_label and by_qid.keys() != by_label[0].keys():
+            offending = sorted(by_qid.keys() ^ by_label[0].keys())
+            raise EvalError(f"{what}: query sets differ on qids {offending}")
+        by_label.append(by_qid)
+    return by_label
 
 
 def sign_buckets(values: Iterable[int]) -> SignBuckets:
@@ -237,24 +215,22 @@ def delta_report(
     ``before`` and ``after`` must cover the same queries; records are
     emitted in ``before`` order.
     """
-    before_by = _records_by_qid(before, "before")
-    after_by = _records_by_qid(after, "after")
-    _require_same_qids(before_by, after_by, "delta_report")
+    before_by, after_by = _records_by_qid((before, after), ("before", "after"), "delta_report")
     records = tuple(
         DeltaRecord(
-            qid=b.qid,
+            qid=qid,
             found_before=b.found,
-            found_after=after_by[b.qid].found,
+            found_after=after_by[qid].found,
             relevant_before=b.relevant_found,
-            relevant_after=after_by[b.qid].relevant_found,
+            relevant_after=after_by[qid].relevant_found,
         )
-        for b in before
+        for qid, b in before_by.items()
     )
-    buckets = BucketReport(
+    return DeltaReport(
+        records,
         found=sign_buckets(r.found_delta for r in records),
         relevant=sign_buckets(r.relevant_delta for r in records),
     )
-    return DeltaReport(records, buckets)
 
 
 def threeway_report(
@@ -263,13 +239,9 @@ def threeway_report(
     third: Sequence[EvalRecord],
     labels: tuple[str, str, str],
 ) -> ThreeWayReport:
-    """Which of three systems strictly returned the most, per query."""
-    by_label = [
-        _records_by_qid(records, label)
-        for records, label in zip((first, second, third), labels)
-    ]
-    _require_same_qids(by_label[0], by_label[1], "threeway_report")
-    _require_same_qids(by_label[0], by_label[2], "threeway_report")
+    """Which of three systems strictly returned the most, per query. The
+    labels name the ``<label>_wins`` buckets, so they must be distinct."""
+    by_label = _records_by_qid((first, second, third), labels, "threeway_report")
     qids = list(by_label[0])
 
     def classify(metric) -> ThreeWayBuckets:
@@ -384,7 +356,7 @@ def render_deltas(records: Sequence[DeltaRecord], fmt: str) -> str:
 _OUTCOME_HEADER = ("metric", "bucket", "queries", "percent")
 
 
-def _outcome_rows(report: BucketReport | ThreeWayReport, counts) -> Iterator[tuple]:
+def _outcome_rows(report: DeltaReport | ThreeWayReport, counts) -> Iterator[tuple]:
     """metric/bucket/queries/percent rows for the found and relevant metrics
     of a report; ``counts(buckets)`` yields its (bucket, queries) pairs."""
     for metric, buckets in (("found", report.found), ("relevant", report.relevant)):
@@ -396,7 +368,7 @@ def _sign_counts(buckets: SignBuckets) -> Iterator[tuple[str, int]]:
     return zip(("delta<0", "delta=0", "delta>0"), (buckets.negative, buckets.zero, buckets.positive))
 
 
-def render_buckets(report: BucketReport, fmt: str) -> str:
+def render_buckets(report: DeltaReport, fmt: str) -> str:
     def entry(buckets: SignBuckets) -> dict:
         counts = {"negative": buckets.negative, "zero": buckets.zero, "positive": buckets.positive}
         percents = {

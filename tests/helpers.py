@@ -14,11 +14,11 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from semindex import IndexMode, Lexicon, load_lexicon, remove_stopwords, semantize, tokenize
+from semindex import IndexMode, Lexicon, RankedList, load_lexicon, remove_stopwords, semantize, tokenize
 from semindex.evalkit import (
     DEFAULT_PRECISION_CUTOFFS,
-    BucketReport,
     DeltaRecord,
+    DeltaReport,
     EvalRecord,
     PrecisionSummary,
     SignBuckets,
@@ -169,6 +169,38 @@ def random_corpus(rng: random.Random, n_docs: int, vocab=None, min_len=3, max_le
     return docs
 
 
+# -- reference ranking metrics -------------------------------------------------
+#
+# The per-ranking P@k and AP functions evalkit had before evaluate_run derived
+# every metric from one list of hit ranks, kept verbatim (renamed) as the
+# bit-level oracle.
+
+
+def reference_precision_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
+    """Fraction of the first k positions holding a relevant document.
+
+    Always divides by k; rankings shorter than k are penalized.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    hits = sum(1 for entry in ranked.entries[:k] if entry.doc_id in relevant)
+    return hits / k
+
+
+def reference_average_precision(ranked: RankedList, relevant: set[str]) -> float:
+    """Mean of precision values at each relevant document's rank, divided
+    by the total number of relevant documents."""
+    if not relevant:
+        raise ValueError("average_precision needs a non-empty relevance set")
+    hits = 0
+    acc = 0.0
+    for position, entry in enumerate(ranked.entries, start=1):
+        if entry.doc_id in relevant:
+            hits += 1
+            acc += hits / position
+    return acc / len(relevant)
+
+
 # -- reference report renderers ------------------------------------------------
 #
 # The five hand-written renderers evalkit had before they were folded onto
@@ -291,7 +323,7 @@ def _reference_bucket_rows(metric: str, buckets: SignBuckets) -> list[tuple[str,
     ]
 
 
-def reference_render_buckets(report: BucketReport, fmt: str) -> str:
+def reference_render_buckets(report: DeltaReport, fmt: str) -> str:
     _reference_check_format(fmt)
     total = report.found.total
     if fmt == "json":

@@ -22,14 +22,14 @@ from semindex import (
     Lexicon,
     Query,
     RankedList,
+    Run,
     SearchSystem,
     SearchType,
-    average_precision,
     build_index,
     delta_report,
+    evaluate_run,
     load_index,
     load_lexicon,
-    precision_at_k,
 )
 from semindex.cli import main
 from semindex.evalkit import format_percent
@@ -96,7 +96,7 @@ def test_criterion_2_sign_bucket_percentages():
             record(f"q{i}", 200 + (0 if i < 9 else 3 + i), 100) for i in range(70)
         ]
         report = delta_report(before, after)
-        buckets = report.buckets.found
+        buckets = report.found
         assert (buckets.negative, buckets.zero, buckets.positive) == (0, 9, 61)
         rendered = (
             float(format_percent(buckets.negative, buckets.total)),
@@ -135,11 +135,10 @@ def test_criterion_3_metric_oracle_equivalence():
                 ScoredDoc(d, float(len(doc_ids) - i), i + 1) for i, d in enumerate(doc_ids)
             )
             ranked = RankedList(qid="q", entries=entries, found_count=len(entries))
+            (record,) = evaluate_run(Run("t", (ranked,)), {"q": relevant}, "R0").records
             for k in (5, 10, 20, 100, 1000):
-                assert precision_at_k(ranked, relevant, k) == oracle_p_at_k(
-                    doc_ids, relevant, k
-                )
-            assert abs(average_precision(ranked, relevant) - oracle_ap(doc_ids, relevant)) <= 1e-12
+                assert record.p_at[k] == oracle_p_at_k(doc_ids, relevant, k)
+            assert abs(record.ap - oracle_ap(doc_ids, relevant)) <= 1e-12
         assert time.perf_counter() - start < 10.0
 
 

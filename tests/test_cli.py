@@ -343,6 +343,14 @@ class TestEvalCommand:
         bad_run.write_text("q1 Q0 d1\n", encoding="utf-8")
         assert main(["eval", str(bad_run)] + common_args(workspace)) == 2
 
+    def test_run_that_ranks_a_document_twice_is_data_error(self, workspace, caplog):
+        workspace["report_dir"].mkdir(parents=True, exist_ok=True)
+        run_path = workspace["report_dir"] / "twice.run"
+        run_path.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t\n", encoding="utf-8")
+        assert main(["eval", str(run_path)] + common_args(workspace)) == 2
+        assert main(["compare", str(run_path), str(run_path)] + common_args(workspace)) == 2
+        assert "ranked twice" in caplog.text
+
     @pytest.mark.parametrize(
         "sidecar",
         [
@@ -353,6 +361,7 @@ class TestEvalCommand:
             pytest.param(DEEP_JSON, id="deep"),
             pytest.param(LONG_INT_JSON, id="long-int"),
             pytest.param('{"q1": 0}', id="count-below-ranked-lines"),
+            pytest.param('{"q2": 99, "q3": 99}', id="ranked-query-not-listed"),
         ],
     )
     def test_malformed_sidecar_is_data_error(self, workspace, capsys, caplog, sidecar):

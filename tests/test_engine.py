@@ -316,6 +316,21 @@ class TestRunFiles:
         with pytest.raises(RunFormatError, match="sidecar: 1 for query 'q1' is below its 2 ranked lines"):
             read_run(io.StringIO(run), io.StringIO('{"q1": 1, "q2": 1}'))
 
+    def test_document_ranked_twice_under_one_query_rejected(self):
+        # Counted twice, d1 would give relevant_found 2 and AP 2.0.
+        run = "q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t\n"
+        with pytest.raises(RunFormatError, match="line 2: document 'd1' ranked twice for query 'q1'"):
+            read_run(io.StringIO(run))
+        loaded = read_run(io.StringIO("q1 Q0 d1 1 2.0 t\nq2 Q0 d1 1 1.0 t\n"))
+        assert [rl.qid for rl in loaded.results] == ["q1", "q2"]
+
+    def test_sidecar_must_list_every_ranked_query(self):
+        run = "q1 Q0 d1 1 0.5 t\nq2 Q0 d2 1 0.4 t\n"
+        with pytest.raises(RunFormatError, match="sidecar does not list the ranked query 'q1'"):
+            read_run(io.StringIO(run), io.StringIO('{"q2": 5}'))
+        loaded = read_run(io.StringIO(run), io.StringIO('{"q2": 5, "q1": 1, "q3": 0}'))
+        assert [(rl.qid, rl.found_count) for rl in loaded.results] == [("q2", 5), ("q1", 1), ("q3", 0)]
+
     def test_out_of_order_rank_rejected(self, tmp_path):
         path = tmp_path / "bad.run"
         path.write_text("q1 Q0 d1 2 0.5 tag\n", encoding="utf-8")

@@ -5,24 +5,22 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semindex import (
     EvalRecord,
     Run,
     RankedList,
-    average_precision,
     delta_report,
     evaluate_run,
-    precision_at_k,
     read_qrels,
     threeway_report,
 )
 from semindex.evalkit import (
     DEFAULT_PRECISION_CUTOFFS,
-    BucketReport,
     DeltaRecord,
+    DeltaReport,
     EvalError,
     PrecisionSummary,
     QrelsError,
@@ -40,6 +38,8 @@ from semindex.evalkit import (
 from semindex.index import ScoredDoc
 
 from helpers import (
+    reference_average_precision,
+    reference_precision_at_k,
     reference_render_buckets,
     reference_render_deltas,
     reference_render_records,
@@ -71,21 +71,22 @@ def brute_force_ap(doc_ids, relevant) -> float:
     return total / len(relevant)
 
 
+def evaluate_one(doc_ids, relevant) -> EvalRecord:
+    """The evaluate_run record of one ranking of ``doc_ids``."""
+    (record,) = evaluate_run(Run("t", (make_ranking(doc_ids),)), {"q1": relevant}, "R0").records
+    return record
+
+
 class TestPrecisionAtK:
     def test_all_relevant(self):
-        ranked = make_ranking([f"d{i}" for i in range(5)])
-        assert precision_at_k(ranked, {f"d{i}" for i in range(5)}, 5) == 1.0
+        record = evaluate_one([f"d{i}" for i in range(5)], {f"d{i}" for i in range(5)})
+        assert record.p_at[5] == 1.0
 
     def test_empty_ranking(self):
-        assert precision_at_k(make_ranking([]), {"d1"}, 10) == 0.0
+        assert evaluate_one([], {"d1"}).p_at[10] == 0.0
 
     def test_divides_by_k_not_length(self):
-        ranked = make_ranking(["d1", "d2"])
-        assert precision_at_k(ranked, {"d1", "d2"}, 10) == 0.2
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            precision_at_k(make_ranking(["d1"]), {"d1"}, 0)
+        assert evaluate_one(["d1", "d2"], {"d1", "d2"}).p_at[10] == 0.2
 
     def test_matches_oracle_on_random_rankings(self):
         rng = random.Random(99)
@@ -93,31 +94,29 @@ class TestPrecisionAtK:
         for _ in range(1000):
             doc_ids = rng.sample(universe, rng.randint(0, 20))
             relevant = set(rng.sample(universe, rng.randint(1, 15)))
-            ranked = make_ranking(doc_ids)
+            record = evaluate_one(doc_ids, relevant)
             for k in (5, 10, 20, 100, 1000):
-                assert precision_at_k(ranked, relevant, k) == brute_force_p_at_k(
-                    doc_ids, relevant, k
-                )
+                assert record.p_at[k] == brute_force_p_at_k(doc_ids, relevant, k)
 
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        ranked = make_ranking(["d1", "d2", "d3"])
-        assert average_precision(ranked, {"d1", "d2", "d3"}) == 1.0
+        assert evaluate_one(["d1", "d2", "d3"], {"d1", "d2", "d3"}).ap == 1.0
 
     def test_nothing_relevant_retrieved(self):
-        assert average_precision(make_ranking(["d1", "d2"]), {"d9"}) == 0.0
+        assert evaluate_one(["d1", "d2"], {"d9"}).ap == 0.0
 
     def test_hand_computed_two_relevant(self):
         # relevant at ranks 1 and 3: (1/1 + 2/3) / 2
-        ranked = make_ranking(["d1", "d2", "d3"])
-        assert average_precision(ranked, {"d1", "d3"}) == pytest.approx(
+        assert evaluate_one(["d1", "d2", "d3"], {"d1", "d3"}).ap == pytest.approx(
             (1.0 + 2.0 / 3.0) / 2.0, abs=1e-15
         )
 
     def test_empty_relevance_set_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            average_precision(make_ranking(["d1"]), set())
+        # AP divides by the relevance set's size, so such a query is not scored.
+        result = evaluate_run(Run("t", (make_ranking(["d1"]),)), {"q1": set()}, "R0")
+        assert result.records == ()
+        assert result.skipped_qids == ("q1",)
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(41)
@@ -125,8 +124,43 @@ class TestAveragePrecision:
         for _ in range(1000):
             doc_ids = rng.sample(universe, rng.randint(0, 25))
             relevant = set(rng.sample(universe, rng.randint(1, 10)))
-            got = average_precision(make_ranking(doc_ids), relevant)
+            got = evaluate_one(doc_ids, relevant).ap
             assert got == pytest.approx(brute_force_ap(doc_ids, relevant), abs=1e-12)
+
+
+# Rankings of distinct documents: short ones from a small pool, so that hits
+# are common, and ones longer than the largest cutoff (1,000).
+SHORT_RANKINGS = st.lists(st.integers(0, 40).map("d{}".format), unique=True, max_size=30)
+LONG_RANKINGS = st.builds(
+    lambda length, seed: random.Random(seed).sample([f"d{i}" for i in range(1400)], length),
+    st.integers(1001, 1300),
+    st.integers(),
+)
+RELEVANT_SETS = st.sets((st.integers(0, 40) | st.integers(0, 1400)).map("d{}".format), min_size=1)
+JUDGED_RANKINGS = st.lists(st.tuples(SHORT_RANKINGS | LONG_RANKINGS, RELEVANT_SETS), max_size=4)
+LONG = [f"d{i}" for i in range(1200)]
+
+
+class TestEvaluateRunMatchesReference:
+    """evaluate_run derives P@k, AP and relevant-found from the ranks of the
+    hits; each value equals the per-ranking reference function's bit for bit."""
+
+    @given(judged=JUDGED_RANKINGS)
+    @example(judged=[([], {"d1"})])  # empty ranking
+    @example(judged=[(["d1", "d2"], {"d9"})])  # no hits
+    @example(judged=[(["d1", "d2", "d3"], {"d1", "d2", "d3"})])  # all hits
+    @example(judged=[(LONG, set(LONG[::7])), (LONG[::-1], set(LONG))])  # long rankings
+    def test_records_equal_the_references(self, judged):
+        rankings = [make_ranking(doc_ids, qid=f"q{i}") for i, (doc_ids, _) in enumerate(judged)]
+        qrels = {f"q{i}": relevant for i, (_, relevant) in enumerate(judged)}
+        records = evaluate_run(Run("t", tuple(rankings)), qrels, "R0").records
+        assert len(records) == len(rankings)
+        for record, ranked in zip(records, rankings):
+            relevant = qrels[record.qid]
+            for k in DEFAULT_PRECISION_CUTOFFS:
+                assert record.p_at[k] == reference_precision_at_k(ranked, relevant, k)
+            assert record.ap == reference_average_precision(ranked, relevant)
+            assert record.relevant_found == sum(1 for e in ranked.entries if e.doc_id in relevant)
 
 
 class TestEvaluateRun:
@@ -231,10 +265,10 @@ class TestDeltaReport:
         before = reference_records("R0")
         report = delta_report(before, reference_records("R0"))
         assert all(r.found_delta == 0 and r.relevant_delta == 0 for r in report.records)
-        assert report.buckets.found.zero == len(before)
-        assert report.buckets.found.negative == 0
-        assert report.buckets.found.positive == 0
-        assert pct_fields(render_buckets(report.buckets, "json"), "found") == [0.0, 100.0, 0.0]
+        assert report.found.zero == len(before)
+        assert report.found.negative == 0
+        assert report.found.positive == 0
+        assert pct_fields(render_buckets(report, "json"), "found") == [0.0, 100.0, 0.0]
 
     def test_planted_sign_pattern(self):
         # 0 negative, 9 zero, 61 positive out of 70
@@ -244,10 +278,10 @@ class TestDeltaReport:
             delta = 0 if i < 9 else 5
             after.append(record(f"q{i}", 100 + delta, 50))
         report = delta_report(before, after)
-        assert report.buckets.found.negative == 0
-        assert report.buckets.found.zero == 9
-        assert report.buckets.found.positive == 61
-        assert pct_fields(render_buckets(report.buckets, "json"), "found") == [0.0, 12.86, 87.14]
+        assert report.found.negative == 0
+        assert report.found.zero == 9
+        assert report.found.positive == 61
+        assert pct_fields(render_buckets(report, "json"), "found") == [0.0, 12.86, 87.14]
         assert format_percent(9, 70) == "12.86"
         assert format_percent(61, 70) == "87.14"
 
@@ -266,9 +300,9 @@ class TestDeltaReport:
         before = [record(f"q{i}", rng.randint(0, 50), rng.randint(0, 20)) for i in range(37)]
         after = [record(f"q{i}", rng.randint(0, 50), rng.randint(0, 20)) for i in range(37)]
         report = delta_report(before, after)
-        rendered = render_buckets(report.buckets, "json")
+        rendered = render_buckets(report, "json")
         for metric in ("found", "relevant"):
-            assert getattr(report.buckets, metric).total == 37
+            assert getattr(report, metric).total == 37
             # Each of the three percentages is rounded to 2 decimals.
             assert abs(sum(pct_fields(rendered, metric)) - 100.0) <= 0.01 + 1e-9
 
@@ -278,10 +312,10 @@ class TestDeltaReport:
         after = [record(f"q{i}", rng.randint(0, 9), rng.randint(0, 5)) for i in range(60)]
         report = delta_report(before, after)
         deltas = [r.found_delta for r in report.records]
-        assert report.buckets.found == sign_buckets(deltas)
-        assert report.buckets.found.negative == sum(1 for d in deltas if d < 0)
-        assert report.buckets.found.zero == sum(1 for d in deltas if d == 0)
-        assert report.buckets.found.positive == sum(1 for d in deltas if d > 0)
+        assert report.found == sign_buckets(deltas)
+        assert report.found.negative == sum(1 for d in deltas if d < 0)
+        assert report.found.zero == sum(1 for d in deltas if d == 0)
+        assert report.found.positive == sum(1 for d in deltas if d > 0)
 
 
 class TestThreeWayReport:
@@ -321,6 +355,12 @@ class TestThreeWayReport:
     def test_qid_mismatch_rejected(self):
         with pytest.raises(EvalError):
             threeway_report([record("q1", 1, 1)], [record("q1", 1, 1)], [record("qX", 1, 1)], LABELS_R)
+
+    def test_repeated_labels_rejected(self):
+        # Two "x" systems would share one x_wins bucket, and a win would be lost.
+        first, second, third = [record("q1", 3, 1)], [record("q1", 2, 1)], [record("q1", 1, 0)]
+        with pytest.raises(EvalError, match="not distinct"):
+            threeway_report(first, second, third, labels=("x", "x", "y"))
 
     def test_five_buckets_partition_queries(self):
         rng = random.Random(8)
@@ -421,10 +461,10 @@ class TestRendering:
         before = [record(f"q{i}", 100, 50) for i in range(70)]
         after = [record(f"q{i}", 100 + (0 if i < 9 else 5), 50) for i in range(70)]
         report = delta_report(before, after)
-        tsv = render_buckets(report.buckets, "tsv")
+        tsv = render_buckets(report, "tsv")
         assert "found\tdelta=0\t9\t12.86" in tsv
         assert "found\tdelta>0\t61\t87.14" in tsv
-        parsed = json.loads(render_buckets(report.buckets, "json"))
+        parsed = json.loads(render_buckets(report, "json"))
         assert parsed["found"]["zero"] == 9
         assert parsed["found"]["positive_pct"] == 87.14
 
@@ -482,7 +522,7 @@ DELTA_RECORDS = st.lists(
     max_size=5,
 )
 SIGN_BUCKETS = st.builds(SignBuckets, COUNTS, COUNTS, COUNTS)
-BUCKET_REPORTS = st.builds(BucketReport, SIGN_BUCKETS, SIGN_BUCKETS)
+BUCKET_REPORTS = st.builds(DeltaReport, DELTA_RECORDS.map(tuple), SIGN_BUCKETS, SIGN_BUCKETS)
 LABELS = st.sampled_from([("R1", "R2", "R3"), ("semindex.R1", "semindex.R2", "semindex.R3"), ("أ", "ب", "ج")]) | st.tuples(
     NAMES, NAMES, NAMES
 )

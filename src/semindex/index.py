@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import heapq
 import json
 import math
 import operator
@@ -31,6 +32,11 @@ from .textnorm import TokenStream, tokenize
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
+
+# Index.retrieve selects a ranking's head when it keeps fewer than one match
+# in this many. On CPython 3.11 selection beats the full sort from about 48
+# matches per kept one at depth 1, 24 at depth 10 and 10-12 at depth 100-1000.
+_SELECT_RATIO = 32
 
 _MAGIC = b"SIDX"
 _FORMAT_VERSION = 3
@@ -154,17 +160,25 @@ class Index:
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ) -> RankedList:
-        """All documents matching any query term, best first.
+        """All documents matching any query term, best first, or the first
+        ``depth`` (at least 1) of them.
 
-        Ties break by ascending doc_id. found_count is taken before the
-        optional truncation to ``depth``. Each score is the BM25 sum over
-        the query terms in query-term order, so duplicate terms accumulate.
+        Ties break by ascending doc_id. found_count counts every match, kept
+        or not. Each score is the BM25 sum over the query terms in
+        query-term order, so duplicate terms accumulate.
+
+        A ranking that keeps fewer than one match in ``_SELECT_RATIO`` sorts
+        only the matches that reach its ``depth``-th best score. Every tie
+        at that floor is among them, so the ranking equals a full sort of
+        every match, which the other rankings run.
 
         Each queried term's ordinals and BM25 contribution to each of those
         documents ("impacts") are built on first use and cached with the
         length norms for the last (k1, b); new parameters drop both. The
         cache holds 12 bytes per posting of each queried term.
         """
+        if depth is not None and depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
         cached = self._bm25
         if cached is None or cached[0] != (k1, b):
             avgdl = self.average_doc_length
@@ -190,11 +204,15 @@ class Index:
             scores.update(
                 zip(ordinals, map(operator.add, map(scores.get, ordinals, repeat(0.0)), impacts))
             )
+        if depth is not None and _SELECT_RATIO * depth < len(scores):
+            floor = heapq.nlargest(depth, scores.values())[-1]
+            # A comprehension filters faster here than compress() over map().
+            ranked = sorted([o for o, score in scores.items() if score >= floor])
+        else:
+            ranked = sorted(scores)
         # Ascending ordinal first; the stable descending sort keeps that
         # order among equal scores, so ties break by ascending doc id.
-        ranked = sorted(sorted(scores), key=scores.__getitem__, reverse=True)
-        if depth is not None:
-            ranked = ranked[:depth]
+        ranked = sorted(ranked, key=scores.__getitem__, reverse=True)[:depth]
         # tuple.__new__ is what ScoredDoc(...) runs, minus a Python-level call.
         rows = zip(
             map(self._doc_ids.__getitem__, ranked),
@@ -298,7 +316,8 @@ def load_index(path) -> Index:
     Loading is the checksum, one header unpack, one decode and split per
     name list and one ``frombytes`` per column, then C-level passes that
     check every structural invariant ``retrieve`` relies on, so a damaged or
-    hand-made file raises IndexFormatError. No step loops over terms.
+    hand-made file raises IndexFormatError. No Python-level loop runs over
+    terms or postings.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -343,12 +362,14 @@ def load_index(path) -> Index:
     terms = _names(names, term_count, "terms")
     if offsets[0] != 0 or not _strictly_ascending(offsets):
         raise IndexFormatError("term offsets do not start at 0, or a term has no postings")
-    if ordinals and max(ordinals) >= doc_count:
-        raise IndexFormatError(f"ordinals not all below the doc count {doc_count}")
     # Ordinals may fail to rise only where a term's postings begin.
     falls = set(compress(range(1, count), map(operator.ge, ordinals, islice(ordinals, 1, None))))
     if not falls.issubset(offsets):
         raise IndexFormatError("ordinals not strictly ascending within a term")
+    # So the largest ordinal is the last of some term.
+    lasts = map(ordinals.__getitem__, map(operator.sub, islice(offsets, 1, None), repeat(1)))
+    if max(lasts, default=-1) >= doc_count:
+        raise IndexFormatError(f"ordinals not all below the doc count {doc_count}")
     if 0 in tfs:
         raise IndexFormatError("posting with term frequency 0")
     # A document's length is the sum of its term frequencies; this also

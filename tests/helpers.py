@@ -158,6 +158,13 @@ def reference_bm25(corpus_tokens: dict[str, list[str]], query: list[str], doc_id
     return score
 
 
+def reference_ranking(scores: dict, depth: int | None) -> list:
+    """The keys of ``scores`` best first, ties by ascending key, cut to
+    ``depth``: the full sort ``Index.retrieve`` ran on every match before it
+    selected the head of shallow rankings, kept verbatim."""
+    return sorted(sorted(scores), key=scores.__getitem__, reverse=True)[:depth]
+
+
 def random_corpus(rng: random.Random, n_docs: int, vocab=None, min_len=3, max_len=40):
     """Deterministic synthetic corpus of (doc_id, text) pairs."""
     vocab = vocab or TOKEN_POOL

@@ -249,6 +249,14 @@ class TestBatchRun:
         run = system.batch_run([Query("b", "اثم"), Query("a", "اثم")], SearchType.R0)
         assert [rl.qid for rl in run.results] == ["b", "a"]
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        system = build_system([("d1", "اثم"), ("d2", "اثم ذنب")], Lexicon())
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            system.run_query(Query("q1", "اثم"), SearchType.R0, depth)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            system.batch_run([Query("q1", "اثم")], SearchType.R2, depth)
+
     def test_index_checked_before_any_query(self):
         # A missing or wrong-mode index fails the batch whatever its queries.
         plain = build_index([], IndexMode.PLAIN)

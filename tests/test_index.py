@@ -34,6 +34,7 @@ from helpers import (
     random_corpus,
     reference_bm25,
     reference_document_terms,
+    reference_ranking,
     token_stream_strategy,
 )
 
@@ -236,6 +237,49 @@ class TestRetrieve:
         assert ranked.found_count == 25
         assert len({e.score for e in ranked.entries[1:]}) == 1
         assert [e.rank for e in ranked.entries] == list(range(1, len(ranked.entries) + 1))
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        idx = build_index([(f"d{i}", "ا") for i in range(3)], IndexMode.PLAIN)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            idx.retrieve(["ا"], depth)
+
+    # Match counts one below, at and one above the size where retrieve
+    # starts to select the head instead of sorting every match.
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("depth", [1, 2, 10])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        query=st.lists(st.sampled_from(["ا", "ب", "ت"]), min_size=1, max_size=3),
+        extras=st.lists(token_stream_strategy(max_size=3), min_size=1, max_size=4),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_selection_equals_the_full_sort_on_ties(self, depth, offset, query, extras, rng):
+        # Each matching document repeats one of a few term lists, so its
+        # score is one of a few values and ties at the floor are many.
+        shapes = [[rng.choice(query)] + tokens for tokens in extras]
+        found = index_module._SELECT_RATIO * depth + offset
+        texts = [" ".join(rng.choice(shapes)) for _ in range(found)]
+        texts += [" ".join(rng.choices(["x", "y"], k=rng.randint(1, 3))) for _ in range(rng.randint(0, 5))]
+        corpus = [(f"d{i}", text) for i, text in enumerate(texts)]
+        rng.shuffle(corpus)
+        idx = build_index(corpus, IndexMode.PLAIN)
+        corpus_tokens = {doc_id: tokenize(text) for doc_id, text in corpus}
+        score_of: dict[str, float] = {}
+        scores = {}
+        for doc_id, text in corpus:
+            if set(corpus_tokens[doc_id]) & set(query):
+                if text not in score_of:
+                    score_of[text] = reference_bm25(corpus_tokens, query, doc_id)
+                scores[doc_id] = score_of[text]
+        assert len(scores) == found
+        for kept in (depth, found, found + 1, None):
+            ranked = idx.retrieve(query, kept)
+            expected = reference_ranking(scores, kept)
+            assert [(e.doc_id, e.rank, e.score.hex()) for e in ranked.entries] == [
+                (doc_id, rank, scores[doc_id].hex()) for rank, doc_id in enumerate(expected, 1)
+            ]
+            assert ranked.found_count == found
 
     def test_cache_follows_parameters_across_calls(self):
         """Norms and term impacts are cached per (k1, b): interleaved
@@ -442,6 +486,10 @@ class TestPersistence:
             ({"doc_ids": ["d1", "d\udcff"]}, "not UTF-8"),
             ({"doc_lengths": [0, 0]}, "add up"),
             ({"doc_lengths": [1, 2]}, "add up"),
+            # Ordinal 2 is out of range at a term's last posting that is not
+            # the file's last, and in the middle of a term.
+            ({"doc_lengths": [1, 2], "terms": [("ا", [0, 2], [1, 1]), ("ب", [1], [1])]}, "below the doc count 2"),
+            ({"doc_lengths": [1, 2], "terms": [("ا", [0, 2, 1], [1, 1, 1])]}, "strictly ascending"),
         ],
     )
     def test_structural_violations_rejected(self, tmp_path, fields, message):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import IO, Iterator, Union
 
@@ -16,19 +15,17 @@ class DataError(ValueError):
 
 
 def read_text(source: TextSource) -> str:
-    """Return the full UTF-8 text of a path or file-like object.
-
-    Bytes that are not UTF-8 raise DataError naming the source.
-    """
+    """Return the full UTF-8 text of a path or file-like object, less a
+    leading byte-order mark. Bytes that are not UTF-8 raise DataError naming
+    the source and the offset of the first bad byte in it."""
     is_stream = hasattr(source, "read")
+    data = source.read() if is_stream else Path(source).read_bytes()
     try:
-        if is_stream:
-            data = source.read()
-            return data.decode("utf-8") if isinstance(data, bytes) else data
-        return Path(source).read_text(encoding="utf-8")
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         where = getattr(source, "name", "input stream") if is_stream else source
         raise DataError(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 def iter_lines(source: TextSource) -> Iterator[tuple[int, str]]:
@@ -73,28 +70,21 @@ def is_field(value: str) -> bool:
 
 
 def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
-    """Write via a unique sibling temp file, fsync, then rename, so a partial
-    file never lands at ``path`` and a landed one survives a crash."""
+    """Write via a uniquely named sibling temp file, fsync, then rename, so a
+    partial file never lands at ``path`` and a landed one survives a crash.
+    The temp file is created by open(), so it has a plain write's mode."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")  # outside the try: a name already taken is not ours to unlink
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        # mkstemp creates the file 0600; give it the mode a plain open()
-        # would have.
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
-
-
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
 
 
 def atomic_write_text(path: Union[str, os.PathLike], text: str) -> None:

@@ -7,7 +7,6 @@ a comment. Flags win over file values, which win over the defaults.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import get_args, get_type_hints
 
 from ._util import DataError, TextSource, is_field, iter_lines
 from .engine import DEFAULT_RUN_TAG
-from .index import DEFAULT_B, DEFAULT_K1
+from .index import DEFAULT_B, DEFAULT_K1, bm25_params_valid
 
 
 class ConfigError(ValueError):
@@ -71,6 +70,7 @@ def load_config(source: TextSource) -> Config:
     except DataError as exc:  # the file is not UTF-8
         raise ConfigError(str(exc)) from None
     values: dict = {}
+    seen: dict[str, int] = {}
     for line_no, line in lines:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:  # a comment line
@@ -80,6 +80,9 @@ def load_config(source: TextSource) -> Config:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _COERCERS:
             raise ConfigError(f"line {line_no}: unknown option {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {line_no}: option {key!r} set twice (first set on line {seen[key]})")
+        seen[key] = line_no
         if raw[:1] in ("\"", "'"):
             if len(raw) < 2 or raw[-1] != raw[0]:
                 raise ConfigError(
@@ -92,8 +95,7 @@ def load_config(source: TextSource) -> Config:
 
 def validate_sanity(config: Config) -> None:
     """Cheap value checks shared by every command."""
-    # Chained comparisons with nan are false, so nan fails both checks.
-    if not (0.0 <= config.k1 < math.inf and 0.0 <= config.b <= 1.0):
+    if not bm25_params_valid(config.k1, config.b):
         raise ConfigError(f"bad BM25 parameters: k1={config.k1}, b={config.b}")
     if config.depth < 1:
         raise ConfigError("depth must be >= 1")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._util import DataError, TextSource, atomic_write_text, is_field, iter_lines, parse_json, read_text
-from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList, ScoredDoc
+from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList, ScoredDoc, check_depth
 from .lexicon import Lexicon
 from .semantics import analyze, expand
 from .textnorm import tokenize
@@ -135,6 +135,7 @@ class SearchSystem:
             if q.qid in seen:
                 raise QueryFileError(f"duplicate qid: {q.qid!r}")
             seen.add(q.qid)
+        check_depth(depth)
         self._index_for(search_type)  # fail before any query, and for an empty batch too
         return Run(tag, tuple(self.run_query(q, search_type, depth) for q in queries))
 

@@ -271,6 +271,7 @@ def threeway_report(
 
 def read_qrels(source: TextSource) -> Qrels:
     qrels: Qrels = {}
+    seen: dict[tuple[str, str], int] = {}
     for line_no, line in iter_lines(source):
         parts = line.split()
         if len(parts) != 4:
@@ -278,6 +279,12 @@ def read_qrels(source: TextSource) -> Qrels:
         qid, _iteration, doc_id, rel = parts
         if rel not in ("0", "1"):
             raise QrelsError(f"line {line_no}: relevance must be 0 or 1, got {rel!r}")
+        if (qid, doc_id) in seen:
+            raise QrelsError(
+                f"line {line_no}: document {doc_id!r} judged twice for query {qid!r} "
+                f"(first seen on line {seen[qid, doc_id]})"
+            )
+        seen[qid, doc_id] = line_no
         if rel == "1":
             qrels.setdefault(qid, set()).add(doc_id)
         else:

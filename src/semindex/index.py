@@ -43,6 +43,18 @@ _FORMAT_VERSION = 3
 _CHECKSUM_SIZE = 32
 
 
+def check_depth(depth: int | None) -> None:
+    """The ranking depth rule: None keeps every match, else at least 1."""
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+
+
+def bm25_params_valid(k1: float, b: float) -> bool:
+    """True for a finite k1 >= 0 and a b in [0, 1], which keep every BM25
+    impact positive. Chained comparisons with nan are false."""
+    return 0.0 <= k1 < math.inf and 0.0 <= b <= 1.0
+
+
 class IndexFormatError(DataError):
     """Index file unreadable: bad magic, version, checksum, or truncation."""
 
@@ -174,13 +186,15 @@ class Index:
 
         Each queried term's ordinals and BM25 contribution to each of those
         documents ("impacts") are built on first use and cached with the
-        length norms for the last (k1, b); new parameters drop both. The
-        cache holds 12 bytes per posting of each queried term.
+        length norms for the last (k1, b); new parameters drop both, and are
+        a ValueError unless ``bm25_params_valid``. The cache holds 12 bytes
+        per posting of each queried term.
         """
-        if depth is not None and depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
+        check_depth(depth)
         cached = self._bm25
         if cached is None or cached[0] != (k1, b):
+            if not bm25_params_valid(k1, b):
+                raise ValueError(f"bad BM25 parameters: k1={k1}, b={b}")
             avgdl = self.average_doc_length
             # avgdl is 0 only when no document has a token, and then no
             # term has postings, so no norm is ever looked up.
@@ -330,14 +344,10 @@ def load_index(path) -> Index:
     magic, version = struct.unpack_from("<4sI", body)
     if magic != _MAGIC:
         raise IndexFormatError("not an index file (bad magic)")
-    if version in (1, 2):
-        raise IndexFormatError(
-            f"{path}: index format version {version} is no longer readable; "
-            "rebuild the index with 'semindex index'"
-        )
     if version != _FORMAT_VERSION:
         raise IndexFormatError(
-            f"unsupported index format version {version} (expected {_FORMAT_VERSION})"
+            f"{path}: index format version {version} is not readable (expected {_FORMAT_VERSION}); "
+            "rebuild the index with 'semindex index'"
         )
     if len(body) < _HEADER.size:
         raise IndexFormatError("index file truncated")

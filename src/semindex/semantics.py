@@ -78,12 +78,10 @@ def semantize(
     out: TokenStream = []
     prev_end = 0
     for match in match_concepts(tokens, lex):
-        out.extend(tokens[prev_end : match.start])
         if match.monosemous:
+            out.extend(tokens[prev_end : match.start])
             out.extend(lex.canonical_lemma(match.synset_ids[0]).split(" "))
-        else:
-            out.extend(tokens[match.start : match.end])
-        prev_end = match.end
+            prev_end = match.end
     out.extend(tokens[prev_end:])
     return out
 

@@ -605,6 +605,12 @@ class TestConfigHandling:
         config.write_text("nonsense = 1\n", encoding="utf-8")
         assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
 
+    def test_key_set_twice_is_config_error(self, tmp_path, caplog):
+        config = tmp_path / "twice.conf"
+        config.write_text("depth = 5\n# deeper\ndepth = 7\n", encoding="utf-8")
+        assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
+        assert "line 3: option 'depth' set twice (first set on line 1)" in caplog.text
+
     def test_max_concept_tokens_is_not_an_option(self, workspace, tmp_path):
         # The lexicon's own lemmas bound concept matching.
         assert main(["index", "--mode", "plain", "--max-concept-tokens", "2"] + common_args(workspace)) == 1

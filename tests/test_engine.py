@@ -256,6 +256,8 @@ class TestBatchRun:
             system.run_query(Query("q1", "اثم"), SearchType.R0, depth)
         with pytest.raises(ValueError, match="depth must be >= 1"):
             system.batch_run([Query("q1", "اثم")], SearchType.R2, depth)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            system.batch_run([], SearchType.R2, depth)
 
     def test_index_checked_before_any_query(self):
         # A missing or wrong-mode index fails the batch whatever its queries.

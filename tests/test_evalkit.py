@@ -389,6 +389,15 @@ class TestReadQrels:
         with pytest.raises(QrelsError, match="relevance"):
             read_qrels(io.StringIO("q1 0 d1 2\n"))
 
+    # The later judgment of a pair used to win silently when it was 1, the
+    # relevant one when it came first.
+    @pytest.mark.parametrize("rels", [("1", "0"), ("0", "1"), ("1", "1")])
+    def test_pair_judged_twice_rejected(self, rels):
+        text = f"q1 0 d1 {rels[0]}\nq1 0 d2 1\nq1 1 d1 {rels[1]}\n"
+        message = r"^line 3: document 'd1' judged twice for query 'q1' \(first seen on line 1\)$"
+        with pytest.raises(QrelsError, match=message):
+            read_qrels(io.StringIO(text))
+
     def test_all_zero_judgments_leave_empty_set(self):
         qrels = read_qrels(io.StringIO("q1 0 d1 0\n"))
         assert qrels == {"q1": set()}

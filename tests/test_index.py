@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import struct
 
 import pytest
@@ -26,6 +27,7 @@ from semindex import (
     tokenize,
 )
 from semindex import index as index_module
+from semindex.config import Config, ConfigError, validate_sanity
 
 from helpers import (
     TOKEN_POOL,
@@ -244,6 +246,26 @@ class TestRetrieve:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             idx.retrieve(["ا"], depth)
 
+    # Each of these made a found document's score zero, negative or nan, or
+    # raised ZeroDivisionError (k1=-1, b=0 makes every norm -1).
+    @pytest.mark.parametrize(
+        "k1, b",
+        [(-1.0, 0.0), (-1.2, 0.75), (math.nan, 0.75), (math.inf, 0.75), (1.2, -0.1), (1.2, 1.5), (1.2, math.nan)],
+    )
+    def test_bad_bm25_parameters_rejected(self, k1, b):
+        idx = build_index([("d1", "ا ب"), ("d2", "ا")], IndexMode.PLAIN)
+        idx.retrieve(["ا"])  # a cache for other parameters does not skip the check
+        with pytest.raises(ValueError, match="bad BM25 parameters"):
+            idx.retrieve(["ا"], k1=k1, b=b)
+        with pytest.raises(ConfigError, match=re.escape(f"bad BM25 parameters: k1={k1}, b={b}")):
+            validate_sanity(Config(k1=k1, b=b))
+
+    @pytest.mark.parametrize("k1, b", [(0.0, 0.0), (0.0, 1.0), (100.0, 0.5)])
+    def test_bm25_parameter_bounds_accepted(self, k1, b):
+        idx = build_index([("d1", "ا ب"), ("d2", "ا")], IndexMode.PLAIN)
+        assert all(e.score > 0 for e in idx.retrieve(["ا"], k1=k1, b=b).entries)
+        validate_sanity(Config(k1=k1, b=b))
+
     # Match counts one below, at and one above the size where retrieve
     # starts to select the head instead of sorting every match.
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -451,7 +473,7 @@ class TestPersistence:
 
         body = bytes(data[:-32])
         path.write_bytes(body + hashlib.sha256(body).digest())
-        with pytest.raises(IndexFormatError, match="version"):
+        with pytest.raises(IndexFormatError, match="version 99 .* rebuild the index with 'semindex index'"):
             load_index(path)
 
     def test_v1_file_names_the_rebuild(self, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from semindex import Query, load_lexicon, load_stopwords, read_corpus, read_qrels, read_queries, read_run
+from semindex import Lexicon, Query, load_lexicon, load_stopwords, read_corpus, read_qrels, read_queries, read_run
 from semindex._util import DataError
 from semindex.config import ConfigError, load_config
 
@@ -55,6 +55,37 @@ def test_reader_raises_only_its_own_errors(reader, data):
         read(source)
     except error:
         pass
+
+
+# One valid input per reader.
+SAMPLES = {
+    "corpus": '{"id": "d1", "text": "اثم"}\n{"id": "d2", "text": "ذنب"}\n',
+    "lexicon": '{"id": "s1", "pos": "n", "lemmas": ["اثم", "ذنب"]}\n',
+    "queries": "q1\tاثم\nq2\tذنب\n",
+    "qrels": "q1 0 d1 1\nq1 0 d2 0\n",
+    "run": "q1 Q0 d1 1 1.500000 t\nq1 Q0 d2 2 0.500000 t\n",
+    "sidecar": '{"q1": 3, "q2": 0}\n',
+    "config": "depth = 5\ntag = t\n",
+    "stopwords": "في\nمن\n",
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_leading_byte_order_mark_is_not_text(reader, tmp_path):
+    # A BOM is a signature (RFC 3629, section 6): it used to reach the first
+    # record, so a qid became "\ufeffq1" and a first JSON line was invalid.
+    read, _ = READERS[reader]
+    text = SAMPLES[reader]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+
+    def comparable(result):  # a Lexicon has no __eq__; its digest covers its content
+        return result.digest() if isinstance(result, Lexicon) else result
+
+    expected = comparable(read(plain))
+    for source in (marked, io.BytesIO(marked.read_bytes()), io.StringIO("\ufeff" + text)):
+        assert comparable(read(source)) == expected
 
 
 # str.splitlines() ends a line at each of these; a text editor does not, and

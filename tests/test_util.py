@@ -39,6 +39,21 @@ class TestAtomicWrite:
         atomic_write_bytes(atomic, b"x")
         assert atomic.stat().st_mode == plain.stat().st_mode
 
+    def test_never_sets_the_process_umask(self, tmp_path, monkeypatch):
+        # The umask is process-wide: setting it, even to read it, races
+        # every other thread that creates a file meanwhile.
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(b"x")
+
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        atomic = tmp_path / "atomic.bin"
+        atomic_write_bytes(atomic, b"x")
+        assert atomic.read_bytes() == b"x"
+        assert atomic.stat().st_mode == plain.stat().st_mode
+
 
 class TestReadText:
     def test_non_utf8_path_names_the_file(self, tmp_path):
@@ -50,6 +65,15 @@ class TestReadText:
     def test_non_utf8_stream(self):
         with pytest.raises(DataError, match="not UTF-8"):
             read_text(io.BytesIO(b"\xff"))
+
+    def test_error_offset_counts_the_byte_order_mark(self, tmp_path):
+        # The offset is the bad byte's in the file, BOM included, as a hex
+        # dump shows it ("utf-8-sig" would report 2).
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        for source in (path, io.BytesIO(path.read_bytes())):
+            with pytest.raises(DataError, match="at byte 5\\)$"):
+                read_text(source)
 
 
 class TestIterLines:

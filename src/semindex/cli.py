@@ -171,13 +171,13 @@ def _write_report(cfg: Config, name: str, render, table) -> str:
     """Write ``<name>.tsv`` and ``<name>.json`` of one report; return the TSV.
     ``render`` is looked up by the caller, so a patched ``render_*`` is used."""
     tsv = render(table, "tsv")
+    cfg.report_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.report_dir / f"{name}.tsv", tsv)
     atomic_write_text(cfg.report_dir / f"{name}.json", render(table, "json"))
     return tsv
 
 
 def _write_eval_outputs(cfg: Config, results: list[EvalResult]) -> str:
-    cfg.report_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
         _write_report(cfg, f"{result.summary.system}.eval", render_records, result.records)
     return _write_report(cfg, "summary", render_summaries, [r.summary for r in results])
@@ -186,7 +186,6 @@ def _write_eval_outputs(cfg: Config, results: list[EvalResult]) -> str:
 def _write_comparison(cfg: Config, baseline: EvalResult, treatments: list[EvalResult]) -> str:
     """Delta and bucket reports of each treatment against the baseline, plus
     the three-way report when there are exactly three treatments."""
-    cfg.report_dir.mkdir(parents=True, exist_ok=True)
     stdout_parts = []
     for result in treatments:
         report = delta_report(list(baseline.records), list(result.records))

@@ -43,8 +43,9 @@ class Config:
 
 
 def nonempty_path(raw: str) -> Path:
-    if not raw:  # Path("") would be the working directory
-        raise ValueError("empty path")
+    # Path("") would be the working directory; no file name holds a NUL.
+    if not raw or "\0" in raw:
+        raise ValueError("empty path or NUL in path")
     return Path(raw)
 
 
@@ -101,6 +102,8 @@ def validate_sanity(config: Config) -> None:
         raise ConfigError("depth must be >= 1")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
-    # The tag names run files inside report_dir, so it holds no path separator.
-    if not is_field(config.tag) or any(sep in config.tag for sep in filter(None, ("/", os.sep, os.altsep))):
-        raise ConfigError(f"tag {config.tag!r} must be non-empty UTF-8 with no whitespace or path separator")
+    # The tag names run files inside report_dir, so it holds no path separator or NUL.
+    if not is_field(config.tag) or any(c in config.tag for c in filter(None, ("/", os.sep, os.altsep, "\0"))):
+        raise ConfigError(
+            f"tag {config.tag!r} must be non-empty UTF-8 with no whitespace, NUL or path separator"
+        )

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._util import DataError, TextSource, atomic_write_text, is_field, iter_lines, parse_json, read_text
-from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList, ScoredDoc, check_depth
+from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList, ScoredDoc
+from .index import check_bm25_params, check_depth
 from .lexicon import Lexicon
 from .semantics import analyze, expand
 from .textnorm import tokenize
@@ -136,6 +137,7 @@ class SearchSystem:
                 raise QueryFileError(f"duplicate qid: {q.qid!r}")
             seen.add(q.qid)
         check_depth(depth)
+        check_bm25_params(self.k1, self.b)
         self._index_for(search_type)  # fail before any query, and for an empty batch too
         return Run(tag, tuple(self.run_query(q, search_type, depth) for q in queries))
 

@@ -323,17 +323,19 @@ def _by_cutoff(values: dict[int, float]) -> dict[str, float]:
     return {str(k): values.get(k, 0.0) for k in DEFAULT_PRECISION_CUTOFFS}
 
 
+def _table(fmt: str, header: Sequence[str], keys: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """A report of one row per item: TSV under ``header``, a dict cell (the
+    P@k values) spread over its columns, or JSON objects keyed by ``keys``."""
+    spread = ([v for c in row for v in (c.values() if isinstance(c, dict) else [c])] for row in rows)
+    return _render(fmt, header, spread, lambda: [dict(zip(keys, row)) for row in rows])
+
+
 def render_records(records: Sequence[EvalRecord], fmt: str) -> str:
     """Per-query counts and metrics (the found/relevant table analogue)."""
     header = ["qid", "found", "relevant_found", *_CUTOFF_COLUMNS, "ap"]
     keys = ("qid", "found", "relevant_found", "p_at", "ap")
     rows = [(r.qid, r.found, r.relevant_found, _by_cutoff(r.p_at), r.ap) for r in records]
-    return _render(
-        fmt,
-        header,
-        ([qid, found, relevant, *p_at.values(), ap] for qid, found, relevant, p_at, ap in rows),
-        lambda: [dict(zip(keys, row)) for row in rows],
-    )
+    return _table(fmt, header, keys, rows)
 
 
 def render_summaries(summaries: Sequence[PrecisionSummary], fmt: str) -> str:
@@ -341,12 +343,7 @@ def render_summaries(summaries: Sequence[PrecisionSummary], fmt: str) -> str:
     header = ["system", "mean_ap", "median_ap", *_CUTOFF_COLUMNS, "queries"]
     keys = ("system", "mean_ap", "median_ap", "mean_p_at", "query_count")
     rows = [(s.system, s.mean_ap, s.median_ap, _by_cutoff(s.mean_p_at), s.query_count) for s in summaries]
-    return _render(
-        fmt,
-        header,
-        ([system, mean, median, *p_at.values(), n] for system, mean, median, p_at, n in rows),
-        lambda: [dict(zip(keys, row)) for row in rows],
-    )
+    return _table(fmt, header, keys, rows)
 
 
 _DELTA_HEADER = (
@@ -357,7 +354,7 @@ _DELTA_HEADER = (
 def render_deltas(records: Sequence[DeltaRecord], fmt: str) -> str:
     # Each column is the DeltaRecord attribute of the same name.
     rows = [[getattr(r, name) for name in _DELTA_HEADER] for r in records]
-    return _render(fmt, _DELTA_HEADER, rows, lambda: [dict(zip(_DELTA_HEADER, row)) for row in rows])
+    return _table(fmt, _DELTA_HEADER, _DELTA_HEADER, rows)
 
 
 _OUTCOME_HEADER = ("metric", "bucket", "queries", "percent")

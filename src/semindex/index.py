@@ -20,7 +20,6 @@ import struct
 import sys
 from array import array
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -53,6 +52,12 @@ def bm25_params_valid(k1: float, b: float) -> bool:
     """True for a finite k1 >= 0 and a b in [0, 1], which keep every BM25
     impact positive. Chained comparisons with nan are false."""
     return 0.0 <= k1 < math.inf and 0.0 <= b <= 1.0
+
+
+def check_bm25_params(k1: float, b: float) -> None:
+    """The BM25 parameter rule of ``Index.retrieve``, as a ValueError."""
+    if not bm25_params_valid(k1, b):
+        raise ValueError(f"bad BM25 parameters: k1={k1}, b={b}")
 
 
 class IndexFormatError(DataError):
@@ -193,8 +198,7 @@ class Index:
         check_depth(depth)
         cached = self._bm25
         if cached is None or cached[0] != (k1, b):
-            if not bm25_params_valid(k1, b):
-                raise ValueError(f"bad BM25 parameters: k1={k1}, b={b}")
+            check_bm25_params(k1, b)
             avgdl = self.average_doc_length
             # avgdl is 0 only when no document has a token, and then no
             # term has postings, so no norm is ever looked up.
@@ -408,8 +412,8 @@ def _count_document(text, modes, lex, stoplist) -> list[tuple[Counter, int]]:
     return [(Counter(terms), len(terms)) for terms in streams]
 
 
-def _count_batch(texts: list[str]) -> list[list[tuple[Counter, int]]]:
-    return [_count_document(text, *_WORKER_STATE["args"]) for text in texts]
+def _count_in_worker(text: str) -> list[tuple[Counter, int]]:
+    return _count_document(text, *_WORKER_STATE["args"])
 
 
 def _fill_columns(counted: Iterable[list[tuple[Counter, int]]], width: int) -> list[tuple]:
@@ -458,6 +462,8 @@ def build_indexes(
     """
     if IndexMode.SEMANTIC in modes and lex is None:
         raise ValueError("semantic mode requires a lexicon")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     docs = sorted(corpus, key=operator.itemgetter(0))
     doc_ids = [doc_id for doc_id, _ in docs]
     for previous, doc_id in zip(doc_ids, doc_ids[1:]):
@@ -472,11 +478,11 @@ def build_indexes(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, len(texts), cpus)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+
         chunk = max(1, (len(texts) + workers * 4 - 1) // (workers * 4))
-        batches = [texts[i : i + chunk] for i in range(0, len(texts), chunk)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=args) as pool:
-            counted = (row for result in pool.map(_count_batch, batches) for row in result)
-            columns = _fill_columns(counted, len(modes))
+            columns = _fill_columns(pool.map(_count_in_worker, texts, chunksize=chunk), len(modes))
     else:
         columns = _fill_columns((_count_document(text, *args) for text in texts), len(modes))
 
@@ -516,11 +522,12 @@ class CorpusReadResult:
 def read_corpus(source: TextSource) -> CorpusReadResult:
     """Read corpus JSONL ({"id": ..., "text": ...} per line).
 
-    Unreadable records are skipped and reported, not fatal; duplicate ids
-    are left for build_index to reject.
+    Unreadable records are skipped and reported, not fatal; an id that a
+    readable record repeats is a DuplicateDocumentError naming both lines.
     """
     documents: list[tuple[str, str]] = []
     skipped: list[SkippedDocument] = []
+    seen: dict[str, int] = {}
     for line_no, line in iter_lines(source):
         try:
             record = parse_json(line)
@@ -544,5 +551,10 @@ def read_corpus(source: TextSource) -> CorpusReadResult:
         if not isinstance(text, str):
             skipped.append(SkippedDocument(line_no, "missing or invalid 'text'"))
             continue
+        if doc_id in seen:
+            raise DuplicateDocumentError(
+                f"line {line_no}: duplicate doc_id {doc_id!r} (first seen on line {seen[doc_id]})"
+            )
+        seen[doc_id] = line_no
         documents.append((doc_id, text))
     return CorpusReadResult(documents, skipped)

@@ -146,6 +146,15 @@ class TestIndexCommand:
         assert str(workspace["corpus"]) in caplog.text and "UTF-8" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_repeated_doc_id_is_data_error_naming_both_lines(self, workspace, capsys, caplog):
+        lines = workspace["corpus"].read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace('"d3"', '"d1"')
+        workspace["corpus"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["index", "--mode", "plain"] + common_args(workspace)) == 2
+        assert "line 3: duplicate doc_id 'd1' (first seen on line 1)" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (workspace["index_dir"] / "plain.idx").exists()
+
     def test_semantic_without_lexicon_is_usage_error(self, workspace):
         args = [
             "--corpus", str(workspace["corpus"]),
@@ -582,6 +591,21 @@ class TestConfigHandling:
         assert code == 1
         assert f"invalid value for {key!r}: ''" in caplog.text
         assert not workspace["report_dir"].exists() and not list(tmp_path.glob("*.run"))
+
+    # No file name holds a NUL byte, and opening one raises ValueError, not OSError.
+    @pytest.mark.parametrize("key", PATH_KEYS + ["tag"])
+    def test_nul_in_config_value_is_usage_error(self, workspace, tmp_path, capsys, caplog, key):
+        config = tmp_path / "nul.conf"
+        config.write_text(f"{key} = a\0b\n", encoding="utf-8")
+        args = common_args(workspace)
+        if flag_of(key) in args:  # the flag would override the file's value
+            at = args.index(flag_of(key))
+            del args[at:at + 2]
+        code = main(["pipeline", "--config", str(config)] + args)
+        assert code == 1
+        assert repr("a\0b") in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not workspace["index_dir"].exists() and not workspace["report_dir"].exists()
 
     @pytest.mark.parametrize(
         "argv",

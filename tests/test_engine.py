@@ -259,6 +259,14 @@ class TestBatchRun:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             system.batch_run([], SearchType.R2, depth)
 
+    @pytest.mark.parametrize("k1, b", [(-1.0, 0.75), (1.2, 2.0), (float("nan"), 0.75)])
+    def test_bad_bm25_parameters_rejected_before_any_query(self, k1, b):
+        system = build_system([("d1", "اثم")], Lexicon())
+        system.k1, system.b = k1, b
+        for queries in ([Query("q1", "اثم")], []):
+            with pytest.raises(ValueError, match="bad BM25 parameters"):
+                system.batch_run(queries, SearchType.R0)
+
     def test_index_checked_before_any_query(self):
         # A missing or wrong-mode index fails the batch whatever its queries.
         plain = build_index([], IndexMode.PLAIN)

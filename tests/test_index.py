@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import gc
 import hashlib
@@ -97,6 +98,14 @@ class TestBuild:
     def test_duplicate_doc_id(self):
         with pytest.raises(DuplicateDocumentError):
             build_index([("d1", "اثم"), ("d1", "ذنب")], IndexMode.PLAIN)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        for corpus in ([("d1", "اثم"), ("d2", "ذنب")], []):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                build_index(corpus, IndexMode.PLAIN, workers=workers)
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                build_indexes(corpus, (IndexMode.PLAIN,), workers=workers)
 
     def test_stopwords_removed(self):
         idx = build_index([("d1", "في اثم")], IndexMode.PLAIN, stoplist=frozenset({"في"}))
@@ -657,11 +666,12 @@ def in_process_pool(cpus: int):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
+        def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(index_module, "ProcessPoolExecutor", InProcessPool)
+        # build_indexes imports the pool class when it starts a pool.
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         mp.setattr(index_module, "_WORKER_STATE", {})
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         yield sizes
@@ -762,6 +772,17 @@ class TestReadCorpus:
         assert [d[0] for d in result.documents] == ["d2"]
         assert result.skipped[0].line_no == 1
         assert "whitespace" in result.skipped[0].reason
+
+    def test_repeated_id_names_both_lines(self):
+        lines = ['{"id": "d1", "text": "اثم"}', '{"id": "d2", "text": "ذنب"}', '{"id": "d1", "text": "بيت"}']
+        with pytest.raises(DuplicateDocumentError, match=r"^line 3: duplicate doc_id 'd1' \(first seen on line 1\)$"):
+            read_corpus(io.StringIO("\n".join(lines)))
+
+    def test_skipped_record_does_not_claim_its_id(self):
+        lines = ['{"id": "d1", "text": 3}', '{"id": "d1", "text": "اثم"}']
+        result = read_corpus(io.StringIO("\n".join(lines)))
+        assert result.documents == [("d1", "اثم")]
+        assert [s.line_no for s in result.skipped] == [1]
 
     def test_blank_lines_ignored(self):
         result = read_corpus(io.StringIO('\n{"id": "d1", "text": "اثم"}\n\n'))

@@ -236,8 +236,8 @@ def cmd_search(cfg: Config, args: argparse.Namespace) -> int:
     st = SearchType(args.search_type)
     system = _load_system(cfg, st)
     ranked = system.run_query(Query("q0", args.text), st, depth=cfg.depth)
-    for entry in ranked.entries:
-        print(f"{entry.rank}\t{entry.doc_id}\t{entry.score:.6f}")
+    for rank, (doc_id, score) in enumerate(zip(ranked.doc_ids, ranked.scores), start=1):
+        print(f"{rank}\t{doc_id}\t{score:.6f}")
     logger.info("found %d documents", ranked.found_count)
     return EXIT_OK
 

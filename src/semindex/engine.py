@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._util import DataError, TextSource, atomic_write_text, is_field, iter_lines, parse_json, read_text
-from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList, ScoredDoc
+from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList
 from .index import check_bm25_params, check_depth
 from .lexicon import Lexicon
 from .semantics import analyze, expand
@@ -122,7 +122,7 @@ class SearchSystem:
             )
         terms = self.query_terms(query, search_type)
         ranked = index.retrieve(terms, depth, k1=self.k1, b=self.b)
-        return RankedList(query.qid, ranked.entries, ranked.found_count)
+        return RankedList(query.qid, ranked.doc_ids, ranked.scores, ranked.found_count)
 
     def batch_run(
         self,
@@ -175,10 +175,8 @@ def format_run(run: Run) -> str:
     """TREC lines: qid Q0 doc_id rank score tag, scores at 6 decimals."""
     lines = []
     for ranked in run.results:
-        for entry in ranked.entries:
-            lines.append(
-                f"{ranked.qid} Q0 {entry.doc_id} {entry.rank} {entry.score:.6f} {run.tag}\n"
-            )
+        for rank, (doc_id, score) in enumerate(zip(ranked.doc_ids, ranked.scores, strict=True), 1):
+            lines.append(f"{ranked.qid} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n")
     return "".join(lines)
 
 
@@ -200,7 +198,7 @@ def read_run(run_source: TextSource, found_source: TextSource | None = None) -> 
     query the run ranks; without one, found_count falls back to the ranking
     length.
     """
-    per_qid: dict[str, dict[str, ScoredDoc]] = {}
+    per_qid: dict[str, dict[str, float]] = {}  # qid -> doc_id -> score, in rank order
     tag = DEFAULT_RUN_TAG
     for line_no, line in iter_lines(run_source):
         parts = line.split()
@@ -212,19 +210,19 @@ def read_run(run_source: TextSource, found_source: TextSource | None = None) -> 
             score = float(score_str)
         except ValueError:
             raise RunFormatError(f"line {line_no}: bad rank or score") from None
-        entries = per_qid.setdefault(qid, {})
-        if rank != len(entries) + 1:
+        scores = per_qid.setdefault(qid, {})
+        if rank != len(scores) + 1:
             raise RunFormatError(
                 f"line {line_no}: rank {rank} out of order for query {qid!r}"
             )
-        if doc_id in entries:
+        if doc_id in scores:
             raise RunFormatError(f"line {line_no}: document {doc_id!r} ranked twice for query {qid!r}")
-        entries[doc_id] = ScoredDoc(doc_id, score, rank)
+        scores[doc_id] = score
 
     # The sidecar lists every query in batch order, including zero-result
     # queries that have no TREC lines, so it is the authoritative order.
     if found_source is None:
-        found_counts = {qid: len(entries) for qid, entries in per_qid.items()}
+        found_counts = {qid: len(scores) for qid, scores in per_qid.items()}
     else:
         found_counts = _read_found_counts(found_source)
         for qid in per_qid:
@@ -233,12 +231,12 @@ def read_run(run_source: TextSource, found_source: TextSource | None = None) -> 
 
     results = []
     for qid, found in found_counts.items():
-        entries = tuple(per_qid.get(qid, {}).values())
-        if found < len(entries):
+        scores = per_qid.get(qid, {})
+        if found < len(scores):
             raise RunFormatError(
-                f"found-count sidecar: {found} for query {qid!r} is below its {len(entries)} ranked lines"
+                f"found-count sidecar: {found} for query {qid!r} is below its {len(scores)} ranked lines"
             )
-        results.append(RankedList(qid=qid, entries=entries, found_count=found))
+        results.append(RankedList(qid, tuple(scores), tuple(scores.values()), found))
     return Run(tag, tuple(results))
 
 

@@ -147,7 +147,7 @@ def evaluate_run(run: Run, qrels: Qrels, system: str) -> EvalResult:
             continue
         # The 1-based ranks of the relevant documents (each document ranks
         # once); relevant-found, P@k (always over k) and AP all derive from them.
-        hits = [rank for rank, entry in enumerate(ranked.entries, start=1) if entry.doc_id in relevant]
+        hits = [rank for rank, doc_id in enumerate(ranked.doc_ids, start=1) if doc_id in relevant]
         records.append(
             EvalRecord(
                 qid=ranked.qid,

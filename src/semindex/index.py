@@ -81,7 +81,7 @@ class ScoredDoc(NamedTuple):
 
 @dataclass(frozen=True)
 class RankedList:
-    """Scored ranking for one query.
+    """One query's ranking as equal-length columns, best first: rank is position + 1.
 
     found_count is the size of the full nonzero-score match set, recorded
     before any depth truncation, so it stays meaningful when only a prefix
@@ -89,8 +89,14 @@ class RankedList:
     """
 
     qid: str
-    entries: tuple[ScoredDoc, ...]
+    doc_ids: tuple[str, ...]
+    scores: tuple[float, ...]
     found_count: int
+
+    @property
+    def entries(self) -> tuple[ScoredDoc, ...]:
+        """``ScoredDoc`` rows built from the columns on every access."""
+        return tuple(map(ScoredDoc, self.doc_ids, self.scores, range(1, len(self.doc_ids) + 1)))
 
 
 class Index:
@@ -231,14 +237,8 @@ class Index:
         # Ascending ordinal first; the stable descending sort keeps that
         # order among equal scores, so ties break by ascending doc id.
         ranked = sorted(ranked, key=scores.__getitem__, reverse=True)[:depth]
-        # tuple.__new__ is what ScoredDoc(...) runs, minus a Python-level call.
-        rows = zip(
-            map(self._doc_ids.__getitem__, ranked),
-            map(scores.__getitem__, ranked),
-            range(1, len(ranked) + 1),
-        )
-        entries = tuple(map(tuple.__new__, repeat(ScoredDoc), rows))
-        return RankedList(qid="", entries=entries, found_count=len(scores))
+        doc_ids = tuple(map(self._doc_ids.__getitem__, ranked))
+        return RankedList("", doc_ids, tuple(map(scores.__getitem__, ranked)), len(scores))
 
     # -- serialization -----------------------------------------------------
 

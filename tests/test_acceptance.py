@@ -33,7 +33,6 @@ from semindex import (
 )
 from semindex.cli import main
 from semindex.evalkit import format_percent
-from semindex.index import ScoredDoc
 
 from helpers import lexicon_jsonl, make_lexicon, random_corpus
 
@@ -131,10 +130,8 @@ def test_criterion_3_metric_oracle_equivalence():
         for _ in range(1000):
             doc_ids = rng.sample(universe, rng.randint(0, 50))
             relevant = set(rng.sample(universe, rng.randint(1, 30)))
-            entries = tuple(
-                ScoredDoc(d, float(len(doc_ids) - i), i + 1) for i, d in enumerate(doc_ids)
-            )
-            ranked = RankedList(qid="q", entries=entries, found_count=len(entries))
+            scores = tuple(float(len(doc_ids) - i) for i in range(len(doc_ids)))
+            ranked = RankedList("q", tuple(doc_ids), scores, found_count=len(doc_ids))
             (record,) = evaluate_run(Run("t", (ranked,)), {"q": relevant}, "R0").records
             for k in (5, 10, 20, 100, 1000):
                 assert record.p_at[k] == oracle_p_at_k(doc_ids, relevant, k)

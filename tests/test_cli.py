@@ -323,6 +323,22 @@ class TestSearchCommand:
         assert doc_id in {"d1", "d2"}
         float(score)
 
+    @pytest.mark.parametrize("depth", [[], ["--depth", "1"]], ids=["default-depth", "depth-1"])
+    def test_prints_the_rank_doc_and_score_of_the_batch_run(self, workspace, capsys, depth):
+        build_indexes(workspace)
+        args = ["--search-type", "R2"] + depth + common_args(workspace)
+        assert main(["batch"] + args) == 0
+        run_text = (workspace["report_dir"] / "semindex.R2.run").read_text(encoding="utf-8")
+        expected = [
+            f"{rank}\t{doc_id}\t{score}"
+            for qid, _, doc_id, rank, score, _ in map(str.split, run_text.splitlines())
+            if qid == "q1"
+        ]
+        assert len(expected) == (1 if depth else 2)  # R2 expands q1 to reach d1 and d2
+        capsys.readouterr()
+        assert main(["search"] + args + ["اثم"]) == 0  # the text of q1
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 class TestEvalCommand:
     def test_writes_records_and_summary(self, workspace, capsys):

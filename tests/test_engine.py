@@ -15,6 +15,8 @@ from semindex import (
     MissingIndexError,
     Query,
     QueryFileError,
+    RankedList,
+    Run,
     RunFormatError,
     SearchSystem,
     SearchType,
@@ -284,6 +286,16 @@ class TestRunFiles:
         qid, q0, doc_id, rank, score, tag = line.split()
         assert (qid, q0, doc_id, rank, tag) == ("q1", "Q0", "d1", "1", "mytag")
         assert len(score.split(".")[1]) == 6
+
+    @pytest.mark.parametrize(
+        "doc_ids, scores",
+        [(("d1", "d2"), (2.0,)), (("d1",), (2.0, 1.0))],
+        ids=["fewer-scores", "more-scores"],
+    )
+    def test_columns_of_unequal_length_are_refused(self, doc_ids, scores):
+        run = Run("t", (RankedList("q1", doc_ids, scores, found_count=2),))
+        with pytest.raises(ValueError):
+            format_run(run)
 
     def test_round_trip_with_sidecar(self, tmp_path):
         system = build_system([("d1", "اثم ذنب"), ("d2", "ذنب")], Lexicon())

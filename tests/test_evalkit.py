@@ -35,7 +35,6 @@ from semindex.evalkit import (
     render_threeway,
     sign_buckets,
 )
-from semindex.index import ScoredDoc
 
 from helpers import (
     reference_average_precision,
@@ -49,10 +48,8 @@ from helpers import (
 
 
 def make_ranking(doc_ids, qid="q1", found=None) -> RankedList:
-    entries = tuple(
-        ScoredDoc(doc_id, float(len(doc_ids) - i), i + 1) for i, doc_id in enumerate(doc_ids)
-    )
-    return RankedList(qid=qid, entries=entries, found_count=found if found is not None else len(doc_ids))
+    scores = tuple(float(len(doc_ids) - i) for i in range(len(doc_ids)))
+    return RankedList(qid, tuple(doc_ids), scores, found_count=found if found is not None else len(doc_ids))
 
 
 def brute_force_p_at_k(doc_ids, relevant, k) -> float:

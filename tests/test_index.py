@@ -372,8 +372,15 @@ class TestRetrieve:
         keys = [(-e.score, e.doc_id) for e in full.entries]
         assert keys == sorted(keys)
         assert [e.rank for e in full.entries] == list(range(1, len(keys) + 1))
+        reference = {d: reference_bm25(corpus_tokens, query, d, k1=k1, b=b) for d in holders}
+        order = sorted(holders, key=lambda d: (-reference[d], d))
+        assert list(full.doc_ids) == order
+        assert [s.hex() for s in full.scores] == [reference[d].hex() for d in order]
+        rows = enumerate(zip(full.doc_ids, full.scores))
+        assert full.entries == tuple(ScoredDoc(d, s, i + 1) for i, (d, s) in rows)
         truncated = idx.retrieve(query, depth, k1=k1, b=b)
         assert truncated.entries == full.entries[:depth]
+        assert (truncated.doc_ids, truncated.scores) == (full.doc_ids[:depth], full.scores[:depth])
         assert truncated.found_count == full.found_count
 
 

@@ -40,6 +40,14 @@ def iter_lines(source: TextSource) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
+def first_seen(seen: dict, key, line_no: int, error: type[Exception], what: str) -> None:
+    """Record ``key`` as seen on ``line_no``; a key seen before raises
+    ``error`` naming both lines, after the reader's own words ``what``."""
+    first = seen.setdefault(key, line_no)
+    if first != line_no:
+        raise error(f"line {line_no}: {what} (first seen on line {first})")
+
+
 def parse_json(text: str):
     """``json.loads``, with every malformed document reported as JSONDecodeError.
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from ._util import DataError, TextSource, is_field, iter_lines
+from ._util import DataError, TextSource, first_seen, is_field, iter_lines
 from .engine import DEFAULT_RUN_TAG
-from .index import DEFAULT_B, DEFAULT_K1, bm25_params_valid
+from .index import DEFAULT_B, DEFAULT_K1, check_bm25_params, check_depth, check_workers
 
 
 class ConfigError(ValueError):
@@ -81,9 +81,7 @@ def load_config(source: TextSource) -> Config:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _COERCERS:
             raise ConfigError(f"line {line_no}: unknown option {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {line_no}: option {key!r} set twice (first set on line {seen[key]})")
-        seen[key] = line_no
+        first_seen(seen, key, line_no, ConfigError, f"option {key!r} set twice")
         if raw[:1] in ("\"", "'"):
             if len(raw) < 2 or raw[-1] != raw[0]:
                 raise ConfigError(
@@ -96,12 +94,12 @@ def load_config(source: TextSource) -> Config:
 
 def validate_sanity(config: Config) -> None:
     """Cheap value checks shared by every command."""
-    if not bm25_params_valid(config.k1, config.b):
-        raise ConfigError(f"bad BM25 parameters: k1={config.k1}, b={config.b}")
-    if config.depth < 1:
-        raise ConfigError("depth must be >= 1")
-    if config.workers < 1:
-        raise ConfigError("workers must be >= 1")
+    try:
+        check_bm25_params(config.k1, config.b)
+        check_depth(config.depth)
+        check_workers(config.workers)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     # The tag names run files inside report_dir, so it holds no path separator or NUL.
     if not is_field(config.tag) or any(c in config.tag for c in filter(None, ("/", os.sep, os.altsep, "\0"))):
         raise ConfigError(

@@ -16,7 +16,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._util import DataError, TextSource, atomic_write_text, is_field, iter_lines, parse_json, read_text
+from ._util import DataError, TextSource, atomic_write_text, first_seen, is_field, iter_lines
+from ._util import parse_json, read_text
 from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList
 from .index import check_bm25_params, check_depth
 from .lexicon import Lexicon
@@ -159,11 +160,7 @@ def read_queries(source: TextSource) -> list[Query]:
             raise QueryFileError(
                 f"line {line_no}: qid {qid!r} contains whitespace or cannot be encoded as UTF-8"
             )
-        if qid in seen:
-            raise QueryFileError(
-                f"line {line_no}: duplicate qid {qid!r} (first seen on line {seen[qid]})"
-            )
-        seen[qid] = line_no
+        first_seen(seen, qid, line_no, QueryFileError, f"duplicate qid {qid!r}")
         queries.append(Query(qid, text))
     return queries
 

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ._util import DataError, TextSource, iter_lines
+from ._util import DataError, TextSource, first_seen, iter_lines
 from .engine import Run
 
 Qrels = dict[str, set[str]]
@@ -279,16 +279,11 @@ def read_qrels(source: TextSource) -> Qrels:
         qid, _iteration, doc_id, rel = parts
         if rel not in ("0", "1"):
             raise QrelsError(f"line {line_no}: relevance must be 0 or 1, got {rel!r}")
-        if (qid, doc_id) in seen:
-            raise QrelsError(
-                f"line {line_no}: document {doc_id!r} judged twice for query {qid!r} "
-                f"(first seen on line {seen[qid, doc_id]})"
-            )
-        seen[qid, doc_id] = line_no
+        what = f"document {doc_id!r} judged twice for query {qid!r}"
+        first_seen(seen, (qid, doc_id), line_no, QrelsError, what)
+        judged = qrels.setdefault(qid, set())
         if rel == "1":
-            qrels.setdefault(qid, set()).add(doc_id)
-        else:
-            qrels.setdefault(qid, set())
+            judged.add(doc_id)
     return qrels
 
 

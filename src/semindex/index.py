@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from ._util import DataError, TextSource, atomic_write_bytes, is_field, iter_lines, parse_json
+from ._util import DataError, TextSource, atomic_write_bytes, first_seen, is_field, iter_lines, parse_json
 from .lexicon import Lexicon
 from .semantics import analyze, semantize
 from .textnorm import TokenStream, tokenize
@@ -48,15 +48,16 @@ def check_depth(depth: int | None) -> None:
         raise ValueError(f"depth must be >= 1, got {depth}")
 
 
-def bm25_params_valid(k1: float, b: float) -> bool:
-    """True for a finite k1 >= 0 and a b in [0, 1], which keep every BM25
-    impact positive. Chained comparisons with nan are false."""
-    return 0.0 <= k1 < math.inf and 0.0 <= b <= 1.0
+def check_workers(workers: int) -> None:
+    """The build worker rule: at least 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def check_bm25_params(k1: float, b: float) -> None:
-    """The BM25 parameter rule of ``Index.retrieve``, as a ValueError."""
-    if not bm25_params_valid(k1, b):
+    """The BM25 parameter rule: a finite k1 >= 0 and a b in [0, 1], which keep
+    every BM25 impact positive. Chained comparisons with nan are false."""
+    if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
         raise ValueError(f"bad BM25 parameters: k1={k1}, b={b}")
 
 
@@ -197,9 +198,9 @@ class Index:
 
         Each queried term's ordinals and BM25 contribution to each of those
         documents ("impacts") are built on first use and cached with the
-        length norms for the last (k1, b); new parameters drop both, and are
-        a ValueError unless ``bm25_params_valid``. The cache holds 12 bytes
-        per posting of each queried term.
+        length norms for the last (k1, b); new parameters drop both, and
+        ``check_bm25_params`` refuses bad ones with a ValueError. The cache
+        holds 12 bytes per posting of each queried term.
         """
         check_depth(depth)
         cached = self._bm25
@@ -462,8 +463,7 @@ def build_indexes(
     """
     if IndexMode.SEMANTIC in modes and lex is None:
         raise ValueError("semantic mode requires a lexicon")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     docs = sorted(corpus, key=operator.itemgetter(0))
     doc_ids = [doc_id for doc_id, _ in docs]
     for previous, doc_id in zip(doc_ids, doc_ids[1:]):
@@ -551,10 +551,6 @@ def read_corpus(source: TextSource) -> CorpusReadResult:
         if not isinstance(text, str):
             skipped.append(SkippedDocument(line_no, "missing or invalid 'text'"))
             continue
-        if doc_id in seen:
-            raise DuplicateDocumentError(
-                f"line {line_no}: duplicate doc_id {doc_id!r} (first seen on line {seen[doc_id]})"
-            )
-        seen[doc_id] = line_no
+        first_seen(seen, doc_id, line_no, DuplicateDocumentError, f"duplicate doc_id {doc_id!r}")
         documents.append((doc_id, text))
     return CorpusReadResult(documents, skipped)

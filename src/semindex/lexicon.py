@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._util import DataError, TextSource, iter_lines, parse_json
+from ._util import DataError, TextSource, first_seen, iter_lines, parse_json
 from .textnorm import tokenize
 
 POS_BY_TAG = {"n": "noun", "v": "verb", "a": "adjective", "r": "adverb"}
@@ -152,10 +152,6 @@ def load_lexicon(source: TextSource) -> Lexicon:
     seen: dict[str, int] = {}
     for line_no, line in iter_lines(source):
         syn = _parse_record(line_no, line)
-        if syn.id in seen:
-            raise LexiconError(
-                f"line {line_no}: duplicate synset id {syn.id!r} (first seen on line {seen[syn.id]})"
-            )
-        seen[syn.id] = line_no
+        first_seen(seen, syn.id, line_no, LexiconError, f"duplicate synset id {syn.id!r}")
         synsets.append(syn)
     return Lexicon(synsets)

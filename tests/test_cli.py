@@ -649,7 +649,7 @@ class TestConfigHandling:
         config = tmp_path / "twice.conf"
         config.write_text("depth = 5\n# deeper\ndepth = 7\n", encoding="utf-8")
         assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
-        assert "line 3: option 'depth' set twice (first set on line 1)" in caplog.text
+        assert "line 3: option 'depth' set twice (first seen on line 1)" in caplog.text
 
     def test_max_concept_tokens_is_not_an_option(self, workspace, tmp_path):
         # The lexicon's own lemmas bound concept matching.
@@ -717,6 +717,28 @@ class TestConfigHandling:
         assert from_flag == from_file
         assert getattr(from_flag, key) != getattr(Config(), key)
         assert dataclasses.replace(from_flag, **{key: getattr(Config(), key)}) == Config()
+
+    # The CLI refuses a setting by the library's own rule and message.
+    @pytest.mark.parametrize("command", SUBCOMMAND_ARGV)
+    @pytest.mark.parametrize(
+        "flag, raw, check, values",
+        [
+            ("--depth", "0", index_module.check_depth, (0,)),
+            ("--workers", "0", index_module.check_workers, (0,)),
+            ("--k1", "-1", index_module.check_bm25_params, (-1.0, Config.b)),
+            ("--b", "1.5", index_module.check_bm25_params, (Config.k1, 1.5)),
+        ],
+        ids=["depth", "workers", "k1", "b"],
+    )
+    def test_setting_is_refused_with_the_library_message(
+        self, workspace, capsys, caplog, command, flag, raw, check, values
+    ):
+        with pytest.raises(ValueError) as refused:
+            check(*values)
+        assert main(SUBCOMMAND_ARGV[command] + [flag, raw] + common_args(workspace)) == 1
+        assert caplog.messages == [str(refused.value)]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not workspace["index_dir"].exists() and not workspace["report_dir"].exists()
 
     def test_flag_test_covers_every_subcommand(self):
         assert set(subcommand_parsers()) == set(SUBCOMMAND_ARGV)

@@ -10,9 +10,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from semindex import Lexicon, Query, load_lexicon, load_stopwords, read_corpus, read_qrels, read_queries, read_run
+from semindex import (
+    DuplicateDocumentError,
+    Lexicon,
+    LexiconError,
+    Query,
+    QueryFileError,
+    load_lexicon,
+    load_stopwords,
+    read_corpus,
+    read_qrels,
+    read_queries,
+    read_run,
+)
 from semindex._util import DataError
 from semindex.config import ConfigError, load_config
+from semindex.evalkit import QrelsError
 
 READERS = {
     "corpus": (read_corpus, DataError),
@@ -86,6 +99,43 @@ def test_a_leading_byte_order_mark_is_not_text(reader, tmp_path):
     expected = comparable(read(plain))
     for source in (marked, io.BytesIO(marked.read_bytes()), io.StringIO("\ufeff" + text)):
         assert comparable(read(source)) == expected
+
+
+# Each line reader with a key, its error class, an input whose key on line 1
+# comes back on line 3, and the reader's words for that repeat.
+DUPLICATE_KEYS = {
+    "corpus": (
+        DuplicateDocumentError,
+        ['{"id": "d1", "text": "a"}', '{"id": "d2", "text": "b"}', '{"id": "d1", "text": "c"}'],
+        "duplicate doc_id 'd1'",
+    ),
+    "lexicon": (
+        LexiconError,
+        [
+            '{"id": "s1", "pos": "n", "lemmas": ["a"]}',
+            '{"id": "s2", "pos": "n", "lemmas": ["b"]}',
+            '{"id": "s1", "pos": "v", "lemmas": ["c"]}',
+        ],
+        "duplicate synset id 's1'",
+    ),
+    "queries": (QueryFileError, ["q1\ta", "q2\tb", "q1\tc"], "duplicate qid 'q1'"),
+    "qrels": (
+        QrelsError,
+        ["q1 0 d1 1", "q1 0 d2 1", "q1 0 d1 0"],
+        "document 'd1' judged twice for query 'q1'",
+    ),
+    "config": (ConfigError, ["depth = 5", "tag = t", "depth = 7"], "option 'depth' set twice"),
+}
+
+
+@pytest.mark.parametrize("reader", DUPLICATE_KEYS)
+def test_a_repeated_key_names_both_lines(reader):
+    read, _ = READERS[reader]
+    error, lines, what = DUPLICATE_KEYS[reader]
+    with pytest.raises(error) as raised:
+        read(io.StringIO("\n".join(lines) + "\n"))
+    assert type(raised.value) is error
+    assert str(raised.value) == f"line 3: {what} (first seen on line 1)"
 
 
 # str.splitlines() ends a line at each of these; a text editor does not, and

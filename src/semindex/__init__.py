@@ -42,7 +42,6 @@ from .index import (
     IndexFormatError,
     IndexMode,
     RankedList,
-    ScoredDoc,
     build_index,
     build_indexes,
     load_index,
@@ -50,6 +49,6 @@ from .index import (
 )
 from .lexicon import Lexicon, LexiconError, Synset, load_lexicon, normalize_lemma
 from .semantics import ConceptMatch, expand, match_concepts, semantize
-from .textnorm import TokenStream, load_stopwords, normalize, remove_stopwords, tokenize
+from .textnorm import load_stopwords, normalize, remove_stopwords, tokenize
 
 __version__ = "0.1.0"

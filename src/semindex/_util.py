@@ -48,22 +48,45 @@ def first_seen(seen: dict, key, line_no: int, error: type[Exception], what: str)
         raise error(f"line {line_no}: {what} (first seen on line {first})")
 
 
+class _UnplacedJSONError(json.JSONDecodeError):
+    """A malformed document with no position to name: str() is the reason alone."""
+
+    def __str__(self) -> str:
+        return self.msg
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise _UnplacedJSONError(f"duplicate key {key!r}", "", 0)
+    return obj
+
+
+# Built once: json.loads with a hook builds a decoder on every call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def parse_json(text: str):
     """``json.loads``, with every malformed document reported as JSONDecodeError.
 
-    json.loads itself raises RecursionError for nesting deeper than its
-    parser allows and a plain ValueError for an integer literal longer than
-    Python's digit limit.
+    An object that repeats a key, at any depth, is malformed. The decoder
+    itself raises RecursionError for nesting deeper than its parser allows
+    and a plain ValueError for an integer literal longer than Python's digit
+    limit.
     """
+    if text.startswith("\ufeff"):  # as json.loads: a byte-order mark is not JSON whitespace
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError:
         raise
     except ValueError:
         reason = "number too long"
     except RecursionError:
         reason = "nesting too deep"
-    raise json.JSONDecodeError(reason, text, 0)
+    raise _UnplacedJSONError(reason, text, 0)
 
 
 def is_field(value: str) -> bool:

@@ -15,17 +15,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from ._util import DataError, atomic_write_text
-from .config import Config, ConfigError, coerce, load_config, nonempty_path, validate_sanity
-from .engine import (
-    MissingIndexError,
-    Query,
-    Run,
-    SearchSystem,
-    SearchType,
-    read_queries,
-    read_run,
-    write_run,
-)
+from .config import Config, UsageError, coerce, load_config, nonempty_path, validate_sanity
+from .engine import Query, Run, SearchSystem, SearchType, read_queries, read_run, write_run
 from .evalkit import (
     EvalResult,
     delta_report,
@@ -50,10 +41,6 @@ EXIT_DATA = 2
 EXIT_IO = 3
 
 
-class UsageError(Exception):
-    """Command invoked without the inputs it needs."""
-
-
 # -- shared plumbing ----------------------------------------------------------
 
 
@@ -61,9 +48,19 @@ def _index_path(cfg: Config, mode: IndexMode) -> Path:
     return cfg.index_dir / f"{mode.value}.idx"
 
 
+def _label(run_path: Path) -> str:
+    """The system label of a run file: its name without ``.run``."""
+    return run_path.name.removesuffix(".run")
+
+
 def _found_path(run_path: Path) -> Path:
     """The found-count sidecar of a run file: ``x.run`` -> ``x.found.json``."""
-    return run_path.with_name(run_path.name.removesuffix(".run") + ".found.json")
+    return run_path.with_name(_label(run_path) + ".found.json")
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as sorted, indented UTF-8 JSON ending in a newline."""
+    atomic_write_text(path, json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
 
 
 def _load_stoplist(cfg: Config) -> frozenset[str]:
@@ -98,10 +95,7 @@ def _save_index(cfg: Config, idx: Index, corpus: CorpusReadResult) -> None:
         "skipped": [{"line": s.line_no, "reason": s.reason} for s in corpus.skipped],
         "vocabulary_size": idx.vocabulary_size,
     }
-    atomic_write_text(
-        cfg.index_dir / f"{idx.mode.value}.build.json",
-        json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(cfg.index_dir / f"{idx.mode.value}.build.json", report)
     logger.info("wrote %s (%d docs, %d terms)", index_path, idx.doc_count, idx.vocabulary_size)
 
 
@@ -132,11 +126,6 @@ def _write_run_files(cfg: Config, st: SearchType, run: Run) -> tuple[Path, Path]
     write_run(run, run_path, found_path)
     logger.info("wrote %s (%d queries)", run_path, len(run.results))
     return run_path, found_path
-
-
-def _label(run_path: Path) -> str:
-    """The system label of a run file: its name without ``.run``."""
-    return run_path.name.removesuffix(".run")
 
 
 def _require_distinct_labels(run_files: list[Path]) -> None:
@@ -214,7 +203,7 @@ def cmd_index(cfg: Config, args: argparse.Namespace) -> int:
     idx = build_index(corpus.documents, mode, lex, _load_stoplist(cfg), workers=cfg.workers)
     _save_index(cfg, idx, corpus)
     if args.export_json is not None:
-        atomic_write_text(args.export_json, idx.export_json() + "\n")
+        _write_json(args.export_json, idx.to_jsonable())
     print(
         f"indexed {idx.doc_count} documents ({len(corpus.skipped)} skipped, "
         f"{idx.vocabulary_size} terms) -> {_index_path(cfg, mode)}"
@@ -376,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return args.func(cfg, args)
-    except (UsageError, ConfigError, MissingIndexError) as exc:
+    except UsageError as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
     except DataError as exc:

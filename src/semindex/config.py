@@ -17,8 +17,9 @@ from .engine import DEFAULT_RUN_TAG
 from .index import DEFAULT_B, DEFAULT_K1, check_bm25_params, check_depth, check_workers
 
 
-class ConfigError(ValueError):
-    """Bad config file or invalid option value."""
+class UsageError(ValueError):
+    """Bad config file, invalid option value, or a command invoked without
+    the inputs it needs: the CLI exits 1."""
 
 
 def _option(default, help: str):
@@ -62,14 +63,14 @@ def coerce(key: str, raw: str):
     try:
         return _COERCERS[key](raw)
     except ValueError:
-        raise ConfigError(f"invalid value for {key!r}: {raw!r}") from None
+        raise UsageError(f"invalid value for {key!r}: {raw!r}") from None
 
 
 def load_config(source: TextSource) -> Config:
     try:
         lines = list(iter_lines(source))
     except DataError as exc:  # the file is not UTF-8
-        raise ConfigError(str(exc)) from None
+        raise UsageError(str(exc)) from None
     values: dict = {}
     seen: dict[str, int] = {}
     for line_no, line in lines:
@@ -77,14 +78,14 @@ def load_config(source: TextSource) -> Config:
         if not stripped:  # a comment line
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {line_no}: expected key = value")
+            raise UsageError(f"line {line_no}: expected key = value")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _COERCERS:
-            raise ConfigError(f"line {line_no}: unknown option {key!r}")
-        first_seen(seen, key, line_no, ConfigError, f"option {key!r} set twice")
+            raise UsageError(f"line {line_no}: unknown option {key!r}")
+        first_seen(seen, key, line_no, UsageError, f"option {key!r} set twice")
         if raw[:1] in ("\"", "'"):
             if len(raw) < 2 or raw[-1] != raw[0]:
-                raise ConfigError(
+                raise UsageError(
                     f"line {line_no}: unterminated quote in {raw!r} ('#' starts a comment, even in quotes)"
                 )
             raw = raw[1:-1]
@@ -99,9 +100,9 @@ def validate_sanity(config: Config) -> None:
         check_depth(config.depth)
         check_workers(config.workers)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise UsageError(str(exc)) from None
     # The tag names run files inside report_dir, so it holds no path separator or NUL.
     if not is_field(config.tag) or any(c in config.tag for c in filter(None, ("/", os.sep, os.altsep, "\0"))):
-        raise ConfigError(
+        raise UsageError(
             f"tag {config.tag!r} must be non-empty UTF-8 with no whitespace, NUL or path separator"
         )

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 from ._util import DataError, TextSource, atomic_write_bytes, first_seen, is_field, iter_lines, parse_json
 from .lexicon import Lexicon
 from .semantics import analyze, semantize
-from .textnorm import TokenStream, tokenize
+from .textnorm import tokenize
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -178,7 +178,7 @@ class Index:
 
     def retrieve(
         self,
-        query_terms: TokenStream,
+        query_terms: list[str],
         depth: int | None = None,
         *,
         k1: float = DEFAULT_K1,
@@ -253,9 +253,6 @@ class Index:
                 term: [[doc_id, tf] for doc_id, tf in self.postings(term)] for term in self._terms
             },
         }
-
-    def export_json(self) -> str:
-        return json.dumps(self.to_jsonable(), ensure_ascii=False, indent=2, sort_keys=True)
 
     def save(self, path) -> None:
         """Write the index atomically; identical indexes produce identical bytes."""

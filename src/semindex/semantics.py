@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .lexicon import Lexicon
-from .textnorm import TokenStream, remove_stopwords
+from .textnorm import remove_stopwords
 
 
 class ConceptMatch(NamedTuple):
@@ -30,10 +30,7 @@ class ConceptMatch(NamedTuple):
         return len(self.synset_ids) == 1
 
 
-def match_concepts(
-    tokens: TokenStream,
-    lex: Lexicon,
-) -> list[ConceptMatch]:
+def match_concepts(tokens: list[str], lex: Lexicon) -> list[ConceptMatch]:
     """Greedy leftmost-longest lexicon matching over a normalized stream.
 
     The lexicon bounds the window: at a token that starts some lemma,
@@ -64,10 +61,7 @@ def match_concepts(
     return matches
 
 
-def semantize(
-    tokens: TokenStream,
-    lex: Lexicon,
-) -> TokenStream:
+def semantize(tokens: list[str], lex: Lexicon) -> list[str]:
     """Rewrite a document-side stream onto canonical concept lemmas.
 
     Each monosemous concept match is replaced by the tokens of its synset's
@@ -75,7 +69,7 @@ def semantize(
     unchanged. The surface form of a replaced concept does not survive
     unless it is itself the canonical lemma.
     """
-    out: TokenStream = []
+    out: list[str] = []
     prev_end = 0
     for match in match_concepts(tokens, lex):
         if match.monosemous:
@@ -86,10 +80,7 @@ def semantize(
     return out
 
 
-def expand(
-    tokens: TokenStream,
-    lex: Lexicon,
-) -> TokenStream:
+def expand(tokens: list[str], lex: Lexicon) -> list[str]:
     """Append the synonyms of each monosemous concept to a query stream.
 
     The output starts with the input tokens unchanged; for each monosemous
@@ -108,8 +99,8 @@ def expand(
 
 
 def analyze(
-    tokens: TokenStream, stoplist: frozenset[str], concept_step: Callable | None, lex: Lexicon
-) -> TokenStream:
+    tokens: list[str], stoplist: frozenset[str], concept_step: Callable | None, lex: Lexicon
+) -> list[str]:
     """The analysis order of documents and queries: run the concept step
     (``semantize``, ``expand`` or None) on the whole token stream, then drop
     stopwords. So a lemma may hold a stopword, a stopword never joins the

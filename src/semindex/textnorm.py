@@ -13,8 +13,6 @@ import unicodedata
 
 from ._util import DataError, TextSource, iter_lines
 
-TokenStream = list[str]
-
 # Token characters: ASCII letters/digits, Arabic letters including hamza
 # forms (U+0621-U+064A), tatweel, tashkeel and other combining marks up to
 # U+065F, Arabic-Indic digits, superscript alef and the extended Arabic
@@ -70,7 +68,7 @@ def normalize(text: str) -> str:
     return text
 
 
-def tokenize(text: str) -> TokenStream:
+def tokenize(text: str) -> list[str]:
     """Split text into normalized tokens.
 
     Any character outside the Arabic/Latin/digit token class separates
@@ -81,7 +79,7 @@ def tokenize(text: str) -> TokenStream:
     return _TOKEN_RE.findall(normalize(text))
 
 
-def remove_stopwords(tokens: TokenStream, stoplist: frozenset[str] | set[str]) -> TokenStream:
+def remove_stopwords(tokens: list[str], stoplist: frozenset[str] | set[str]) -> list[str]:
     """Order-preserving stopword filter; always returns a new list."""
     return [t for t in tokens if t not in stoplist]
 

@@ -176,11 +176,17 @@ def random_corpus(rng: random.Random, n_docs: int, vocab=None, min_len=3, max_le
     return docs
 
 
+def rows(ranked: RankedList) -> list[tuple[str, float]]:
+    """(doc_id, score) per rank of ``ranked``, read from its two columns,
+    which must have one length."""
+    return list(zip(ranked.doc_ids, ranked.scores, strict=True))
+
+
 # -- reference ranking metrics -------------------------------------------------
 #
 # The per-ranking P@k and AP functions evalkit had before evaluate_run derived
-# every metric from one list of hit ranks, kept verbatim (renamed) as the
-# bit-level oracle.
+# every metric from one list of hit ranks, kept (renamed, reading doc_ids) as
+# the bit-level oracle.
 
 
 def reference_precision_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
@@ -190,7 +196,7 @@ def reference_precision_at_k(ranked: RankedList, relevant: set[str], k: int) -> 
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    hits = sum(1 for entry in ranked.entries[:k] if entry.doc_id in relevant)
+    hits = sum(1 for doc_id in ranked.doc_ids[:k] if doc_id in relevant)
     return hits / k
 
 
@@ -201,8 +207,8 @@ def reference_average_precision(ranked: RankedList, relevant: set[str]) -> float
         raise ValueError("average_precision needs a non-empty relevance set")
     hits = 0
     acc = 0.0
-    for position, entry in enumerate(ranked.entries, start=1):
-        if entry.doc_id in relevant:
+    for position, doc_id in enumerate(ranked.doc_ids, start=1):
+        if doc_id in relevant:
             hits += 1
             acc += hits / position
     return acc / len(relevant)

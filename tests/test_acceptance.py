@@ -261,8 +261,8 @@ def test_criterion_8_expanded_query_found_set_contains_baseline():
             query = Query(
                 "q", " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
             )
-            r0_found = {e.doc_id for e in system.run_query(query, SearchType.R0).entries}
-            r2_found = {e.doc_id for e in system.run_query(query, SearchType.R2).entries}
+            r0_found = set(system.run_query(query, SearchType.R0).doc_ids)
+            r2_found = set(system.run_query(query, SearchType.R2).doc_ids)
             assert r0_found <= r2_found, f"trial {trial}: {r0_found - r2_found}"
 
 

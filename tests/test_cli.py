@@ -186,6 +186,31 @@ class TestIndexCommand:
         assert report["documents_skipped"] == 1
         assert report["skipped"][0]["line"] == 2
 
+    def test_json_files_are_sorted_indented_utf8(self, workspace, tmp_path):
+        workspace["corpus"].write_text(
+            '{"id": "وثيقة", "text": "اثم كبير"}\n{"id": "d2", "text": "بيت"}\n{nope\n', encoding="utf-8"
+        )
+        export = tmp_path / "plain.json"
+        assert main(["index", "--mode", "plain", "--export-json", str(export)] + common_args(workspace)) == 0
+
+        def dumped(obj) -> bytes:
+            return (json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+        assert export.read_bytes() == dumped({
+            "mode": "plain",
+            "lexicon_digest": "",
+            "doc_lengths": {"وثيقة": 2, "d2": 1},
+            "postings": {"اثم": [["وثيقة", 1]], "بيت": [["d2", 1]], "كبير": [["وثيقة", 1]]},
+        })
+        assert (workspace["index_dir"] / "plain.build.json").read_bytes() == dumped({
+            "mode": "plain",
+            "documents_indexed": 2,
+            "documents_skipped": 1,
+            "skipped": [{"line": 3, "reason": "invalid JSON (Expecting property name enclosed in double quotes)"}],
+            "vocabulary_size": 3,
+        })
+        assert "وثيقة".encode("utf-8") in export.read_bytes()
+
     def test_plain_and_semantic_exports_differ_only_in_replaced_terms(self, workspace, tmp_path):
         plain_json = tmp_path / "plain.json"
         semantic_json = tmp_path / "semantic.json"
@@ -568,7 +593,7 @@ class TestConfigHandling:
         run_path = workspace["report_dir"] / "cli.R0.run"
         assert run_path.exists()
         run = read_run(run_path)
-        assert all(len(rl.entries) <= 2 for rl in run.results)
+        assert all(len(rl.doc_ids) <= 2 for rl in run.results)
 
     # "t\udcff" is how argv decodes the non-UTF-8 bytes of --tag $'t\xff'.
     # A tag with a path separator would put run files outside report_dir;

@@ -28,7 +28,7 @@ from semindex import (
     write_run,
 )
 
-from helpers import TOKEN_POOL, lexicon_strategy, make_lexicon, random_corpus, token_stream_strategy
+from helpers import TOKEN_POOL, lexicon_strategy, make_lexicon, random_corpus, rows, token_stream_strategy
 
 SIN_RECORDS = [("s1", "n", ["خطيئة", "إثم"])]
 
@@ -134,8 +134,8 @@ class TestRunQuery:
             corpus = random_corpus(rng, rng.randint(1, 8), vocab=vocab, min_len=1, max_len=10)
             system = build_system(corpus, lex)
             query = Query("q", " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3))))
-            r0 = {e.doc_id for e in system.run_query(query, SearchType.R0).entries}
-            r2 = {e.doc_id for e in system.run_query(query, SearchType.R2).entries}
+            r0 = set(system.run_query(query, SearchType.R0).doc_ids)
+            r2 = set(system.run_query(query, SearchType.R2).doc_ids)
             assert r0 <= r2
 
     def test_r1_and_r3_produce_valid_rankings(self):
@@ -154,11 +154,10 @@ class TestRunQuery:
             query = Query("q", " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3))))
             for st in (SearchType.R1, SearchType.R3):
                 ranked = system.run_query(query, st)
-                assert [e.rank for e in ranked.entries] == list(range(1, len(ranked.entries) + 1))
-                scores = [e.score for e in ranked.entries]
+                scores = [score for _, score in rows(ranked)]
                 assert all(a >= b for a, b in zip(scores, scores[1:]))
                 assert all(s > 0 for s in scores)
-                assert ranked.found_count >= len(ranked.entries)
+                assert ranked.found_count >= len(ranked.doc_ids)
 
 
 class TestAnalysisOrder:
@@ -307,13 +306,13 @@ class TestRunFiles:
         assert [rl.qid for rl in loaded.results] == ["q1", "q2", "q3"]
         by_qid = {rl.qid: rl for rl in loaded.results}
         assert by_qid["q1"].found_count == 2  # truncated to depth 1 but found 2
-        assert len(by_qid["q1"].entries) == 1
+        assert len(rows(by_qid["q1"])) == 1
         assert by_qid["q2"].found_count == 0
-        assert by_qid["q2"].entries == ()
+        assert rows(by_qid["q2"]) == []
         original = {rl.qid: rl for rl in run.results}
         for qid, rl in by_qid.items():
             assert rl.found_count == original[qid].found_count
-            assert [e.doc_id for e in rl.entries] == [e.doc_id for e in original[qid].entries]
+            assert rl.doc_ids == original[qid].doc_ids
 
     def test_format_read_format_is_byte_identical(self, tmp_path):
         corpus = [(f"d{i}", "اثم ذنب") for i in range(22)] + [("e", "ذنب ذنب"), ("f", "اثم")]

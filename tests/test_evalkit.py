@@ -157,7 +157,7 @@ class TestEvaluateRunMatchesReference:
             for k in DEFAULT_PRECISION_CUTOFFS:
                 assert record.p_at[k] == reference_precision_at_k(ranked, relevant, k)
             assert record.ap == reference_average_precision(ranked, relevant)
-            assert record.relevant_found == sum(1 for e in ranked.entries if e.doc_id in relevant)
+            assert record.relevant_found == sum(1 for doc_id in ranked.doc_ids if doc_id in relevant)
 
 
 class TestEvaluateRun:

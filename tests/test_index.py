@@ -20,7 +20,6 @@ from semindex import (
     DuplicateDocumentError,
     IndexFormatError,
     IndexMode,
-    ScoredDoc,
     build_index,
     build_indexes,
     load_index,
@@ -28,7 +27,8 @@ from semindex import (
     tokenize,
 )
 from semindex import index as index_module
-from semindex.config import Config, ConfigError, validate_sanity
+from semindex.config import Config, UsageError, validate_sanity
+from semindex.index import ScoredDoc
 
 from helpers import (
     TOKEN_POOL,
@@ -38,6 +38,7 @@ from helpers import (
     reference_bm25,
     reference_document_terms,
     reference_ranking,
+    rows,
     token_stream_strategy,
 )
 
@@ -75,7 +76,7 @@ def sealed(body: bytes) -> bytes:
 
 def scores(idx, query, **params) -> dict[str, float]:
     """doc_id -> score of every document ``retrieve`` finds for ``query``."""
-    return {e.doc_id: e.score for e in idx.retrieve(query, **params).entries}
+    return dict(rows(idx.retrieve(query, **params)))
 
 
 class TestBuild:
@@ -187,7 +188,7 @@ class TestRetrieve:
     def test_unknown_terms(self):
         idx = build_index([("d1", "اثم")], IndexMode.PLAIN)
         ranked = idx.retrieve(["غائب"])
-        assert ranked.entries == ()
+        assert rows(ranked) == []
         assert ranked.found_count == 0
 
     def test_empty_query(self):
@@ -209,9 +210,8 @@ class TestRetrieve:
             positive = [(d, s) for d, s in scored if s > 0]
             expected = sorted(positive, key=lambda item: (-item[1], item[0]))
             ranked = idx.retrieve(query)
-            assert [(e.doc_id, e.score) for e in ranked.entries] == expected
+            assert rows(ranked) == expected
             assert ranked.found_count == len(expected)
-            assert [e.rank for e in ranked.entries] == list(range(1, len(expected) + 1))
 
     def test_found_iff_score_positive(self):
         texts = {"d1": "ا ب", "d2": "ت", "d3": "ب ت"}
@@ -225,13 +225,13 @@ class TestRetrieve:
     def test_tie_broken_by_doc_id(self):
         idx = build_index([("b", "ا"), ("a", "ا"), ("c", "ا")], IndexMode.PLAIN)
         ranked = idx.retrieve(["ا"])
-        assert [e.doc_id for e in ranked.entries] == ["a", "b", "c"]
-        assert len({e.score for e in ranked.entries}) == 1
+        assert [doc_id for doc_id, _ in rows(ranked)] == ["a", "b", "c"]
+        assert len(set(ranked.scores)) == 1
 
     def test_depth_truncation_keeps_found_count(self):
         idx = build_index([(f"d{i}", "ا") for i in range(10)], IndexMode.PLAIN)
         ranked = idx.retrieve(["ا"], depth=3)
-        assert len(ranked.entries) == 3
+        assert len(rows(ranked)) == 3
         assert ranked.found_count == 10
 
     @pytest.mark.parametrize("depth", [5, 20, None])
@@ -244,10 +244,9 @@ class TestRetrieve:
         random.Random(7).shuffle(corpus)
         ranked = build_index(corpus, IndexMode.PLAIN).retrieve(["ت", "ا"], depth)
         expected = ["top"] + sorted(doc_id for doc_id, _ in tied)
-        assert [e.doc_id for e in ranked.entries] == expected[:depth]
+        assert [doc_id for doc_id, _ in rows(ranked)] == expected[:depth]
         assert ranked.found_count == 25
-        assert len({e.score for e in ranked.entries[1:]}) == 1
-        assert [e.rank for e in ranked.entries] == list(range(1, len(ranked.entries) + 1))
+        assert len(set(ranked.scores[1:])) == 1
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_rejected(self, depth):
@@ -266,13 +265,13 @@ class TestRetrieve:
         idx.retrieve(["ا"])  # a cache for other parameters does not skip the check
         with pytest.raises(ValueError, match="bad BM25 parameters"):
             idx.retrieve(["ا"], k1=k1, b=b)
-        with pytest.raises(ConfigError, match=re.escape(f"bad BM25 parameters: k1={k1}, b={b}")):
+        with pytest.raises(UsageError, match=re.escape(f"bad BM25 parameters: k1={k1}, b={b}")):
             validate_sanity(Config(k1=k1, b=b))
 
     @pytest.mark.parametrize("k1, b", [(0.0, 0.0), (0.0, 1.0), (100.0, 0.5)])
     def test_bm25_parameter_bounds_accepted(self, k1, b):
         idx = build_index([("d1", "ا ب"), ("d2", "ا")], IndexMode.PLAIN)
-        assert all(e.score > 0 for e in idx.retrieve(["ا"], k1=k1, b=b).entries)
+        assert all(score > 0 for score in idx.retrieve(["ا"], k1=k1, b=b).scores)
         validate_sanity(Config(k1=k1, b=b))
 
     # Match counts one below, at and one above the size where retrieve
@@ -307,8 +306,8 @@ class TestRetrieve:
         for kept in (depth, found, found + 1, None):
             ranked = idx.retrieve(query, kept)
             expected = reference_ranking(scores, kept)
-            assert [(e.doc_id, e.rank, e.score.hex()) for e in ranked.entries] == [
-                (doc_id, rank, scores[doc_id].hex()) for rank, doc_id in enumerate(expected, 1)
+            assert [(doc_id, score.hex()) for doc_id, score in rows(ranked)] == [
+                (doc_id, scores[doc_id].hex()) for doc_id in expected
             ]
             assert ranked.found_count == found
 
@@ -331,12 +330,12 @@ class TestRetrieve:
         for (k1, b), query in calls:
             got = idx.retrieve(query, k1=k1, b=b)
             fresh = build_index(corpus, IndexMode.PLAIN).retrieve(query, k1=k1, b=b)
-            as_hex = [(e.doc_id, e.score.hex(), e.rank) for e in got.entries]
-            assert as_hex == [(e.doc_id, e.score.hex(), e.rank) for e in fresh.entries]
+            as_hex = [(doc_id, score.hex()) for doc_id, score in rows(got)]
+            assert as_hex == [(doc_id, score.hex()) for doc_id, score in rows(fresh)]
             assert got.found_count == fresh.found_count > 0
-            for entry in got.entries:
-                expected = reference_bm25(corpus_tokens, query, entry.doc_id, k1=k1, b=b)
-                assert entry.score.hex() == expected.hex()
+            for doc_id, score in rows(got):
+                expected = reference_bm25(corpus_tokens, query, doc_id, k1=k1, b=b)
+                assert score.hex() == expected.hex()
 
     @settings(max_examples=40)
     @given(token_stream_strategy(max_size=5), st.sampled_from(["ا", "ب", "x"]))
@@ -365,26 +364,33 @@ class TestRetrieve:
         corpus_tokens = {doc_id: tokenize(text) for doc_id, text in corpus}
         holders = {doc_id for doc_id, tokens in corpus_tokens.items() if set(tokens) & set(query)}
         assert full.found_count == len(holders)
-        assert {e.doc_id for e in full.entries} == holders
-        for entry in full.entries:
-            expected = reference_bm25(corpus_tokens, query, entry.doc_id, k1=k1, b=b)
-            assert entry.score.hex() == expected.hex()
-        keys = [(-e.score, e.doc_id) for e in full.entries]
+        assert {doc_id for doc_id, _ in rows(full)} == holders
+        for doc_id, score in rows(full):
+            expected = reference_bm25(corpus_tokens, query, doc_id, k1=k1, b=b)
+            assert score.hex() == expected.hex()
+        keys = [(-score, doc_id) for doc_id, score in rows(full)]
         assert keys == sorted(keys)
-        assert [e.rank for e in full.entries] == list(range(1, len(keys) + 1))
         reference = {d: reference_bm25(corpus_tokens, query, d, k1=k1, b=b) for d in holders}
         order = sorted(holders, key=lambda d: (-reference[d], d))
         assert list(full.doc_ids) == order
         assert [s.hex() for s in full.scores] == [reference[d].hex() for d in order]
-        rows = enumerate(zip(full.doc_ids, full.scores))
-        assert full.entries == tuple(ScoredDoc(d, s, i + 1) for i, (d, s) in rows)
         truncated = idx.retrieve(query, depth, k1=k1, b=b)
-        assert truncated.entries == full.entries[:depth]
         assert (truncated.doc_ids, truncated.scores) == (full.doc_ids[:depth], full.scores[:depth])
         assert truncated.found_count == full.found_count
 
 
 class TestScoredDoc:
+    """``ScoredDoc`` rows, kept for ``RankedList.entries``, which the bench reads."""
+
+    def test_ranked_entries_are_the_rows_of_the_columns(self):
+        idx = build_index([("b", "ا ا ب"), ("a", "ا"), ("c", "ب ت"), ("d", "ت")], IndexMode.PLAIN)
+        for depth in (None, 2):
+            ranked = idx.retrieve(["ا", "ب"], depth)
+            expected = [ScoredDoc(d, s, rank) for rank, (d, s) in enumerate(rows(ranked), start=1)]
+            assert ranked.entries == tuple(expected)
+            assert [entry.rank for entry in ranked.entries] == list(range(1, len(ranked.doc_ids) + 1))
+        assert [entry.doc_id for entry in idx.retrieve(["ا", "ب"]).entries] == ["b", "a", "c"]
+
     def test_positional_and_keyword_construction(self):
         assert ScoredDoc("d1", 0.5, 1) == ScoredDoc(doc_id="d1", score=0.5, rank=1)
         assert ScoredDoc("d1", 0.5, 1) == ("d1", 0.5, 1)

@@ -16,6 +16,7 @@ from semindex import (
     LexiconError,
     Query,
     QueryFileError,
+    RunFormatError,
     load_lexicon,
     load_stopwords,
     read_corpus,
@@ -24,7 +25,7 @@ from semindex import (
     read_run,
 )
 from semindex._util import DataError
-from semindex.config import ConfigError, load_config
+from semindex.config import UsageError, load_config
 from semindex.evalkit import QrelsError
 
 READERS = {
@@ -34,7 +35,7 @@ READERS = {
     "qrels": (read_qrels, DataError),
     "run": (read_run, DataError),
     "sidecar": (lambda source: read_run(io.StringIO(""), source), DataError),
-    "config": (load_config, ConfigError),
+    "config": (load_config, UsageError),
     "stopwords": (load_stopwords, DataError),
 }
 
@@ -124,7 +125,7 @@ DUPLICATE_KEYS = {
         ["q1 0 d1 1", "q1 0 d2 1", "q1 0 d1 0"],
         "document 'd1' judged twice for query 'q1'",
     ),
-    "config": (ConfigError, ["depth = 5", "tag = t", "depth = 7"], "option 'depth' set twice"),
+    "config": (UsageError, ["depth = 5", "tag = t", "depth = 7"], "option 'depth' set twice"),
 }
 
 
@@ -136,6 +137,37 @@ def test_a_repeated_key_names_both_lines(reader):
         read(io.StringIO("\n".join(lines) + "\n"))
     assert type(raised.value) is error
     assert str(raised.value) == f"line 3: {what} (first seen on line 1)"
+
+
+# A JSON object that repeats a key is malformed, at any depth. Each JSON
+# reader reports it its own way, naming the key and no made-up position.
+
+
+def test_a_corpus_record_that_repeats_a_key_is_skipped():
+    lines = [
+        '{"id": "a", "id": "b", "text": "x"}',
+        '{"id": "c", "text": "y", "relations": {"r": 1, "r": 2}}',
+        '{"id": "d", "text": "z"}',
+    ]
+    corpus = read_corpus(io.StringIO("\n".join(lines) + "\n"))
+    assert corpus.documents == [("d", "z")]
+    assert [(skip.line_no, skip.reason) for skip in corpus.skipped] == [
+        (1, "invalid JSON (duplicate key 'id')"),
+        (2, "invalid JSON (duplicate key 'r')"),
+    ]
+
+
+def test_a_lexicon_record_that_repeats_a_key_is_an_error():
+    lines = ['{"id": "s1", "pos": "n", "lemmas": ["a"]}', '{"id": "s2", "pos": "n", "lemmas": ["b"], "lemmas": ["c"]}']
+    with pytest.raises(LexiconError) as raised:
+        load_lexicon(io.StringIO("\n".join(lines) + "\n"))
+    assert str(raised.value) == "line 2: invalid JSON (duplicate key 'lemmas')"
+
+
+def test_a_sidecar_that_repeats_a_qid_is_an_error():
+    with pytest.raises(RunFormatError) as raised:
+        read_run(io.StringIO("q1 Q0 d1 1 1.0 t\n"), io.StringIO('{"q1": 9, "q1": 1}'))
+    assert str(raised.value) == "found-count sidecar is not valid JSON (duplicate key 'q1')"
 
 
 # str.splitlines() ends a line at each of these; a text editor does not, and

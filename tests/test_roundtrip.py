@@ -26,7 +26,7 @@ from semindex import (
     read_run,
     write_run,
 )
-from semindex.config import Config, ConfigError, validate_sanity
+from semindex.config import Config, UsageError, validate_sanity
 
 from helpers import lexicon_strategy
 
@@ -89,7 +89,7 @@ def test_index_save_load_round_trip(workdir, pairs, lex_mode):
 def test_run_write_read_round_trip(workdir, pairs, queries, tag):
     try:
         validate_sanity(Config(tag=tag))
-    except ConfigError:
+    except UsageError:
         return  # not a tag semindex accepts
     system = SearchSystem(plain_index=build_index(corpus_of(pairs), IndexMode.PLAIN))
     run = system.batch_run(accepted_queries(queries), SearchType.R0, depth=3, tag=tag)

@@ -92,7 +92,14 @@ class TestIterLines:
 class TestParseJson:
     @pytest.mark.parametrize(
         "text, reason",
-        [("[" * 100_000, "nesting too deep"), ("1" * 5000, "number too long"), ("{x", "Expecting")],
+        [
+            ("[" * 100_000, "nesting too deep"),
+            ("1" * 5000, "number too long"),
+            ("{x", "Expecting"),
+            ('{"a": 1, "a": 1}', "duplicate key 'a'"),
+            ('[{"b": {"c": 1, "d": 2, "c": 3}}]', "duplicate key 'c'"),
+            ("\ufeff{}", "Unexpected UTF-8 BOM"),
+        ],
     )
     def test_every_failure_is_a_decode_error(self, text, reason):
         with pytest.raises(json.JSONDecodeError, match=reason):

@@ -76,9 +76,6 @@ class Run:
     tag: str
     results: tuple[RankedList, ...]
 
-    def found_counts(self) -> dict[str, int]:
-        return {rl.qid: rl.found_count for rl in self.results}
-
 
 @dataclass
 class SearchSystem:
@@ -185,7 +182,7 @@ def write_run(run: Run, run_path, found_path=None) -> None:
     """
     atomic_write_text(run_path, format_run(run))
     if found_path is not None:
-        atomic_write_text(found_path, json.dumps(run.found_counts(), indent=0) + "\n")
+        atomic_write_text(found_path, json.dumps({r.qid: r.found_count for r in run.results}, indent=0) + "\n")
 
 
 def read_run(run_source: TextSource, found_source: TextSource | None = None) -> Run:

@@ -402,44 +402,43 @@ def _init_worker(modes, lex, stoplist):
     _WORKER_STATE["args"] = (modes, lex, stoplist)
 
 
-def _count_document(text, modes, lex, stoplist) -> list[tuple[Counter, int]]:
+def _count_document(text, modes, lex, stoplist) -> list[Counter]:
     """Tokenize ``text`` once; analyze and count its terms for each mode."""
     tokens = tokenize(text)
     steps = (semantize if mode is IndexMode.SEMANTIC else None for mode in modes)
-    streams = (analyze(tokens, stoplist, step, lex) for step in steps)
-    return [(Counter(terms), len(terms)) for terms in streams]
+    return [Counter(analyze(tokens, stoplist, step, lex)) for step in steps]
 
 
-def _count_in_worker(text: str) -> list[tuple[Counter, int]]:
+def _count_in_worker(text: str) -> list[Counter]:
     return _count_document(text, *_WORKER_STATE["args"])
 
 
-def _fill_columns(counted: Iterable[list[tuple[Counter, int]]], width: int) -> list[tuple]:
+def _fill_columns(counted: Iterable[list[Counter]], width: int) -> list[tuple]:
     """Stream each document's counts for ``width`` indexes, in ordinal order,
     into each index's columns: doc lengths, sorted terms, offsets, ordinals
-    and tfs. While filling, a term's ordinals and tfs are arrays in two dicts,
-    not a pair: the garbage collector tracks a tuple, not an array."""
-    filling = [(array("Q"), {}, {}) for _ in range(width)]
+    and tfs. While filling, each term holds one array of ordinal, tf pairs:
+    only arrays are held, which the garbage collector does not track."""
+    filling = [(array("Q"), {}) for _ in range(width)]
     for ordinal, row in enumerate(counted):
-        for (doc_lengths, ordinals, tfs), (counts, length) in zip(filling, row):
-            doc_lengths.append(length)
+        for (doc_lengths, postings), counts in zip(filling, row):
+            doc_lengths.append(counts.total())
             for term, tf in counts.items():
-                term_ordinals = ordinals.get(term)
-                if term_ordinals is None:
-                    term_ordinals = ordinals[term] = array("I")
-                    tfs[term] = array("I")
-                term_ordinals.append(ordinal)
-                tfs[term].append(tf)
+                pairs = postings.get(term)
+                if pairs is None:
+                    pairs = postings[term] = array("I")
+                pairs.append(ordinal)
+                pairs.append(tf)
     columns = []
-    for doc_lengths, ordinals, tfs in filling:
-        terms = sorted(ordinals)
-        offsets, ordinal_column, tf_column = array("Q", [0]), array("I"), array("I")
+    for doc_lengths, postings in filling:
+        terms = sorted(postings)
+        offsets, ordinals, tfs = array("Q", [0]), array("I"), array("I")
         for term in terms:
             # Popped, so a term's postings are never held twice at once.
-            ordinal_column += ordinals.pop(term)
-            tf_column += tfs.pop(term)
-            offsets.append(len(ordinal_column))
-        columns.append((doc_lengths, terms, offsets, ordinal_column, tf_column))
+            pairs = postings.pop(term)
+            ordinals += pairs[::2]
+            tfs += pairs[1::2]
+            offsets.append(len(ordinals))
+        columns.append((doc_lengths, terms, offsets, ordinals, tfs))
     return columns
 
 

@@ -53,7 +53,7 @@ class Lexicon:
 
     def __init__(self, synsets: Iterable[Synset] = ()):
         self._synsets: dict[str, Synset] = {}
-        self._inverted: dict[str, list[str]] = {}
+        self._inverted: dict[str, tuple[str, ...]] = {}
         # First token of any lemma -> token count of the longest lemma that
         # starts with it; lets concept matching skip and bound its windows.
         self._longest_from: dict[str, int] = {}
@@ -63,7 +63,7 @@ class Lexicon:
                 raise LexiconError(f"duplicate synset id: {syn.id!r}")
             self._synsets[syn.id] = syn
             for lemma in syn.lemmas:
-                self._inverted.setdefault(lemma, []).append(syn.id)
+                self._inverted[lemma] = self._inverted.get(lemma, ()) + (syn.id,)
                 lemma_tokens = lemma.split(" ")
                 if len(lemma_tokens) > self._longest_from.get(lemma_tokens[0], 0):
                     self._longest_from[lemma_tokens[0]] = len(lemma_tokens)

@@ -53,7 +53,7 @@ def match_concepts(tokens: list[str], lex: Lexicon) -> list[ConceptMatch]:
             lemma = " ".join(tokens[i : i + length])
             synset_ids = senses.get(lemma)
             if synset_ids:
-                matches.append(ConceptMatch(i, i + length, lemma, tuple(synset_ids)))
+                matches.append(ConceptMatch(i, i + length, lemma, synset_ids))
                 i += length
                 break
         else:

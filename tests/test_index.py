@@ -436,13 +436,14 @@ class TestPersistence:
 
     def test_save_writes_the_v3_layout(self, tmp_path):
         lex = make_lexicon([("s1", "n", ["خطيئة", "إثم"])])
-        idx = build_index([("d2", "اثم بيت اثم"), ("d1", "بيت")], IndexMode.SEMANTIC, lex)
+        # d15 has no token characters: length 0 at ordinal 1, and no posting.
+        idx = build_index([("d2", "اثم بيت اثم"), ("d1", "بيت"), ("d15", "؟ - !")], IndexMode.SEMANTIC, lex)
         path = tmp_path / "x.idx"
         idx.save(path)
         expected = v3_file(
-            ["d1", "d2"],
-            [1, 3],
-            [("بيت", [0, 1], [1, 1]), ("خطيئه", [1], [2])],
+            ["d1", "d15", "d2"],
+            [1, 0, 3],
+            [("بيت", [0, 2], [1, 1]), ("خطيئه", [2], [2])],
             mode=1,
             digest=lex.digest(),
         )

@@ -97,4 +97,4 @@ def test_run_write_read_round_trip(workdir, pairs, queries, tag):
     write_run(run, run_path, found_path)
     back = read_run(run_path, found_path)
     assert format_run(back) == format_run(run)
-    assert list(back.found_counts().items()) == list(run.found_counts().items())
+    assert [(r.qid, r.found_count) for r in back.results] == [(r.qid, r.found_count) for r in run.results]

@@ -189,7 +189,10 @@ class Index:
 
         Ties break by ascending doc_id. found_count counts every match, kept
         or not. Each score is the BM25 sum over the query terms in
-        query-term order, so duplicate terms accumulate.
+        query-term order, so duplicate terms accumulate. A term with more
+        postings than there are running sums takes the sums into its impacts
+        instead; a two-operand float sum is commutative, so each score keeps
+        the bits of the query-term-order sum.
 
         A ranking that keeps fewer than one match in ``_SELECT_RATIO`` sorts
         only the matches that reach its ``depth``-th best score. Every tie
@@ -225,6 +228,10 @@ class Index:
                 impacts = [idf * (tf * k1_plus_1) / (tf + norms[o]) for o, tf in zip(ordinals, tfs)]
                 segment = segments[term] = (ordinals, array("d", impacts))
             ordinals, impacts = segment
+            if len(ordinals) > len(scores):
+                # Fold the smaller side into the larger: impact + sum has the
+                # bits of sum + impact, and a sum + 0.0 is the sum.
+                scores, ordinals, impacts = dict(zip(ordinals, impacts)), scores.keys(), scores.values()
             # scores[o] = scores.get(o, 0.0) + impact, one C-level pass per term.
             scores.update(
                 zip(ordinals, map(operator.add, map(scores.get, ordinals, repeat(0.0)), impacts))
@@ -238,6 +245,10 @@ class Index:
         # Ascending ordinal first; the stable descending sort keeps that
         # order among equal scores, so ties break by ascending doc id.
         ranked = sorted(ranked, key=scores.__getitem__, reverse=True)[:depth]
+        if len(ranked) > 1:
+            get = operator.itemgetter(*ranked)
+            return RankedList("", get(self._doc_ids), get(scores), len(scores))
+        # itemgetter of one key returns the item itself, not a 1-tuple.
         doc_ids = tuple(map(self._doc_ids.__getitem__, ranked))
         return RankedList("", doc_ids, tuple(map(scores.__getitem__, ranked)), len(scores))
 

@@ -24,6 +24,9 @@ POS_BY_TAG = {"n": "noun", "v": "verb", "a": "adjective", "r": "adverb"}
 # Synset invariant: a lemma is 1-4 space-separated tokens.
 MAX_LEMMA_TOKENS = 4
 
+# Built once: json.dumps with options builds an encoder on every call.
+_DIGEST_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
+
 
 class LexiconError(DataError):
     """Malformed lexicon input."""
@@ -94,11 +97,7 @@ class Lexicon:
             h = hashlib.sha256()
             for sid in sorted(self._synsets):
                 syn = self._synsets[sid]
-                record = json.dumps(
-                    [syn.id, syn.pos, list(syn.lemmas)],
-                    ensure_ascii=True,
-                    separators=(",", ":"),
-                )
+                record = _DIGEST_ENCODER.encode([syn.id, syn.pos, list(syn.lemmas)])
                 h.update(record.encode("ascii"))
                 h.update(b"\n")
             self._digest = h.hexdigest()

@@ -5,16 +5,18 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import random
 import re
 import string
 import unicodedata
 from collections import Counter
+from itertools import repeat
 from typing import Sequence
 
 from hypothesis import strategies as st
 
-from semindex import IndexMode, Lexicon, RankedList, load_lexicon, remove_stopwords, semantize, tokenize
+from semindex import Index, IndexMode, Lexicon, RankedList, load_lexicon, remove_stopwords, semantize, tokenize
 from semindex.evalkit import (
     DEFAULT_PRECISION_CUTOFFS,
     DeltaRecord,
@@ -26,6 +28,7 @@ from semindex.evalkit import (
     ThreeWayReport,
     format_percent,
 )
+from semindex.index import DEFAULT_B, DEFAULT_K1
 from semindex.semantics import ConceptMatch, match_concepts
 
 # Already-normalized single tokens (Arabic letters and lowercase Latin).
@@ -156,6 +159,30 @@ def reference_bm25(corpus_tokens: dict[str, list[str]], query: list[str], doc_id
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
         score += idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl / avgdl))
     return score
+
+
+def reference_scores(index: Index, terms: list[str], k1: float = DEFAULT_K1,
+                     b: float = DEFAULT_B) -> dict[str, float]:
+    """doc_id -> BM25 score of every document of ``index`` that holds one of
+    ``terms``: the per-term fold ``Index.retrieve`` ran before it folded each
+    term into the larger side, kept verbatim over the index's postings. Each
+    term adds its impacts to the running sums with one ``scores.get`` + add
+    pass, so every score is the query-term-order sum."""
+    avgdl = index.average_doc_length
+    norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in index._doc_lengths] if avgdl else []
+    scores: dict[int, float] = {}
+    for term in terms:
+        if term not in index._term_numbers:
+            continue
+        span = index._span(term)
+        ordinals, tfs = index._ordinals[span], index._tfs[span]
+        idf, k1_plus_1 = index._idf(len(ordinals)), k1 + 1.0
+        impacts = [idf * (tf * k1_plus_1) / (tf + norms[o]) for o, tf in zip(ordinals, tfs)]
+        # scores[o] = scores.get(o, 0.0) + impact, one C-level pass per term.
+        scores.update(
+            zip(ordinals, map(operator.add, map(scores.get, ordinals, repeat(0.0)), impacts))
+        )
+    return {index._doc_ids[o]: score for o, score in scores.items()}
 
 
 def reference_ranking(scores: dict, depth: int | None) -> list:

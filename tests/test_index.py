@@ -11,6 +11,7 @@ import os
 import random
 import re
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +39,7 @@ from helpers import (
     reference_bm25,
     reference_document_terms,
     reference_ranking,
+    reference_scores,
     rows,
     token_stream_strategy,
 )
@@ -188,8 +190,14 @@ class TestRetrieve:
     def test_unknown_terms(self):
         idx = build_index([("d1", "اثم")], IndexMode.PLAIN)
         ranked = idx.retrieve(["غائب"])
-        assert rows(ranked) == []
+        assert (ranked.doc_ids, ranked.scores) == ((), ())
         assert ranked.found_count == 0
+
+    def test_one_kept_document_is_a_one_tuple_per_column(self):
+        idx = build_index([("d1", "اثم اثم"), ("d2", "اثم ب")], IndexMode.PLAIN)
+        ranked, full = idx.retrieve(["اثم"], depth=1), idx.retrieve(["اثم"])
+        assert (ranked.doc_ids, ranked.scores) == (("d1",), full.scores[:1])
+        assert ranked.found_count == 2
 
     def test_empty_query(self):
         idx = build_index([("d1", "اثم")], IndexMode.PLAIN)
@@ -310,6 +318,48 @@ class TestRetrieve:
                 (doc_id, scores[doc_id].hex()) for doc_id in expected
             ]
             assert ranked.found_count == found
+
+    def test_scores_equal_the_per_term_fold(self):
+        """Queries in ascending document frequency make retrieve fold a term
+        into the running sums at some positions and the sums into a larger
+        term at others; its rankings equal the per-term fold's to the bit."""
+        words = [a + b for a in "abcdef" for b in "ghijk"]
+        # Word i is drawn len(words) - i times as often as the last one, so
+        # document frequencies range from a few documents to most of them.
+        vocab = [word for i, word in enumerate(words) for _ in range(len(words) - i)]
+        corpus = random_corpus(random.Random(11), n_docs=200, vocab=vocab)
+        idx = build_index(corpus, IndexMode.PLAIN)
+        holders = {word: {doc_id for doc_id, _ in idx.postings(word)} for word in words}
+        rng = random.Random(5)
+        queries = []
+        for _ in range(20):
+            known = rng.sample(words, rng.randint(1, 6))
+            query = known + [rng.choice(known), "غائب"]  # a repeated and an unknown term
+            queries.append(sorted(query, key=lambda term: (idx.document_frequency(term), term)))
+        # Both sides of the fold are taken after a query's first known term,
+        # and some document holds three or more of a query's terms.
+        sides, most_held = set(), 0
+        for query in queries:
+            found: set[str] = set()
+            for term in query:
+                if found:
+                    sides.add(idx.document_frequency(term) > len(found))
+                found |= holders.get(term, set())
+            held = Counter(doc_id for term in set(query) for doc_id in holders.get(term, ()))
+            most_held = max(most_held, *held.values())
+        assert sides == {True, False}
+        assert most_held >= 3
+        for k1, b in ((1.2, 0.75), (2.0, 0.3)):
+            for query in queries:
+                expected_scores = reference_scores(idx, query, k1, b)
+                for depth in (1, 2, 10, None):
+                    ranked = idx.retrieve(query, depth, k1=k1, b=b)
+                    expected = reference_ranking(expected_scores, depth)
+                    assert ranked.doc_ids == tuple(expected)
+                    assert [score.hex() for score in ranked.scores] == [
+                        expected_scores[doc_id].hex() for doc_id in expected
+                    ]
+                    assert ranked.found_count == len(expected_scores)
 
     def test_cache_follows_parameters_across_calls(self):
         """Norms and term impacts are cached per (k1, b): interleaved

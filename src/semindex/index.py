@@ -21,7 +21,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, filterfalse, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from ._util import DataError, TextSource, atomic_write_bytes, first_seen, is_field, iter_lines, parse_json
@@ -337,14 +337,20 @@ def _strictly_ascending(values) -> bool:
     return all(map(operator.lt, values, values[1:]))
 
 
+def _check_run_fields(doc_ids: list[str], error: type[Exception]) -> None:
+    bad_id = next(filterfalse(is_field, doc_ids), None)
+    if bad_id is not None:
+        raise error(f"doc id {bad_id!r} cannot be a field of a run file")
+
+
 def load_index(path) -> Index:
     """Load an index file written by Index.save, verifying its checksum.
 
     Loading is the checksum, one header unpack, one decode and split per
     name list and one ``frombytes`` per column, then C-level passes that
-    check every structural invariant ``retrieve`` relies on, so a damaged or
-    hand-made file raises IndexFormatError. No Python-level loop runs over
-    terms or postings.
+    check every structural invariant ``retrieve`` relies on, and that each
+    doc id can be a run file field, so a damaged or hand-made file raises
+    IndexFormatError. No Python-level loop runs over terms or postings.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -382,6 +388,7 @@ def load_index(path) -> Index:
     ordinals, tfs = _column("I", postings[: 4 * count]), _column("I", postings[4 * count :])
 
     doc_ids = _names(ids, doc_count, "doc ids")
+    _check_run_fields(doc_ids, IndexFormatError)
     terms = _names(names, term_count, "terms")
     if offsets[0] != 0 or not _strictly_ascending(offsets):
         raise IndexFormatError("term offsets do not start at 0, or a term has no postings")
@@ -466,13 +473,15 @@ def build_indexes(
     Each document is tokenized once and analyzed once per mode (see
     ``semantics.analyze``). The result is identical for any worker count and
     corpus order: documents are counted in doc-id order, and each count goes
-    straight into its index's columns, so ordinals arrive ascending.
+    straight into its index's columns, so ordinals arrive ascending. A doc
+    id that cannot be a run file field (``_util.is_field``) is a ValueError.
     """
     if IndexMode.SEMANTIC in modes and lex is None:
         raise ValueError("semantic mode requires a lexicon")
     check_workers(workers)
     docs = sorted(corpus, key=operator.itemgetter(0))
     doc_ids = [doc_id for doc_id, _ in docs]
+    _check_run_fields(doc_ids, ValueError)
     for previous, doc_id in zip(doc_ids, doc_ids[1:]):
         if previous == doc_id:
             raise DuplicateDocumentError(f"duplicate doc_id: {doc_id!r}")

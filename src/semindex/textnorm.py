@@ -22,17 +22,17 @@ from ._util import DataError, TextSource, iter_lines
 # normalization.
 _TOKEN_RE = re.compile(r"[0-9A-Za-zء-٩ٰ-ە]+")
 
-# Tashkeel (U+064B-U+0652) plus the combining madda/hamza marks
-# (U+0653-U+0655). The latter are stripped too: NFC recomposes e.g.
-# alef + U+0654 into the very hamza letters the folds below erase, so
-# keeping them would break idempotence.
-_MARKS_RE = re.compile(r"[ً-ٕ]")
-
-_TATWEEL = "ـ"
-
-# Folded letter -> replacement. No replacement is itself folded, so
-# replacing the pairs one after another equals one simultaneous mapping.
-_FOLD_PAIRS = (
+# Character -> replacement: tashkeel (U+064B-U+0652), the combining
+# madda/hamza marks (U+0653-U+0655) and tatweel removed, then the letter
+# folds. The combining marks go too: NFC recomposes e.g. alef + U+0654 into
+# the very hamza letters the folds erase, so keeping them would break
+# idempotence. No replacement is itself edited, so applying the pairs one
+# after another equals one simultaneous mapping. Nearly every character is
+# a miss, which costs a translate table a dict lookup and a regex a class
+# test; a guarded replace touches the text only when its character occurs.
+_EDITS = (
+    *((chr(mark), "") for mark in range(0x064B, 0x0656)),
+    ("ـ", ""),  # tatweel
     ("آ", "ا"),  # alef madda -> alef
     ("أ", "ا"),  # alef hamza above -> alef
     ("إ", "ا"),  # alef hamza below -> alef
@@ -56,13 +56,9 @@ def normalize(text: str) -> str:
     than its input in code points.
     """
     text = unicodedata.normalize("NFC", text)
-    text = _MARKS_RE.sub("", text)
-    text = text.replace(_TATWEEL, "")
-    # A translate table costs a dict lookup per character, nearly all of
-    # them misses; each fold touches the text only when its letter occurs.
-    for folded, replacement in _FOLD_PAIRS:
-        if folded in text:
-            text = text.replace(folded, replacement)
+    for old, new in _EDITS:
+        if old in text:
+            text = text.replace(old, new)
     if _HAS_ASCII_UPPER(text):
         text = text.translate(_ASCII_LOWER)
     return text

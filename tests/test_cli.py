@@ -3,13 +3,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+from array import array
 from pathlib import Path
 
 import pytest
 
 from semindex import config as config_module
 from semindex import index as index_module
-from semindex import read_run, tokenize
+from semindex import Index, IndexMode, read_run, tokenize
 from semindex.cli import build_parser, main, resolve_config
 from semindex.config import Config
 
@@ -277,6 +278,16 @@ class TestBatchCommand:
         assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 2
         assert "line 2" in caplog.text and "whitespace" in caplog.text
         assert not (workspace["report_dir"] / "semindex.R0.run").exists()
+
+    def test_doc_id_that_cannot_be_a_run_field_is_data_error(self, workspace, caplog):
+        # A hand-made plain.idx with a valid checksum: a run line ranking
+        # "a b" would hold seven fields, which eval could not read back.
+        workspace["index_dir"].mkdir()
+        columns = (array("Q", [1]), ["اثم"], array("Q", [0, 1]), array("I", [0]), array("I", [1]))
+        Index(IndexMode.PLAIN, ["a b"], *columns).save(workspace["index_dir"] / "plain.idx")
+        assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 2
+        assert "'a b' cannot be a field of a run file" in caplog.text
+        assert not workspace["report_dir"].exists()
 
     def test_missing_index_names_artifact(self, workspace, caplog):
         code = main(["batch", "--search-type", "R0"] + common_args(workspace))

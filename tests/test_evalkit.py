@@ -286,6 +286,13 @@ class TestDeltaReport:
         with pytest.raises(EvalError, match="q2"):
             delta_report([record("q1", 1, 1)], [record("q2", 1, 1)])
 
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_repeated_qid_rejected(self, side):
+        records = {"before": [record("q1", 1, 1)], "after": [record("q1", 2, 1)]}
+        records[side] = [record("q1", 1, 1), record("q1", 3, 1)]
+        with pytest.raises(EvalError, match=rf"^{side}: duplicate qid 'q1'$"):
+            delta_report(records["before"], records["after"])
+
     def test_record_order_follows_before(self):
         before = [record("b", 1, 1), record("a", 2, 2)]
         after = [record("a", 3, 3), record("b", 4, 4)]
@@ -352,6 +359,13 @@ class TestThreeWayReport:
     def test_qid_mismatch_rejected(self):
         with pytest.raises(EvalError):
             threeway_report([record("q1", 1, 1)], [record("q1", 1, 1)], [record("qX", 1, 1)], LABELS_R)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_repeated_qid_rejected(self, position):
+        systems = [[record("q1", 1, 1), record("q2", 1, 1)] for _ in LABELS_R]
+        systems[position].append(record("q1", 2, 1))
+        with pytest.raises(EvalError, match=rf"^{LABELS_R[position]}: duplicate qid 'q1'$"):
+            threeway_report(*systems, LABELS_R)
 
     def test_repeated_labels_rejected(self):
         # Two "x" systems would share one x_wins bucket, and a win would be lost.

@@ -11,6 +11,7 @@ import os
 import random
 import re
 import struct
+from array import array
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from semindex import (
     DuplicateDocumentError,
+    Index,
     IndexFormatError,
     IndexMode,
     build_index,
@@ -28,6 +30,7 @@ from semindex import (
     tokenize,
 )
 from semindex import index as index_module
+from semindex._util import is_field
 from semindex.config import Config, UsageError, validate_sanity
 from semindex.index import ScoredDoc
 
@@ -101,6 +104,14 @@ class TestBuild:
     def test_duplicate_doc_id(self):
         with pytest.raises(DuplicateDocumentError):
             build_index([("d1", "اثم"), ("d1", "ذنب")], IndexMode.PLAIN)
+
+    @pytest.mark.parametrize("doc_id", ["a b", "d\n1", "", "d\ud800"])
+    def test_doc_id_that_cannot_be_a_run_field_rejected(self, doc_id):
+        # A run line "q1 Q0 a b 1 ..." would not read back, and a lone
+        # surrogate cannot be written as UTF-8.
+        corpus = [("d0", "اثم"), (doc_id, "ذنب")]
+        with pytest.raises(ValueError, match=re.escape(f"doc id {doc_id!r} cannot be a field of a run file")):
+            build_indexes(corpus, (IndexMode.PLAIN, IndexMode.SEMANTIC), make_lexicon([("s1", "n", ["اثم"])]))
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
@@ -505,7 +516,9 @@ class TestPersistence:
         assert path.read_bytes() == v3_file([], [], [])
 
     def test_newline_in_a_doc_id_cannot_be_saved(self, tmp_path):
-        idx = build_index([("d\n1", "اثم")], IndexMode.PLAIN)
+        # build_indexes refuses such an id, so the index is made directly.
+        columns = (array("Q", [1]), ["اثم"], array("Q", [0, 1]), array("I", [0]), array("I", [1]))
+        idx = Index(IndexMode.PLAIN, ["d\n1"], *columns)
         with pytest.raises(ValueError, match="newline"):
             idx.save(tmp_path / "x.idx")
 
@@ -585,6 +598,8 @@ class TestPersistence:
             # the file's last, and in the middle of a term.
             ({"doc_lengths": [1, 2], "terms": [("ا", [0, 2], [1, 1]), ("ب", [1], [1])]}, "below the doc count 2"),
             ({"doc_lengths": [1, 2], "terms": [("ا", [0, 2, 1], [1, 1, 1])]}, "strictly ascending"),
+            ({"doc_ids": ["a b", "d2"]}, "doc id 'a b' cannot be a field of a run file"),
+            ({"doc_ids": ["", "d2"]}, "doc id '' cannot be a field of a run file"),
         ],
     )
     def test_structural_violations_rejected(self, tmp_path, fields, message):
@@ -672,6 +687,9 @@ def mutants(data: bytes, index):
     header = {"mode": int(index.mode is IndexMode.SEMANTIC), "digest": index.lexicon_digest}
     for i in range(len(doc_ids) - 1):
         yield v3_file(swapped(doc_ids, i), doc_lengths, terms, **header)
+    if doc_ids:
+        # A first doc id that a run line would split in two; it still sorts first.
+        yield v3_file(["a b", *doc_ids[1:]], doc_lengths, terms, **header)
     for i in range(len(terms) - 1):
         yield v3_file(doc_ids, doc_lengths, swapped(terms, i), **header)
     ordinals = [o for _, term_ordinals, _ in terms for o in term_ordinals]
@@ -690,6 +708,7 @@ def workdir(tmp_path_factory):
 class TestLoaderFuzz:
     @settings(max_examples=6, deadline=None)
     @example(docs=[], mode=IndexMode.PLAIN)
+    @example(docs=[["ا"], ["ب", "ا"]], mode=IndexMode.PLAIN)
     @given(
         docs=st.lists(token_stream_strategy(max_size=4), max_size=3),
         mode=st.sampled_from(IndexMode),
@@ -708,6 +727,7 @@ class TestLoaderFuzz:
                 loaded = load_index(path)
             except IndexFormatError:
                 continue
+            assert all(map(is_field, loaded.to_jsonable()["doc_lengths"]))
             loaded.save(path)
             assert load_index(path).to_jsonable() == loaded.to_jsonable()
             loaded.retrieve(loaded.terms())

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 
-from semindex import Lexicon, LexiconError, load_lexicon, match_concepts
+from semindex import Lexicon, LexiconError, Synset, load_lexicon, match_concepts
 from semindex.lexicon import POS_BY_TAG, normalize_lemma
 
 from helpers import lexicon_jsonl, lexicon_strategy, make_lexicon, senses, strategy_ids
@@ -46,6 +47,27 @@ class TestLoad:
     def test_duplicate_id(self):
         text = lexicon_jsonl([("s1", "n", ["اثم"]), ("s1", "v", ["ذنب"])])
         with pytest.raises(LexiconError, match="duplicate synset id"):
+            load_lexicon(io.StringIO(text))
+
+    def test_duplicate_id_in_synsets_given_directly(self):
+        # load_lexicon refuses a repeated id by line first; the constructor
+        # keeps its own check for synsets that no file numbered.
+        synsets = [Synset("s1", "noun", ("اثم",)), Synset("s1", "verb", ("ذنب",))]
+        with pytest.raises(LexiconError, match=r"^duplicate synset id: 's1'$"):
+            Lexicon(synsets)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"pos": "n", "lemmas": ["اثم"]}, "missing or invalid 'id'"),
+            ({"id": "", "pos": "n", "lemmas": ["اثم"]}, "missing or invalid 'id'"),
+            ({"id": 7, "pos": "n", "lemmas": ["اثم"]}, "missing or invalid 'id'"),
+            ({"id": "s2", "pos": "n", "lemmas": ["اثم", 5]}, "lemma 5 is not a string"),
+        ],
+    )
+    def test_invalid_field_names_its_line(self, record, message):
+        text = lexicon_jsonl([("s1", "n", ["ذنب"])]) + "\n" + json.dumps(record, ensure_ascii=False)
+        with pytest.raises(LexiconError, match=f"^line 2: {re.escape(message)}$"):
             load_lexicon(io.StringIO(text))
 
     def test_empty_lemma_list(self):

@@ -9,7 +9,6 @@ resulting retrieval configurations (R0-R3).
 from .engine import (
     IndexModeError,
     LexiconMismatchWarning,
-    MissingIndexError,
     Query,
     QueryFileError,
     Run,

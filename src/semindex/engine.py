@@ -27,12 +27,8 @@ from .textnorm import tokenize
 DEFAULT_RUN_TAG = "semindex"
 
 
-class MissingIndexError(RuntimeError):
-    """The search type requires an index that was not supplied."""
-
-
 class IndexModeError(DataError):
-    """The index given for a search type was built in the other mode."""
+    """A search type's index slot is empty or holds an index of the other mode."""
 
 
 class RunFormatError(DataError):
@@ -91,14 +87,10 @@ class SearchSystem:
     def _index_for(self, search_type: SearchType) -> Index:
         mode = search_type.index_mode
         index = self.semantic_index if mode is IndexMode.SEMANTIC else self.plain_index
-        if index is None:
-            raise MissingIndexError(f"{search_type.value} requires a {mode.value} index")
-        if index.mode is not mode:
-            raise IndexModeError(
-                f"{search_type.value} requires a {mode.value} index, but the index given "
-                f"was built in {index.mode.value} mode"
-            )
-        return index
+        if index is not None and index.mode is mode:
+            return index
+        given = "none was given" if index is None else f"the index given was built in {index.mode.value} mode"
+        raise IndexModeError(f"{search_type.value} requires a {mode.value} index, but {given}")
 
     def query_terms(self, query: Query, search_type: SearchType) -> list[str]:
         step = expand if search_type.expands_query else None
@@ -166,9 +158,17 @@ def read_queries(source: TextSource) -> list[Query]:
 
 
 def format_run(run: Run) -> str:
-    """TREC lines: qid Q0 doc_id rank score tag, scores at 6 decimals."""
+    """TREC lines: qid Q0 doc_id rank score tag, scores at 6 decimals. A tag or
+    qid that read_run could not read back (not a field, or a qid twice) is a ValueError."""
+    if not is_field(run.tag):
+        raise ValueError(f"run tag {run.tag!r} cannot be a field of a run file")
+    seen: set[str] = set()
     lines = []
     for ranked in run.results:
+        if ranked.qid in seen or not is_field(ranked.qid):
+            fault = "is given twice" if ranked.qid in seen else "cannot be a field of a run file"
+            raise ValueError(f"qid {ranked.qid!r} {fault}")
+        seen.add(ranked.qid)
         for rank, (doc_id, score) in enumerate(zip(ranked.doc_ids, ranked.scores, strict=True), 1):
             lines.append(f"{ranked.qid} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n")
     return "".join(lines)

@@ -10,7 +10,7 @@ import pytest
 
 from semindex import config as config_module
 from semindex import index as index_module
-from semindex import Index, IndexMode, read_run, tokenize
+from semindex import Index, IndexMode, build_index, load_stopwords, read_corpus, read_run, tokenize
 from semindex.cli import build_parser, main, resolve_config
 from semindex.config import Config
 
@@ -29,6 +29,8 @@ LEXICON_RECORDS = [("s1", "n", ["خطيئة", "إثم"]), ("s2", "n", ["ذنب",
 QUERIES = "q1\tاثم\nq2\tبيت\nq3\tذنب\n"
 
 QRELS = "q1 0 d1 1\nq1 0 d2 1\nq2 0 d3 1\nq3 0 d4 1\n"
+
+STOPWORDS = "كبير\nواسع\n"
 
 # JSON that json.loads gives up on without a JSONDecodeError: nesting
 # deeper than its parser allows, an integer literal past Python's digit limit.
@@ -60,6 +62,7 @@ def workspace(tmp_path: Path) -> dict[str, Path]:
         "empty_lexicon": tmp_path / "empty_lexicon.jsonl",
         "queries": tmp_path / "queries.tsv",
         "qrels": tmp_path / "qrels.txt",
+        "stopwords": tmp_path / "stopwords.txt",
         "index_dir": tmp_path / "indexes",
         "report_dir": tmp_path / "reports",
     }
@@ -71,6 +74,7 @@ def workspace(tmp_path: Path) -> dict[str, Path]:
     paths["empty_lexicon"].write_text("", encoding="utf-8")
     paths["queries"].write_text(QUERIES, encoding="utf-8")
     paths["qrels"].write_text(QRELS, encoding="utf-8")
+    paths["stopwords"].write_text(STOPWORDS, encoding="utf-8")
     return paths
 
 
@@ -234,6 +238,24 @@ class TestIndexCommand:
             assert plain["postings"][term] == semantic["postings"][term]
         assert semantic["postings"]["خطيئه"] == [["d1", 1], ["d2", 1]]
         assert plain["postings"]["خطيئه"] == [["d2", 1]]
+
+    def test_stopword_file_is_applied(self, workspace, tmp_path, capsys):
+        # --stopwords drops its words from the index and from a query.
+        stop = ["--stopwords", str(workspace["stopwords"])] + common_args(workspace)
+        export = tmp_path / "plain.json"
+        assert main(["index", "--mode", "plain", "--export-json", str(export)] + stop) == 0
+        stoplist = load_stopwords(workspace["stopwords"])
+        exported = json.loads(export.read_text(encoding="utf-8"))
+        assert stoplist == {"كبير", "واسع"} and not stoplist & exported["postings"].keys()
+        corpus = read_corpus(workspace["corpus"]).documents
+        assert exported == build_index(corpus, IndexMode.PLAIN, stoplist=stoplist).to_jsonable()
+        # Against an index that keeps the word, the file still drops it from the query.
+        assert main(["index", "--mode", "plain"] + common_args(workspace)) == 0
+        capsys.readouterr()
+        assert main(["search", "--search-type", "R0", "كبير"] + common_args(workspace)) == 0
+        assert capsys.readouterr().out.split("\t")[1] == "d1"
+        assert main(["search", "--search-type", "R0", "كبير"] + stop) == 0
+        assert capsys.readouterr().out == ""
 
 
 UNPARSABLE = pytest.mark.parametrize("bad", [DEEP_JSON, LONG_INT_JSON], ids=["deep", "long-int"])

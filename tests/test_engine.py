@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from semindex import (
     IndexModeError,
     Lexicon,
     LexiconMismatchWarning,
-    MissingIndexError,
     Query,
     QueryFileError,
     RankedList,
@@ -87,14 +87,26 @@ class TestRunQuery:
         system = build_system([("d1", "اثم")], Lexicon())
         assert system.run_query(Query("q42", "اثم"), SearchType.R0).qid == "q42"
 
-    def test_missing_plain_index(self):
-        system = SearchSystem(semantic_index=build_index([], IndexMode.SEMANTIC, Lexicon()))
-        with pytest.raises(MissingIndexError, match="plain"):
-            system.run_query(Query("q", "اثم"), SearchType.R0)
+    @pytest.mark.parametrize("slot", ["missing", "other-mode"])
+    @pytest.mark.parametrize("st", SearchType, ids=lambda st: st.value)
+    def test_index_gate(self, st, slot):
+        # An empty slot and an index of the other mode are one fault. run_query
+        # refuses it, and so does batch_run before any query, even for no query.
+        indexes = {mode: build_index([], mode, Lexicon()) for mode in IndexMode}
+        slots = {f"{mode.value}_index": indexes[mode] for mode in IndexMode}
+        other = next(mode for mode in IndexMode if mode is not st.index_mode)
+        slots[f"{st.index_mode.value}_index"] = None if slot == "missing" else indexes[other]
+        system = SearchSystem(**slots)
+        given = "none was given" if slot == "missing" else f"the index given was built in {other.value} mode"
+        message = f"^{st.value} requires a {st.index_mode.value} index, but {given}$"
+        with pytest.raises(IndexModeError, match=message):
+            system.run_query(Query("q", "اثم"), st)
+        with pytest.raises(IndexModeError, match=message):
+            system.batch_run([], st)
 
     def test_missing_semantic_index(self):
         system = SearchSystem(plain_index=build_index([], IndexMode.PLAIN))
-        with pytest.raises(MissingIndexError, match="semantic"):
+        with pytest.raises(IndexModeError, match="semantic index, but none was given"):
             system.run_query(Query("q", "اثم"), SearchType.R1)
 
     def test_swapped_index_modes_rejected(self):
@@ -271,7 +283,7 @@ class TestBatchRun:
     def test_index_checked_before_any_query(self):
         # A missing or wrong-mode index fails the batch whatever its queries.
         plain = build_index([], IndexMode.PLAIN)
-        with pytest.raises(MissingIndexError, match="semantic"):
+        with pytest.raises(IndexModeError, match="semantic index, but none was given"):
             SearchSystem(plain_index=plain).batch_run([], SearchType.R1)
         with pytest.raises(IndexModeError, match="plain mode"):
             SearchSystem(semantic_index=plain).batch_run([], SearchType.R3)
@@ -295,6 +307,24 @@ class TestRunFiles:
         run = Run("t", (RankedList("q1", doc_ids, scores, found_count=2),))
         with pytest.raises(ValueError):
             format_run(run)
+
+    @pytest.mark.parametrize(
+        "qids, tag, refused",
+        [
+            (["q 1"], "semindex", "qid 'q 1'"),
+            (["q1"], "my tag", "run tag 'my tag'"),
+            (["q1", "q1"], "semindex", "qid 'q1' is given twice"),
+            (["q\ud800"], "semindex", "qid 'q\\ud800'"),
+        ],
+        ids=["qid-with-space", "tag-with-space", "duplicate-qid", "surrogate-qid"],
+    )
+    def test_run_that_cannot_be_read_back_is_refused(self, tmp_path, qids, tag, refused):
+        # read_run could not read these lines back, so none is written.
+        system = build_system([("d1", "اثم")], Lexicon())
+        run = Run(tag, tuple(system.run_query(Query(qid, "اثم"), SearchType.R0) for qid in qids))
+        with pytest.raises(ValueError, match=re.escape(refused)):
+            write_run(run, tmp_path / "x.run", tmp_path / "x.found.json")
+        assert not list(tmp_path.iterdir())
 
     def test_round_trip_with_sidecar(self, tmp_path):
         system = build_system([("d1", "اثم ذنب"), ("d2", "ذنب")], Lexicon())

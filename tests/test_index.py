@@ -7,17 +7,22 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import random
 import re
 import struct
+import subprocess
+import sys
 from array import array
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semindex
 from semindex import (
     DuplicateDocumentError,
     Index,
@@ -26,6 +31,7 @@ from semindex import (
     build_index,
     build_indexes,
     load_index,
+    load_lexicon,
     read_corpus,
     tokenize,
 )
@@ -36,6 +42,7 @@ from semindex.index import ScoredDoc
 
 from helpers import (
     TOKEN_POOL,
+    lexicon_jsonl,
     lexicon_strategy,
     make_lexicon,
     random_corpus,
@@ -761,6 +768,32 @@ def in_process_pool(cpus: int):
         yield sizes
 
 
+# Builds both indexes of the stdin corpus and stoplist with the argv[2]
+# lexicon in two workers started by argv[1]. Prints the sizes of the pools
+# started and each index's to_jsonable().
+PARALLEL_BUILD_SCRIPT = """
+import concurrent.futures, json, multiprocessing, os, sys
+from semindex import IndexMode, build_indexes, load_lexicon
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, whatever the machine has
+    pools = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    concurrent.futures.ProcessPoolExecutor = Pool
+    given = json.load(sys.stdin)
+    corpus, stoplist = [tuple(doc) for doc in given["corpus"]], frozenset(given["stoplist"])
+    modes = (IndexMode.PLAIN, IndexMode.SEMANTIC)
+    indexes = build_indexes(corpus, modes, load_lexicon(sys.argv[2]), stoplist, workers=2)
+    print(json.dumps({"pools": pools, "indexes": [index.to_jsonable() for index in indexes]}))
+"""
+
+
 class TestDeterminism:
     def test_rebuild_is_byte_identical(self, tmp_path):
         corpus = random_corpus(random.Random(3), 50)
@@ -783,6 +816,26 @@ class TestDeterminism:
             assert serial.to_jsonable() == parallel.to_jsonable()
             parallel.save(tmp_path / "parallel.idx")
             assert (tmp_path / "parallel.idx").read_bytes() == (tmp_path / "serial.idx").read_bytes()
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_parallel_build_equals_serial_under_start_method(self, tmp_path, method):
+        # A spawned or forkserver worker shares no memory with the parent, so
+        # its arguments are pickled and semindex is imported afresh.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        lexicon = tmp_path / "lexicon.jsonl"
+        lexicon.write_text(lexicon_jsonl([("s1", "n", ["خطيئة", "إثم"]), ("s2", "n", ["ذنب", "خطا"])]), "utf-8")
+        corpus = random_corpus(random.Random(11), 40, vocab=["اثم", "ذنب", "خطيئه", "بيت", "x"])
+        modes, stoplist = (IndexMode.PLAIN, IndexMode.SEMANTIC), frozenset({"بيت"})
+        script = tmp_path / "build.py"
+        script.write_text(PARALLEL_BUILD_SCRIPT, "utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(semindex.__file__).parents[1])}
+        args = [sys.executable, str(script), method, str(lexicon)]
+        given = json.dumps({"corpus": corpus, "stoplist": sorted(stoplist)})
+        done = subprocess.run(args, input=given, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        serial = build_indexes(corpus, modes, load_lexicon(lexicon), stoplist, workers=1)
+        assert json.loads(done.stdout) == {"pools": [2], "indexes": [index.to_jsonable() for index in serial]}
 
     def test_pool_is_no_larger_than_its_input(self):
         """Workers beyond the documents or the usable CPUs are never started."""

@@ -1,7 +1,8 @@
 """What semindex accepts as input, it writes and reads back unchanged.
 
 Inputs are drawn from any text, lone surrogates included, and kept only
-when the readers and ``validate_sanity`` accept them.
+when the readers and ``validate_sanity`` accept them. A writer given
+unfiltered values either refuses them or writes what reads back unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from semindex import (
     IndexMode,
+    Query,
     QueryFileError,
+    Run,
     SearchSystem,
     SearchType,
     build_index,
@@ -81,19 +84,33 @@ def test_index_save_load_round_trip(workdir, pairs, lex_mode):
 
 @settings(deadline=None)
 @example(pairs=[("d1", "x")], queries=[("q1", "x")], tag="t\udcff")
+@example(pairs=[("d1", "x")], queries=[("q 1", "x")], tag="semindex")
+@example(pairs=[("d1", "x")], queries=[("q1", "x"), ("q1", "x")], tag="semindex")
 @given(
     pairs=records(token_texts),
     queries=st.lists(st.tuples(fields, texts), min_size=1, max_size=6),
     tag=fields,
 )
 def test_run_write_read_round_trip(workdir, pairs, queries, tag):
+    system = SearchSystem(plain_index=build_index(corpus_of(pairs), IndexMode.PLAIN))
+    run_path, found_path = workdir / "x.run", workdir / "x.found.json"
+    # Unfiltered qids and tag: format_run refuses what read_run could not
+    # read back, and what it formats reads back unchanged.
+    raw = Run(tag, tuple(system.run_query(Query(qid, text), SearchType.R0, 3) for qid, text in queries))
+    try:
+        lines = format_run(raw)
+    except ValueError:
+        pass
+    else:
+        write_run(raw, run_path, found_path)
+        back = read_run(run_path, found_path)
+        assert format_run(back) == lines
+        assert [(r.qid, r.found_count) for r in back.results] == [(r.qid, r.found_count) for r in raw.results]
     try:
         validate_sanity(Config(tag=tag))
     except UsageError:
         return  # not a tag semindex accepts
-    system = SearchSystem(plain_index=build_index(corpus_of(pairs), IndexMode.PLAIN))
     run = system.batch_run(accepted_queries(queries), SearchType.R0, depth=3, tag=tag)
-    run_path, found_path = workdir / "x.run", workdir / "x.found.json"
     write_run(run, run_path, found_path)
     back = read_run(run_path, found_path)
     assert format_run(back) == format_run(run)

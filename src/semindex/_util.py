@@ -101,8 +101,9 @@ def is_field(value: str) -> bool:
 
 
 def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
-    """Write via a uniquely named sibling temp file, fsync, then rename, so a
-    partial file never lands at ``path`` and a landed one survives a crash.
+    """Write via a uniquely named sibling temp file, fsync, rename, then fsync
+    the directory, so a partial file never lands at ``path`` and a landed one
+    survives a crash.
     The temp file is created by open(), so it has a plain write's mode."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -116,6 +117,12 @@ def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    if os.name == "posix":  # the rename is durable once the directory is; Windows cannot open one
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def atomic_write_text(path: Union[str, os.PathLike], text: str) -> None:

@@ -32,7 +32,7 @@ class IndexModeError(DataError):
 
 
 class RunFormatError(DataError):
-    """Malformed run file."""
+    """A run that a run file cannot hold, or a malformed run file."""
 
 
 class QueryFileError(DataError):
@@ -67,10 +67,21 @@ class Query:
 
 @dataclass(frozen=True)
 class Run:
-    """One RankedList per query, in query order."""
+    """One RankedList per query, in query order. The tag and each qid are
+    fields of a run file and no qid comes twice, so a run file can hold it."""
 
     tag: str
     results: tuple[RankedList, ...]
+
+    def __post_init__(self) -> None:
+        if not is_field(self.tag):
+            raise RunFormatError(f"run tag {self.tag!r} cannot be a field of a run file")
+        seen: set[str] = set()
+        for ranked in self.results:
+            if ranked.qid in seen or not is_field(ranked.qid):
+                fault = "is given twice" if ranked.qid in seen else "cannot be a field of a run file"
+                raise RunFormatError(f"qid {ranked.qid!r} {fault}")
+            seen.add(ranked.qid)
 
 
 @dataclass
@@ -121,11 +132,6 @@ class SearchSystem:
         depth: int | None = None,
         tag: str = DEFAULT_RUN_TAG,
     ) -> Run:
-        seen: set[str] = set()
-        for q in queries:
-            if q.qid in seen:
-                raise QueryFileError(f"duplicate qid: {q.qid!r}")
-            seen.add(q.qid)
         check_depth(depth)
         check_bm25_params(self.k1, self.b)
         self._index_for(search_type)  # fail before any query, and for an empty batch too
@@ -158,31 +164,22 @@ def read_queries(source: TextSource) -> list[Query]:
 
 
 def format_run(run: Run) -> str:
-    """TREC lines: qid Q0 doc_id rank score tag, scores at 6 decimals. A tag or
-    qid that read_run could not read back (not a field, or a qid twice) is a ValueError."""
-    if not is_field(run.tag):
-        raise ValueError(f"run tag {run.tag!r} cannot be a field of a run file")
-    seen: set[str] = set()
+    """TREC lines: qid Q0 doc_id rank score tag, scores at 6 decimals."""
     lines = []
     for ranked in run.results:
-        if ranked.qid in seen or not is_field(ranked.qid):
-            fault = "is given twice" if ranked.qid in seen else "cannot be a field of a run file"
-            raise ValueError(f"qid {ranked.qid!r} {fault}")
-        seen.add(ranked.qid)
         for rank, (doc_id, score) in enumerate(zip(ranked.doc_ids, ranked.scores, strict=True), 1):
             lines.append(f"{ranked.qid} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n")
     return "".join(lines)
 
 
-def write_run(run: Run, run_path, found_path=None) -> None:
-    """Write the TREC run file and, optionally, the found-count sidecar.
+def write_run(run: Run, run_path, found_path) -> None:
+    """Write the TREC run file and its found-count sidecar.
 
     The sidecar carries each query's pre-truncation match-set size, which
     the TREC format itself cannot represent.
     """
     atomic_write_text(run_path, format_run(run))
-    if found_path is not None:
-        atomic_write_text(found_path, json.dumps({r.qid: r.found_count for r in run.results}, indent=0) + "\n")
+    atomic_write_text(found_path, json.dumps({r.qid: r.found_count for r in run.results}, indent=0) + "\n")
 
 
 def read_run(run_source: TextSource, found_source: TextSource | None = None) -> Run:
@@ -242,6 +239,8 @@ def _read_found_counts(source: TextSource) -> dict[str, int]:
     if not isinstance(raw, dict):
         raise RunFormatError("found-count sidecar is not a JSON object")
     for qid, count in raw.items():
+        if not is_field(qid):
+            raise RunFormatError(f"found-count sidecar: qid {qid!r} cannot be a field of a run file")
         if type(count) is not int or count < 0:
             raise RunFormatError(f"found-count sidecar: bad count {count!r} for query {qid!r}")
     return raw

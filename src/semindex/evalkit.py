@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
@@ -43,8 +43,8 @@ class EvalRecord:
     qid: str
     found: int
     relevant_found: int
-    p_at: dict[int, float] = field(default_factory=dict)
-    ap: float = 0.0
+    p_at: dict[int, float]
+    ap: float
 
 
 @dataclass(frozen=True)

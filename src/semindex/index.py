@@ -123,7 +123,7 @@ class Index:
         offsets: array,
         ordinals: array,
         tfs: array,
-        lexicon_digest: str = "",
+        lexicon_digest: str,
     ):
         self.mode = mode
         self.lexicon_digest = lexicon_digest

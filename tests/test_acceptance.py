@@ -49,7 +49,7 @@ def criterion(number: int, title: str):
 
 
 def record(qid: str, found: int, relevant: int) -> EvalRecord:
-    return EvalRecord(qid=qid, found=found, relevant_found=relevant)
+    return EvalRecord(qid=qid, found=found, relevant_found=relevant, p_at={}, ap=0.0)
 
 
 # Reference per-query (found, relevant-found) counts for the four

@@ -43,3 +43,34 @@ def test_each_subcommand_has_this_many_flags():
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     counts = {name: sum(bool(a.option_strings) for a in parser._actions) for name, parser in sub.choices.items()}
     assert counts == {"index": 17, "batch": 16, "search": 16, "eval": 15, "compare": 15, "pipeline": 15}
+
+
+def test_the_optional_parameters_are_exactly_these():
+    # Every public function, and each public class's __init__ and public
+    # methods, by the names of its parameters that have defaults.
+    callables = {}
+    for name, value in vars(semindex).items():
+        if name.startswith("_"):
+            continue
+        if inspect.isfunction(value):
+            callables[name] = value
+        elif inspect.isclass(value):
+            for attr, member in vars(value).items():
+                if inspect.isfunction(member) and (attr == "__init__" or not attr.startswith("_")):
+                    callables[f"{name}.{attr}"] = member
+    optional = {}
+    for name, func in callables.items():
+        params = [p.name for p in inspect.signature(func).parameters.values() if p.default is not p.empty]
+        if params:
+            optional[name] = params
+    assert optional == {
+        "Index.retrieve": ["depth", "k1", "b"],
+        "Lexicon.__init__": ["synsets"],
+        "SearchSystem.__init__": ["plain_index", "semantic_index", "lexicon", "stoplist", "k1", "b"],
+        "SearchSystem.run_query": ["depth"],
+        "SearchSystem.batch_run": ["depth", "tag"],
+        "build_index": ["lex", "stoplist", "workers"],
+        "build_indexes": ["lex", "stoplist", "workers"],
+        "read_run": ["found_source"],
+    }
+    assert sum(map(len, optional.values())) == 20

@@ -306,7 +306,7 @@ class TestBatchCommand:
         # "a b" would hold seven fields, which eval could not read back.
         workspace["index_dir"].mkdir()
         columns = (array("Q", [1]), ["اثم"], array("Q", [0, 1]), array("I", [0]), array("I", [1]))
-        Index(IndexMode.PLAIN, ["a b"], *columns).save(workspace["index_dir"] / "plain.idx")
+        Index(IndexMode.PLAIN, ["a b"], *columns, lexicon_digest="").save(workspace["index_dir"] / "plain.idx")
         assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 2
         assert "'a b' cannot be a field of a run file" in caplog.text
         assert not workspace["report_dir"].exists()
@@ -445,6 +445,8 @@ class TestEvalCommand:
             pytest.param(LONG_INT_JSON, id="long-int"),
             pytest.param('{"q1": 0}', id="count-below-ranked-lines"),
             pytest.param('{"q2": 99, "q3": 99}', id="ranked-query-not-listed"),
+            pytest.param('{"q1": 99, "q2": 99, "q3": 99, "q 1": 0}', id="qid-with-space"),
+            pytest.param('{"q1": 99, "q2": 99, "q3": 99, "": 0}', id="empty-qid"),
         ],
     )
     def test_malformed_sidecar_is_data_error(self, workspace, capsys, caplog, sidecar):

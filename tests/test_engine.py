@@ -231,7 +231,7 @@ class TestBatchRun:
 
     def test_duplicate_qids_rejected(self):
         system = build_system([("d1", "اثم")], Lexicon())
-        with pytest.raises(QueryFileError, match="duplicate qid"):
+        with pytest.raises(RunFormatError, match=re.escape("qid 'q1' is given twice")):
             system.batch_run([Query("q1", "اثم"), Query("q1", "ذنب")], SearchType.R0)
 
     def test_batch_equals_concatenated_singles(self):
@@ -319,11 +319,15 @@ class TestRunFiles:
         ids=["qid-with-space", "tag-with-space", "duplicate-qid", "surrogate-qid"],
     )
     def test_run_that_cannot_be_read_back_is_refused(self, tmp_path, qids, tag, refused):
-        # read_run could not read these lines back, so none is written.
+        # read_run could not read these lines back, so no such Run is made
+        # and none is written.
         system = build_system([("d1", "اثم")], Lexicon())
-        run = Run(tag, tuple(system.run_query(Query(qid, "اثم"), SearchType.R0) for qid in qids))
-        with pytest.raises(ValueError, match=re.escape(refused)):
+        queries = [Query(qid, "اثم") for qid in qids]
+        with pytest.raises(RunFormatError, match=re.escape(refused)):
+            run = Run(tag, tuple(system.run_query(q, SearchType.R0) for q in queries))
             write_run(run, tmp_path / "x.run", tmp_path / "x.found.json")
+        with pytest.raises(RunFormatError, match=re.escape(refused)):
+            system.batch_run(queries, SearchType.R0, tag=tag)
         assert not list(tmp_path.iterdir())
 
     def test_round_trip_with_sidecar(self, tmp_path):
@@ -358,7 +362,7 @@ class TestRunFiles:
         system = build_system([("d1", "اثم")], Lexicon())
         run = system.batch_run([Query("q1", "اثم")], SearchType.R0)
         run_path = tmp_path / "t.run"
-        write_run(run, run_path)
+        run_path.write_text(format_run(run), encoding="utf-8")
         loaded = read_run(run_path)
         assert loaded.results[0].found_count == 1
 

@@ -225,7 +225,7 @@ LABELS_R = ("R1", "R2", "R3")
 
 
 def record(qid, found, relevant):
-    return EvalRecord(qid=qid, found=found, relevant_found=relevant)
+    return EvalRecord(qid=qid, found=found, relevant_found=relevant, p_at={}, ap=0.0)
 
 
 # Reference per-query counts: (found, relevant-found) per configuration.

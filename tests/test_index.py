@@ -525,7 +525,7 @@ class TestPersistence:
     def test_newline_in_a_doc_id_cannot_be_saved(self, tmp_path):
         # build_indexes refuses such an id, so the index is made directly.
         columns = (array("Q", [1]), ["اثم"], array("Q", [0, 1]), array("I", [0]), array("I", [1]))
-        idx = Index(IndexMode.PLAIN, ["d\n1"], *columns)
+        idx = Index(IndexMode.PLAIN, ["d\n1"], *columns, lexicon_digest="")
         with pytest.raises(ValueError, match="newline"):
             idx.save(tmp_path / "x.idx")
 

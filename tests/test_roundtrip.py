@@ -19,6 +19,7 @@ from semindex import (
     Query,
     QueryFileError,
     Run,
+    RunFormatError,
     SearchSystem,
     SearchType,
     build_index,
@@ -94,12 +95,12 @@ def test_index_save_load_round_trip(workdir, pairs, lex_mode):
 def test_run_write_read_round_trip(workdir, pairs, queries, tag):
     system = SearchSystem(plain_index=build_index(corpus_of(pairs), IndexMode.PLAIN))
     run_path, found_path = workdir / "x.run", workdir / "x.found.json"
-    # Unfiltered qids and tag: format_run refuses what read_run could not
-    # read back, and what it formats reads back unchanged.
-    raw = Run(tag, tuple(system.run_query(Query(qid, text), SearchType.R0, 3) for qid, text in queries))
+    # Unfiltered qids and tag: Run refuses what read_run could not read
+    # back, and what it holds reads back unchanged.
     try:
+        raw = Run(tag, tuple(system.run_query(Query(qid, text), SearchType.R0, 3) for qid, text in queries))
         lines = format_run(raw)
-    except ValueError:
+    except RunFormatError:
         pass
     else:
         write_run(raw, run_path, found_path)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import stat
 
 import pytest
 
@@ -31,6 +32,36 @@ class TestAtomicWrite:
             atomic_write_bytes(target, b"new")
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
         assert target.read_bytes() == b"old"
+
+    @pytest.mark.skipif(os.name != "posix", reason="only POSIX can open a directory to fsync it")
+    def test_directory_is_fsynced_after_the_file(self, tmp_path, monkeypatch):
+        # On POSIX the rename is durable only once its directory is synced.
+        real_fsync, synced = os.fsync, []
+
+        def spy(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        atomic_write_bytes(tmp_path / "out.bin", b"new")
+        assert synced == [False, True]
+
+    @pytest.mark.skipif(os.name != "posix", reason="only POSIX can open a directory to fsync it")
+    def test_failed_directory_fsync_is_raised_after_the_rename(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        real_fsync = os.fsync
+
+        def failing_directory_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError("directory sync failed")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_directory_fsync)
+        with pytest.raises(OSError, match="directory sync failed"):
+            atomic_write_bytes(target, b"new")
+        assert target.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
     def test_file_mode_matches_a_plain_write(self, tmp_path):
         plain = tmp_path / "plain.bin"

@@ -14,6 +14,7 @@ import enum
 import json
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 from ._util import DataError, TextSource, atomic_write_text, first_seen, is_field, iter_lines
@@ -68,7 +69,8 @@ class Query:
 @dataclass(frozen=True)
 class Run:
     """One RankedList per query, in query order. The tag and each qid are
-    fields of a run file and no qid comes twice, so a run file can hold it."""
+    fields of a run file, no qid comes twice and no query finds fewer
+    documents than it ranks, so a run file and its sidecar can hold it."""
 
     tag: str
     results: tuple[RankedList, ...]
@@ -81,6 +83,11 @@ class Run:
             if ranked.qid in seen or not is_field(ranked.qid):
                 fault = "is given twice" if ranked.qid in seen else "cannot be a field of a run file"
                 raise RunFormatError(f"qid {ranked.qid!r} {fault}")
+            if ranked.found_count < len(ranked.doc_ids):
+                raise RunFormatError(
+                    f"found count {ranked.found_count} for query {ranked.qid!r} is below its "
+                    f"{len(ranked.doc_ids)} ranked documents"
+                )
             seen.add(ranked.qid)
 
 
@@ -176,26 +183,36 @@ def write_run(run: Run, run_path, found_path) -> None:
     """Write the TREC run file and its found-count sidecar.
 
     The sidecar carries each query's pre-truncation match-set size, which
-    the TREC format itself cannot represent.
+    the TREC format itself cannot represent. The run file goes first and
+    lands last, so it never sits beside a sidecar written with another run.
     """
-    atomic_write_text(run_path, format_run(run))
+    text = format_run(run)
+    Path(run_path).unlink(missing_ok=True)
     atomic_write_text(found_path, json.dumps({r.qid: r.found_count for r in run.results}, indent=0) + "\n")
+    atomic_write_text(run_path, text)
 
 
 def read_run(run_source: TextSource, found_source: TextSource | None = None) -> Run:
     """Parse a TREC run file back into a Run.
 
-    A query ranks each document once. The sidecar, when given, lists every
-    query the run ranks; without one, found_count falls back to the ranking
-    length.
+    A query ranks each document once, and every line has the run's one tag
+    (``DEFAULT_RUN_TAG`` for a file with no lines). The sidecar, when given,
+    lists every query the run ranks; without one, found_count falls back to
+    the ranking length.
     """
     per_qid: dict[str, dict[str, float]] = {}  # qid -> doc_id -> score, in rank order
-    tag = DEFAULT_RUN_TAG
+    tag, tag_line = DEFAULT_RUN_TAG, 0
     for line_no, line in iter_lines(run_source):
         parts = line.split()
         if len(parts) != 6:
             raise RunFormatError(f"line {line_no}: expected 6 fields, got {len(parts)}")
-        qid, _q0, doc_id, rank_str, score_str, tag = parts
+        qid, _q0, doc_id, rank_str, score_str, line_tag = parts
+        if not tag_line:
+            tag, tag_line = line_tag, line_no
+        elif line_tag != tag:
+            raise RunFormatError(
+                f"line {line_no}: run tag {line_tag!r} differs from {tag!r} (first seen on line {tag_line})"
+            )
         try:
             rank = int(rank_str)
             score = float(score_str)

@@ -19,6 +19,7 @@ import os
 import struct
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, filterfalse, islice, repeat
@@ -106,12 +107,13 @@ class Index:
     Doc ids are kept once, in ascending order; a document's *ordinal* is its
     position in that list, so ordering by ordinal is ordering by doc id.
     Doc lengths are one ``array('Q')`` in ordinal order. Terms are kept
-    once, in ascending order; term number ``t``'s postings are
-    ``offsets[t]:offsets[t + 1]`` of two parallel ``array('I')`` columns:
-    the ordinals of the documents that hold it (strictly ascending within
-    each term) and its term frequency in each. Index files store these same
-    columns. The constructor trusts these invariants; ``build_index`` and
-    ``load_index`` establish them.
+    once, in ascending order, and a term's *number* ``t`` is its position
+    there (found by bisection); its postings are ``offsets[t]:offsets[t + 1]``
+    of two parallel ``array('I')`` columns: the ordinals of the documents
+    that hold it (strictly ascending within each term, at least one) and its
+    term frequency in each. An index holds only these columns of its file
+    and a BM25 cache, and trusts the invariants that ``build_indexes`` and
+    ``load_index`` establish.
     """
 
     def __init__(
@@ -129,10 +131,6 @@ class Index:
         self.lexicon_digest = lexicon_digest
         self._doc_ids, self._doc_lengths = doc_ids, doc_lengths
         self._terms, self._offsets, self._ordinals, self._tfs = terms, offsets, ordinals, tfs
-        self._term_numbers = dict(zip(terms, range(len(terms))))
-        # Kept as an exact integer so average_doc_length is independent of
-        # summation order.
-        self._total_tokens = sum(doc_lengths)
         # (k1, b), per-document length norms, term -> (ordinals, impacts).
         self._bm25: tuple[tuple[float, float], list[float], dict[str, tuple[array, array]]] | None = None
 
@@ -146,7 +144,7 @@ class Index:
     def average_doc_length(self) -> float:
         if not self._doc_ids:
             return 0.0
-        return self._total_tokens / len(self._doc_ids)
+        return sum(self._doc_lengths) / len(self._doc_ids)  # an exact int: no order to depend on
 
     @property
     def vocabulary_size(self) -> int:
@@ -156,9 +154,10 @@ class Index:
         return list(self._terms)
 
     def _span(self, term: str) -> slice:
-        """Where ``term``'s postings lie in the ordinal and tf columns."""
-        t = self._term_numbers.get(term)
-        return slice(0, 0) if t is None else slice(self._offsets[t], self._offsets[t + 1])
+        """Where ``term``'s postings lie in the ordinal and tf columns; empty if no document holds it."""
+        t = bisect_left(self._terms, term)
+        held = t < len(self._terms) and self._terms[t] == term
+        return slice(self._offsets[t], self._offsets[t + 1]) if held else slice(0, 0)
 
     def postings(self, term: str) -> list[tuple[str, int]]:
         """(doc_id, term frequency) pairs for ``term``, by ascending doc_id."""
@@ -219,9 +218,9 @@ class Index:
         for term in query_terms:
             segment = segments.get(term)
             if segment is None:
-                if term not in self._term_numbers:
-                    continue
                 span = self._span(term)
+                if span.start == span.stop:  # every indexed term has postings
+                    continue
                 # An array slice, not a memoryview: iterating it is faster.
                 ordinals, tfs = self._ordinals[span], self._tfs[span]
                 idf, k1_plus_1 = self._idf(len(ordinals)), k1 + 1.0

@@ -172,7 +172,7 @@ def reference_scores(index: Index, terms: list[str], k1: float = DEFAULT_K1,
     norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in index._doc_lengths] if avgdl else []
     scores: dict[int, float] = {}
     for term in terms:
-        if term not in index._term_numbers:
+        if not index.document_frequency(term):
             continue
         span = index._span(term)
         ordinals, tfs = index._ordinals[span], index._tfs[span]

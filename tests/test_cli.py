@@ -458,6 +458,25 @@ class TestEvalCommand:
         assert "sidecar" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize(
+        "run_text, sidecar, fault",
+        [
+            ("q1 Q0 d1 1 2.0\n", None, "line 1: expected 6 fields, got 5"),
+            ("q1 Q0 d1 1 2.0 t\n", '{"q1": 0}', "found-count sidecar: 0 for query 'q1'"),
+        ],
+        ids=["run-line", "sidecar"],
+    )
+    def test_malformed_run_file_is_named(self, workspace, caplog, command, run_text, sidecar, fault):
+        build_indexes(workspace)
+        assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 0
+        good, bad = workspace["report_dir"] / "semindex.R0.run", workspace["report_dir"] / "b.run"
+        bad.write_text(run_text, encoding="utf-8")
+        if sidecar is not None:
+            (workspace["report_dir"] / "b.found.json").write_text(sidecar, encoding="utf-8")
+        assert main([command, str(good), str(bad)] + common_args(workspace)) == 2
+        assert f"{bad}: {fault}" in caplog.text
+
     def test_runs_that_share_a_label_are_usage_error(self, workspace, caplog):
         build_indexes(workspace)
         main(["batch", "--search-type", "R0"] + common_args(workspace))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from semindex import (
     read_run,
     write_run,
 )
+from semindex import engine
 
 from helpers import TOKEN_POOL, lexicon_strategy, make_lexicon, random_corpus, rows, token_stream_strategy
 
@@ -108,15 +110,6 @@ class TestRunQuery:
         system = SearchSystem(plain_index=build_index([], IndexMode.PLAIN))
         with pytest.raises(IndexModeError, match="semantic index, but none was given"):
             system.run_query(Query("q", "اثم"), SearchType.R1)
-
-    def test_swapped_index_modes_rejected(self):
-        plain = build_index([], IndexMode.PLAIN)
-        semantic = build_index([], IndexMode.SEMANTIC, Lexicon())
-        system = SearchSystem(plain_index=semantic, semantic_index=plain)
-        for st in SearchType:
-            other = "plain" if st.index_mode is IndexMode.SEMANTIC else "semantic"
-            with pytest.raises(IndexModeError, match=f"requires a {st.index_mode.value} index.*{other} mode"):
-                system.run_query(Query("q", "اثم"), st)
 
     def test_lexicon_mismatch_warns_on_expansion(self):
         lex = make_lexicon(SIN_RECORDS)
@@ -303,10 +296,56 @@ class TestRunFiles:
         [(("d1", "d2"), (2.0,)), (("d1",), (2.0, 1.0))],
         ids=["fewer-scores", "more-scores"],
     )
-    def test_columns_of_unequal_length_are_refused(self, doc_ids, scores):
+    def test_columns_of_unequal_length_are_refused(self, tmp_path, doc_ids, scores):
         run = Run("t", (RankedList("q1", doc_ids, scores, found_count=2),))
         with pytest.raises(ValueError):
             format_run(run)
+        # write_run formats before it touches a file, so the old pair stays.
+        run_path, found_path = tmp_path / "t.run", tmp_path / "t.found.json"
+        old = Run("t", (RankedList("q1", ("d1",), (2.0,), 1),))
+        write_run(old, run_path, found_path)
+        with pytest.raises(ValueError):
+            write_run(run, run_path, found_path)
+        assert read_run(run_path, found_path) == old
+
+    @pytest.mark.parametrize("failing", ["run", "sidecar"])
+    def test_failed_write_leaves_no_stale_pair(self, tmp_path, monkeypatch, failing):
+        # Whichever file fails to land, a run file that exists reads back
+        # whole with the sidecar written with it, never with the old one's.
+        run_path, found_path = tmp_path / "t.run", tmp_path / "t.found.json"
+        old = Run("t", (RankedList("q1", ("d1", "d2", "d3"), (3.0, 2.0, 1.0), 3),))
+        new = Run("t", (RankedList("q1", ("d9",), (1.0,), 1),))
+        write_run(old, run_path, found_path)
+        target = run_path if failing == "run" else found_path
+        write = engine.atomic_write_text
+
+        def write_or_fail(path, text):
+            if Path(path) == target:
+                raise OSError("no space left on device")
+            write(path, text)
+
+        monkeypatch.setattr(engine, "atomic_write_text", write_or_fail)
+        with pytest.raises(OSError, match="no space left"):
+            write_run(new, run_path, found_path)
+        if run_path.exists():
+            assert read_run(run_path, found_path) in (old, new)
+
+    @pytest.mark.parametrize(
+        "doc_ids, found", [(("d1", "d2"), 1), ((), -1)], ids=["below-ranked", "negative"]
+    )
+    def test_found_count_below_the_ranked_documents_refused(self, doc_ids, found):
+        # read_run would refuse the sidecar of such a run, so none is made.
+        message = f"found count {found} for query 'q1' is below its {len(doc_ids)} ranked documents"
+        with pytest.raises(RunFormatError, match=re.escape(message)):
+            Run("t", (RankedList("q1", doc_ids, (1.0,) * len(doc_ids), found),))
+
+    def test_lines_with_two_tags_rejected(self):
+        run = "q1 Q0 d1 1 2.0 alpha\nq1 Q0 d2 2 1.0 beta\n"
+        message = "line 2: run tag 'beta' differs from 'alpha' (first seen on line 1)"
+        with pytest.raises(RunFormatError, match=re.escape(message)):
+            read_run(io.StringIO(run))
+        assert read_run(io.StringIO("q1 Q0 d1 1 2.0 alpha\nq2 Q0 d2 1 1.0 alpha\n")).tag == "alpha"
+        assert read_run(io.StringIO("")).tag == engine.DEFAULT_RUN_TAG
 
     @pytest.mark.parametrize(
         "qids, tag, refused",

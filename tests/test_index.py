@@ -221,6 +221,30 @@ class TestRetrieve:
         idx = build_index([("d1", "اثم")], IndexMode.PLAIN)
         assert idx.retrieve([]).found_count == 0
 
+    @pytest.mark.parametrize(
+        "term",
+        ["a", "e", "c", "b", "bbb", "dd", ""],
+        ids=["before-first", "after-last", "between", "prefix", "extension", "extension-of-last", "empty"],
+    )
+    def test_term_the_index_lacks_is_found_nowhere(self, term):
+        # The index holds "bb" and "d"; a term's number is its position in
+        # the sorted terms, so a lacked term must not take a neighbour's.
+        idx = build_index([("d1", "bb d"), ("d2", "d")], IndexMode.PLAIN)
+        assert idx.terms() == ["bb", "d"]
+        ranked = idx.retrieve([term])
+        assert (ranked.doc_ids, ranked.found_count) == ((), 0)
+        assert (idx.postings(term), idx.document_frequency(term)) == ([], 0)
+        assert idx.retrieve([term, "bb", term]) == idx.retrieve(["bb"])
+        assert (idx.postings("bb"), idx.postings("d")) == ([("d1", 1)], [("d1", 1), ("d2", 1)])
+
+    @pytest.mark.parametrize("corpus", [[], [("d1", "")]], ids=["no-documents", "no-tokens"])
+    def test_empty_index_finds_nothing(self, corpus):
+        idx = build_index(corpus, IndexMode.PLAIN)
+        for term in ("", "a", "اثم"):
+            ranked = idx.retrieve([term])
+            assert (ranked.doc_ids, ranked.found_count) == ((), 0)
+            assert (idx.postings(term), idx.document_frequency(term)) == ([], 0)
+
     def test_matches_score_all_and_sort_oracle(self):
         texts = {
             "d1": "ا ب ت",

@@ -185,6 +185,9 @@ def write_run(run: Run, run_path, found_path) -> None:
     The sidecar carries each query's pre-truncation match-set size, which
     the TREC format itself cannot represent. The run file goes first and
     lands last, so it never sits beside a sidecar written with another run.
+    A run that ranks no document is an empty run file, and only ranked lines
+    carry the tag, so ``read_run`` gives it back with ``DEFAULT_RUN_TAG``
+    (its qids and found counts come back whole from the sidecar).
     """
     text = format_run(run)
     Path(run_path).unlink(missing_ok=True)

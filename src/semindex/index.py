@@ -199,10 +199,10 @@ class Index:
         every match, which the other rankings run.
 
         Each queried term's ordinals and BM25 contribution to each of those
-        documents ("impacts") are built on first use and cached with the
-        length norms for the last (k1, b); new parameters drop both, and
-        ``check_bm25_params`` refuses bad ones with a ValueError. The cache
-        holds 12 bytes per posting of each queried term.
+        documents ("impacts") are built on first use, empty for a term the
+        index lacks, and cached with the length norms for the last (k1, b):
+        12 bytes per posting. New parameters drop both, and
+        ``check_bm25_params`` refuses bad ones with a ValueError.
         """
         check_depth(depth)
         cached = self._bm25
@@ -219,8 +219,6 @@ class Index:
             segment = segments.get(term)
             if segment is None:
                 span = self._span(term)
-                if span.start == span.stop:  # every indexed term has postings
-                    continue
                 # An array slice, not a memoryview: iterating it is faster.
                 ordinals, tfs = self._ordinals[span], self._tfs[span]
                 idf, k1_plus_1 = self._idf(len(ordinals)), k1 + 1.0

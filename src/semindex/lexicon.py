@@ -51,7 +51,8 @@ class Lexicon:
 
     A lemma's synset ids are kept in lexicon-file encounter order, which
     makes every derived choice (canonical lemma, expansion order)
-    deterministic for a given lexicon file.
+    deterministic for a given lexicon file. Synset ids are unique, and a
+    synset lists each lemma once, else the constructor raises LexiconError.
     """
 
     def __init__(self, synsets: Iterable[Synset] = ()):
@@ -66,7 +67,10 @@ class Lexicon:
                 raise LexiconError(f"duplicate synset id: {syn.id!r}")
             self._synsets[syn.id] = syn
             for lemma in syn.lemmas:
-                self._inverted[lemma] = self._inverted.get(lemma, ()) + (syn.id,)
+                senses = self._inverted.get(lemma, ())
+                if syn.id in senses:
+                    raise LexiconError(f"synset {syn.id!r} lists lemma {lemma!r} twice")
+                self._inverted[lemma] = senses + (syn.id,)
                 lemma_tokens = lemma.split(" ")
                 if len(lemma_tokens) > self._longest_from.get(lemma_tokens[0], 0):
                     self._longest_from[lemma_tokens[0]] = len(lemma_tokens)

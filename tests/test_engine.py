@@ -347,6 +347,15 @@ class TestRunFiles:
         assert read_run(io.StringIO("q1 Q0 d1 1 2.0 alpha\nq2 Q0 d2 1 1.0 alpha\n")).tag == "alpha"
         assert read_run(io.StringIO("")).tag == engine.DEFAULT_RUN_TAG
 
+    def test_run_that_ranks_nothing_reads_back_with_the_default_tag(self, tmp_path):
+        # The TREC format carries the tag only on ranked lines, and the
+        # sidecar only the found counts, so such a run cannot keep its tag.
+        run_path, found_path = tmp_path / "e.run", tmp_path / "e.found.json"
+        write_run(Run("mytag", (RankedList("q1", (), (), 0),)), run_path, found_path)
+        assert run_path.read_bytes() == b""
+        back = read_run(run_path, found_path)
+        assert back == Run("semindex", (RankedList("q1", (), (), 0),))
+
     @pytest.mark.parametrize(
         "qids, tag, refused",
         [

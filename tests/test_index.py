@@ -55,11 +55,12 @@ from helpers import (
 )
 
 
-def v3_file(doc_ids, doc_lengths, terms, *, mode=0, version=3, digest="", offsets=None) -> bytes:
+def v3_file(doc_ids, doc_lengths, terms, *, mode=0, version=3, digest="", offsets=None, order="<") -> bytes:
     """Index file bytes written straight from the v3 layout, independently of
     Index.save; ``terms`` holds (term, ordinals, tfs) triples. The header's
     doc count is ``len(doc_lengths)``, and ``offsets`` defaults to the one the
     postings imply. Lone surrogates in names become bytes that are not UTF-8.
+    ``order`` is the struct byte order of the four integer columns.
     """
 
     def blob(names) -> bytes:
@@ -75,9 +76,9 @@ def v3_file(doc_ids, doc_lengths, terms, *, mode=0, version=3, digest="", offset
     body = b"SIDX" + struct.pack(
         "<IBIQQQQ", version, mode, len(digest), len(doc_lengths), len(ids), len(terms), len(names)
     )
-    body += digest.encode("ascii") + ids + struct.pack(f"<{len(doc_lengths)}Q", *doc_lengths)
-    body += names + struct.pack(f"<{len(offsets)}Q", *offsets)
-    body += struct.pack(f"<{len(ordinals)}I", *ordinals) + struct.pack(f"<{len(tfs)}I", *tfs)
+    body += digest.encode("ascii") + ids + struct.pack(f"{order}{len(doc_lengths)}Q", *doc_lengths)
+    body += names + struct.pack(f"{order}{len(offsets)}Q", *offsets)
+    body += struct.pack(f"{order}{len(ordinals)}I", *ordinals) + struct.pack(f"{order}{len(tfs)}I", *tfs)
     return body + hashlib.sha256(body).digest()
 
 
@@ -236,6 +237,26 @@ class TestRetrieve:
         assert (idx.postings(term), idx.document_frequency(term)) == ([], 0)
         assert idx.retrieve([term, "bb", term]) == idx.retrieve(["bb"])
         assert (idx.postings("bb"), idx.postings("d")) == ([("d1", 1)], [("d1", 1), ("d2", 1)])
+
+    def test_each_distinct_term_is_looked_up_once_per_parameters(self, monkeypatch):
+        # A term the index lacks is cached like any other: its empty segment
+        # spares every later call the bisection.
+        idx = build_index([("d1", "bb d"), ("d2", "d")], IndexMode.PLAIN)
+        looked_up = Counter()
+        span = Index._span
+
+        def counting_span(self, term):
+            looked_up[term] += 1
+            return span(self, term)
+
+        monkeypatch.setattr(Index, "_span", counting_span)
+        query = ["zz", "bb", "zz", "bb"]
+        ranked = idx.retrieve(query)
+        for depth in (None, 1, None):
+            assert idx.retrieve(query, depth) == idx.retrieve(["bb", "bb"], depth)
+        assert looked_up == {"zz": 1, "bb": 1}
+        assert idx.retrieve(query, k1=2.0).scores != ranked.scores
+        assert looked_up == {"zz": 2, "bb": 2}
 
     @pytest.mark.parametrize("corpus", [[], [("d1", "")]], ids=["no-documents", "no-tokens"])
     def test_empty_index_finds_nothing(self, corpus):
@@ -552,6 +573,26 @@ class TestPersistence:
         idx = Index(IndexMode.PLAIN, ["d\n1"], *columns, lexicon_digest="")
         with pytest.raises(ValueError, match="newline"):
             idx.save(tmp_path / "x.idx")
+
+    def test_a_big_endian_host_swaps_each_integer_column(self, tmp_path, monkeypatch):
+        # Patched to the host's opposite order (True on a little-endian
+        # host), so the integer columns land big-endian either way: swapped
+        # from the little-endian file order, and swapped back on load.
+        corpus = random_corpus(random.Random(5), 30)
+        idx, twin = build_index(corpus, IndexMode.PLAIN), build_index(corpus, IndexMode.PLAIN)
+        monkeypatch.setattr(index_module, "_BIG_ENDIAN", sys.byteorder == "little")
+        path, again = tmp_path / "x.idx", tmp_path / "again.idx"
+        idx.save(path)
+        assert path.read_bytes() == v3_file(*spec_of(twin), order=">")
+        # save swaps copies: the index it saved from is unchanged.
+        queries = [twin.terms()[i : i + 3] for i in range(0, twin.vocabulary_size, 7)]
+        assert idx.to_jsonable() == twin.to_jsonable()
+        assert [idx.retrieve(q) for q in queries] == [twin.retrieve(q) for q in queries]
+        loaded = load_index(path)
+        assert loaded.to_jsonable() == twin.to_jsonable()
+        assert [loaded.retrieve(q) for q in queries] == [twin.retrieve(q) for q in queries]
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         corpus = random_corpus(random.Random(9), 60)

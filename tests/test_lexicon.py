@@ -56,6 +56,14 @@ class TestLoad:
         with pytest.raises(LexiconError, match=r"^duplicate synset id: 's1'$"):
             Lexicon(synsets)
 
+    def test_lemma_listed_twice_in_synsets_given_directly(self):
+        # load_lexicon keeps the first of repeated lemmas; given directly, a
+        # repeat would list the synset twice for its lemma, so a single-sense
+        # concept would read as polysemous.
+        synsets = [Synset("s0", "noun", ("ذنب",)), Synset("s1", "noun", ("اثم", "ذنب", "اثم"))]
+        with pytest.raises(LexiconError, match=r"^synset 's1' lists lemma 'اثم' twice$"):
+            Lexicon(synsets)
+
     @pytest.mark.parametrize(
         "record, message",
         [

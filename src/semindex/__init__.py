@@ -6,11 +6,10 @@ with synonyms at search time, and an evaluation kit compares the four
 resulting retrieval configurations (R0-R3).
 """
 
+from ._util import DataError
 from .engine import (
-    IndexModeError,
     LexiconMismatchWarning,
     Query,
-    QueryFileError,
     Run,
     RunFormatError,
     SearchSystem,
@@ -36,9 +35,7 @@ from .evalkit import (
     threeway_report,
 )
 from .index import (
-    DuplicateDocumentError,
     Index,
-    IndexFormatError,
     IndexMode,
     RankedList,
     build_index,
@@ -46,7 +43,7 @@ from .index import (
     load_index,
     read_corpus,
 )
-from .lexicon import Lexicon, LexiconError, Synset, load_lexicon, normalize_lemma
+from .lexicon import Lexicon, Synset, load_lexicon, normalize_lemma
 from .semantics import ConceptMatch, expand, match_concepts, semantize
 from .textnorm import load_stopwords, normalize, remove_stopwords, tokenize
 

@@ -11,7 +11,10 @@ TextSource = Union[str, os.PathLike, IO[str], IO[bytes]]
 
 
 class DataError(ValueError):
-    """Malformed input data (lexicon, corpus, run, qrels, config, index file)."""
+    """Input data that semindex cannot use: a malformed lexicon, corpus,
+    stopword, query, qrels, run or index file, or inputs that do not fit
+    together. The one class the CLI exits 2 for; config files raise
+    ``config.UsageError`` instead."""
 
 
 def read_text(source: TextSource) -> str:

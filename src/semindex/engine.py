@@ -28,16 +28,9 @@ from .textnorm import tokenize
 DEFAULT_RUN_TAG = "semindex"
 
 
-class IndexModeError(DataError):
-    """A search type's index slot is empty or holds an index of the other mode."""
-
-
 class RunFormatError(DataError):
-    """A run that a run file cannot hold, or a malformed run file."""
-
-
-class QueryFileError(DataError):
-    """Malformed query file."""
+    """A run that a run file cannot hold, or a malformed run file. A class of
+    its own so that the CLI can name the run file in front of the message."""
 
 
 class LexiconMismatchWarning(UserWarning):
@@ -108,7 +101,7 @@ class SearchSystem:
         if index is not None and index.mode is mode:
             return index
         given = "none was given" if index is None else f"the index given was built in {index.mode.value} mode"
-        raise IndexModeError(f"{search_type.value} requires a {mode.value} index, but {given}")
+        raise DataError(f"{search_type.value} requires a {mode.value} index, but {given}")
 
     def query_terms(self, query: Query, search_type: SearchType) -> list[str]:
         step = expand if search_type.expands_query else None
@@ -153,16 +146,14 @@ def read_queries(source: TextSource) -> list[Query]:
     seen: dict[str, int] = {}
     for line_no, line in iter_lines(source):
         if "\t" not in line:
-            raise QueryFileError(f"line {line_no}: expected qid<TAB>query text")
+            raise DataError(f"line {line_no}: expected qid<TAB>query text")
         qid, text = line.split("\t", 1)
         qid = qid.strip()
         if not qid:
-            raise QueryFileError(f"line {line_no}: empty qid")
+            raise DataError(f"line {line_no}: empty qid")
         if not is_field(qid):
-            raise QueryFileError(
-                f"line {line_no}: qid {qid!r} contains whitespace or cannot be encoded as UTF-8"
-            )
-        first_seen(seen, qid, line_no, QueryFileError, f"duplicate qid {qid!r}")
+            raise DataError(f"line {line_no}: qid {qid!r} contains whitespace or cannot be encoded as UTF-8")
+        first_seen(seen, qid, line_no, DataError, f"duplicate qid {qid!r}")
         queries.append(Query(qid, text))
     return queries
 

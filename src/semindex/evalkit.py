@@ -25,14 +25,6 @@ Qrels = dict[str, set[str]]
 DEFAULT_PRECISION_CUTOFFS = (5, 10, 20, 100, 1000)
 
 
-class QrelsError(DataError):
-    """Malformed qrels file."""
-
-
-class EvalError(DataError):
-    """Inconsistent evaluation inputs (e.g. mismatched query sets)."""
-
-
 # -- record types -------------------------------------------------------------
 
 
@@ -180,17 +172,17 @@ def _records_by_qid(
     """Each run's records keyed by qid, in record order. The runs' labels
     must be distinct, and the runs must cover the same queries, each once."""
     if len(set(labels)) != len(labels):
-        raise EvalError(f"{what}: labels {list(labels)} are not distinct")
+        raise DataError(f"{what}: labels {list(labels)} are not distinct")
     by_label: list[dict[str, EvalRecord]] = []
     for records, label in zip(runs, labels):
         by_qid: dict[str, EvalRecord] = {}
         for record in records:
             if record.qid in by_qid:
-                raise EvalError(f"{label}: duplicate qid {record.qid!r}")
+                raise DataError(f"{label}: duplicate qid {record.qid!r}")
             by_qid[record.qid] = record
         if by_label and by_qid.keys() != by_label[0].keys():
             offending = sorted(by_qid.keys() ^ by_label[0].keys())
-            raise EvalError(f"{what}: query sets differ on qids {offending}")
+            raise DataError(f"{what}: query sets differ on qids {offending}")
         by_label.append(by_qid)
     return by_label
 
@@ -275,12 +267,12 @@ def read_qrels(source: TextSource) -> Qrels:
     for line_no, line in iter_lines(source):
         parts = line.split()
         if len(parts) != 4:
-            raise QrelsError(f"line {line_no}: expected 4 fields, got {len(parts)}")
+            raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
         qid, _iteration, doc_id, rel = parts
         if rel not in ("0", "1"):
-            raise QrelsError(f"line {line_no}: relevance must be 0 or 1, got {rel!r}")
+            raise DataError(f"line {line_no}: relevance must be 0 or 1, got {rel!r}")
         what = f"document {doc_id!r} judged twice for query {qid!r}"
-        first_seen(seen, (qid, doc_id), line_no, QrelsError, what)
+        first_seen(seen, (qid, doc_id), line_no, DataError, what)
         judged = qrels.setdefault(qid, set())
         if rel == "1":
             judged.add(doc_id)

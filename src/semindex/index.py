@@ -21,7 +21,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, compress, filterfalse, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -60,14 +60,6 @@ def check_bm25_params(k1: float, b: float) -> None:
     every BM25 impact positive. Chained comparisons with nan are false."""
     if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
         raise ValueError(f"bad BM25 parameters: k1={k1}, b={b}")
-
-
-class IndexFormatError(DataError):
-    """Index file unreadable: bad magic, version, checksum, or truncation."""
-
-
-class DuplicateDocumentError(DataError):
-    """The corpus stream contained the same doc_id twice."""
 
 
 class IndexMode(enum.Enum):
@@ -315,7 +307,7 @@ def _decode(blob: memoryview) -> str:
     try:
         return str(blob, "utf-8")
     except UnicodeDecodeError:
-        raise IndexFormatError("index file holds a string that is not UTF-8") from None
+        raise DataError("index file holds a string that is not UTF-8") from None
 
 
 def _names(blob: memoryview, count: int, what: str) -> list[str]:
@@ -324,9 +316,9 @@ def _names(blob: memoryview, count: int, what: str) -> list[str]:
     # An empty blob is no names, or one empty name: "".split("\n") is [""].
     names = text.split("\n") if text or count else []
     if len(names) != count:
-        raise IndexFormatError(f"index file holds {len(names)} {what} where its header counts {count}")
+        raise DataError(f"index file holds {len(names)} {what} where its header counts {count}")
     if not _strictly_ascending(names):
-        raise IndexFormatError(f"{what} out of order or repeated")
+        raise DataError(f"{what} out of order or repeated")
     return names
 
 
@@ -334,10 +326,10 @@ def _strictly_ascending(values) -> bool:
     return all(map(operator.lt, values, values[1:]))
 
 
-def _check_run_fields(doc_ids: list[str], error: type[Exception]) -> None:
+def _check_run_fields(doc_ids: list[str]) -> None:
     bad_id = next(filterfalse(is_field, doc_ids), None)
     if bad_id is not None:
-        raise error(f"doc id {bad_id!r} cannot be a field of a run file")
+        raise DataError(f"doc id {bad_id!r} cannot be a field of a run file")
 
 
 def load_index(path) -> Index:
@@ -347,63 +339,63 @@ def load_index(path) -> Index:
     name list and one ``frombytes`` per column, then C-level passes that
     check every structural invariant ``retrieve`` relies on, and that each
     doc id can be a run file field, so a damaged or hand-made file raises
-    IndexFormatError. No Python-level loop runs over terms or postings.
+    DataError. No Python-level loop runs over terms or postings.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(_MAGIC) + 4 + _CHECKSUM_SIZE:
-        raise IndexFormatError("index file truncated")
+        raise DataError("index file truncated")
     body = memoryview(data)[:-_CHECKSUM_SIZE]
     if hashlib.sha256(body).digest() != data[-_CHECKSUM_SIZE:]:
-        raise IndexFormatError("index file checksum mismatch")
+        raise DataError("index file checksum mismatch")
     # Magic and version come first in every format version, v1 and v2 too.
     magic, version = struct.unpack_from("<4sI", body)
     if magic != _MAGIC:
-        raise IndexFormatError("not an index file (bad magic)")
+        raise DataError("not an index file (bad magic)")
     if version != _FORMAT_VERSION:
-        raise IndexFormatError(
+        raise DataError(
             f"{path}: index format version {version} is not readable (expected {_FORMAT_VERSION}); "
             "rebuild the index with 'semindex index'"
         )
     if len(body) < _HEADER.size:
-        raise IndexFormatError("index file truncated")
+        raise DataError("index file truncated")
     _, _, mode_byte, digest_size, doc_count, ids_size, term_count, terms_size = _HEADER.unpack_from(body)
     mode = _MODES_BY_BYTE.get(mode_byte)
     if mode is None:
-        raise IndexFormatError(f"unknown index mode byte {mode_byte}")
+        raise DataError(f"unknown index mode byte {mode_byte}")
 
     sizes = (_HEADER.size, digest_size, ids_size, 8 * doc_count, terms_size, 8 * term_count + 8)
     ends = list(accumulate(sizes))
     if ends[-1] > len(body):
-        raise IndexFormatError("index file truncated")
+        raise DataError("index file truncated")
     digest, ids, lengths, names, offset_bytes = (body[lo:hi] for lo, hi in zip(ends, ends[1:]))
     offsets = _column("Q", offset_bytes)
     postings = body[ends[-1] :]
     count = offsets[-1]
     if len(postings) != 8 * count:
-        raise IndexFormatError(f"{len(postings)} bytes of postings where the offsets need {8 * count}")
+        raise DataError(f"{len(postings)} bytes of postings where the offsets need {8 * count}")
     ordinals, tfs = _column("I", postings[: 4 * count]), _column("I", postings[4 * count :])
 
     doc_ids = _names(ids, doc_count, "doc ids")
-    _check_run_fields(doc_ids, IndexFormatError)
+    _check_run_fields(doc_ids)
     terms = _names(names, term_count, "terms")
     if offsets[0] != 0 or not _strictly_ascending(offsets):
-        raise IndexFormatError("term offsets do not start at 0, or a term has no postings")
+        raise DataError("term offsets do not start at 0, or a term has no postings")
     # Ordinals may fail to rise only where a term's postings begin.
     falls = set(compress(range(1, count), map(operator.ge, ordinals, islice(ordinals, 1, None))))
     if not falls.issubset(offsets):
-        raise IndexFormatError("ordinals not strictly ascending within a term")
+        raise DataError("ordinals not strictly ascending within a term")
     # So the largest ordinal is the last of some term.
     lasts = map(ordinals.__getitem__, map(operator.sub, islice(offsets, 1, None), repeat(1)))
     if max(lasts, default=-1) >= doc_count:
-        raise IndexFormatError(f"ordinals not all below the doc count {doc_count}")
+        raise DataError(f"ordinals not all below the doc count {doc_count}")
     if 0 in tfs:
-        raise IndexFormatError("posting with term frequency 0")
+        raise DataError("posting with term frequency 0")
     # A document's length is the sum of its term frequencies; this also
     # keeps the average length above 0 whenever a term has postings.
     doc_lengths = _column("Q", lengths)
     if sum(doc_lengths) != sum(tfs):
-        raise IndexFormatError("doc lengths do not add up to the term frequencies")
+        raise DataError("doc lengths do not add up to the term frequencies")
     return Index(mode, doc_ids, doc_lengths, terms, offsets, ordinals, tfs, _decode(digest))
 
 
@@ -471,17 +463,18 @@ def build_indexes(
     ``semantics.analyze``). The result is identical for any worker count and
     corpus order: documents are counted in doc-id order, and each count goes
     straight into its index's columns, so ordinals arrive ascending. A doc
-    id that cannot be a run file field (``_util.is_field``) is a ValueError.
+    id that cannot be a run file field (``_util.is_field``), or that comes
+    twice, is a DataError.
     """
     if IndexMode.SEMANTIC in modes and lex is None:
         raise ValueError("semantic mode requires a lexicon")
     check_workers(workers)
     docs = sorted(corpus, key=operator.itemgetter(0))
     doc_ids = [doc_id for doc_id, _ in docs]
-    _check_run_fields(doc_ids, ValueError)
+    _check_run_fields(doc_ids)
     for previous, doc_id in zip(doc_ids, doc_ids[1:]):
         if previous == doc_id:
-            raise DuplicateDocumentError(f"duplicate doc_id: {doc_id!r}")
+            raise DataError(f"duplicate doc_id: {doc_id!r}")
     texts = [text for _, text in docs]
     args = (tuple(modes), lex, stoplist)
 
@@ -529,14 +522,14 @@ class SkippedDocument:
 @dataclass(frozen=True)
 class CorpusReadResult:
     documents: list[tuple[str, str]]
-    skipped: list[SkippedDocument] = field(default_factory=list)
+    skipped: list[SkippedDocument]
 
 
 def read_corpus(source: TextSource) -> CorpusReadResult:
     """Read corpus JSONL ({"id": ..., "text": ...} per line).
 
     Unreadable records are skipped and reported, not fatal; an id that a
-    readable record repeats is a DuplicateDocumentError naming both lines.
+    readable record repeats is a DataError naming both lines.
     """
     documents: list[tuple[str, str]] = []
     skipped: list[SkippedDocument] = []
@@ -564,6 +557,6 @@ def read_corpus(source: TextSource) -> CorpusReadResult:
         if not isinstance(text, str):
             skipped.append(SkippedDocument(line_no, "missing or invalid 'text'"))
             continue
-        first_seen(seen, doc_id, line_no, DuplicateDocumentError, f"duplicate doc_id {doc_id!r}")
+        first_seen(seen, doc_id, line_no, DataError, f"duplicate doc_id {doc_id!r}")
         documents.append((doc_id, text))
     return CorpusReadResult(documents, skipped)

@@ -28,10 +28,6 @@ MAX_LEMMA_TOKENS = 4
 _DIGEST_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 
 
-class LexiconError(DataError):
-    """Malformed lexicon input."""
-
-
 @dataclass(frozen=True)
 class Synset:
     """One sense: an opaque id, a part of speech, and ordered synonym lemmas."""
@@ -52,7 +48,7 @@ class Lexicon:
     A lemma's synset ids are kept in lexicon-file encounter order, which
     makes every derived choice (canonical lemma, expansion order)
     deterministic for a given lexicon file. Synset ids are unique, and a
-    synset lists each lemma once, else the constructor raises LexiconError.
+    synset lists each lemma once, else the constructor raises DataError.
     """
 
     def __init__(self, synsets: Iterable[Synset] = ()):
@@ -64,12 +60,12 @@ class Lexicon:
         self._digest: str | None = None
         for syn in synsets:
             if syn.id in self._synsets:
-                raise LexiconError(f"duplicate synset id: {syn.id!r}")
+                raise DataError(f"duplicate synset id: {syn.id!r}")
             self._synsets[syn.id] = syn
             for lemma in syn.lemmas:
                 senses = self._inverted.get(lemma, ())
                 if syn.id in senses:
-                    raise LexiconError(f"synset {syn.id!r} lists lemma {lemma!r} twice")
+                    raise DataError(f"synset {syn.id!r} lists lemma {lemma!r} twice")
                 self._inverted[lemma] = senses + (syn.id,)
                 lemma_tokens = lemma.split(" ")
                 if len(lemma_tokens) > self._longest_from.get(lemma_tokens[0], 0):
@@ -112,33 +108,31 @@ def _parse_record(line_no: int, line: str) -> Synset:
     try:
         record = parse_json(line)
     except json.JSONDecodeError as exc:
-        raise LexiconError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
     if not isinstance(record, dict):
-        raise LexiconError(f"line {line_no}: record is not an object")
+        raise DataError(f"line {line_no}: record is not an object")
 
     synset_id = record.get("id")
     if not isinstance(synset_id, str) or not synset_id:
-        raise LexiconError(f"line {line_no}: missing or invalid 'id'")
+        raise DataError(f"line {line_no}: missing or invalid 'id'")
 
     pos_tag = record.get("pos")
     if not isinstance(pos_tag, str) or pos_tag not in POS_BY_TAG:
-        raise LexiconError(f"line {line_no}: unknown pos tag {pos_tag!r}")
+        raise DataError(f"line {line_no}: unknown pos tag {pos_tag!r}")
 
     raw_lemmas = record.get("lemmas")
     if not isinstance(raw_lemmas, list) or not raw_lemmas:
-        raise LexiconError(f"line {line_no}: 'lemmas' must be a non-empty list")
+        raise DataError(f"line {line_no}: 'lemmas' must be a non-empty list")
 
     lemmas: dict[str, None] = {}
     for raw in raw_lemmas:
         if not isinstance(raw, str):
-            raise LexiconError(f"line {line_no}: lemma {raw!r} is not a string")
+            raise DataError(f"line {line_no}: lemma {raw!r} is not a string")
         lemma = normalize_lemma(raw)
         if not lemma:
-            raise LexiconError(f"line {line_no}: lemma {raw!r} is empty after normalization")
+            raise DataError(f"line {line_no}: lemma {raw!r} is empty after normalization")
         if lemma.count(" ") + 1 > MAX_LEMMA_TOKENS:
-            raise LexiconError(
-                f"line {line_no}: lemma {raw!r} has more than {MAX_LEMMA_TOKENS} tokens"
-            )
+            raise DataError(f"line {line_no}: lemma {raw!r} has more than {MAX_LEMMA_TOKENS} tokens")
         # Duplicates after normalization collapse to the first occurrence.
         lemmas.setdefault(lemma)
 
@@ -148,13 +142,13 @@ def _parse_record(line_no: int, line: str) -> Synset:
 def load_lexicon(source: TextSource) -> Lexicon:
     """Load a JSONL lexicon from a path or file-like object.
 
-    Raises LexiconError on malformed lines (with line numbers), duplicate
+    Raises DataError on malformed lines (with line numbers), duplicate
     synset ids, empty lemma lists, or unknown pos tags.
     """
     synsets: list[Synset] = []
     seen: dict[str, int] = {}
     for line_no, line in iter_lines(source):
         syn = _parse_record(line_no, line)
-        first_seen(seen, syn.id, line_no, LexiconError, f"duplicate synset id {syn.id!r}")
+        first_seen(seen, syn.id, line_no, DataError, f"duplicate synset id {syn.id!r}")
         synsets.append(syn)
     return Lexicon(synsets)

@@ -1,24 +1,26 @@
-"""The public names, settings and flags of ``semindex``: each one is kept on purpose."""
+"""The public names, error and warning classes, settings and flags of
+``semindex``: each one is kept on purpose."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import semindex
 from semindex.cli import build_parser
 from semindex.config import Config
 
 PUBLIC_NAMES = {
-    "ConceptMatch", "DeltaRecord", "DeltaReport", "DuplicateDocumentError", "EvalRecord", "EvalResult",
-    "Index", "IndexFormatError", "IndexMode", "IndexModeError", "Lexicon", "LexiconError",
-    "LexiconMismatchWarning", "PrecisionSummary", "Qrels", "Query", "QueryFileError",
-    "RankedList", "Run", "RunFormatError", "SearchSystem", "SearchType", "SignBuckets", "Synset",
-    "ThreeWayBuckets", "ThreeWayReport", "build_index", "build_indexes", "delta_report", "evaluate_run",
-    "expand", "format_run", "load_index", "load_lexicon", "load_stopwords", "match_concepts", "normalize",
-    "normalize_lemma", "read_corpus", "read_qrels", "read_queries", "read_run", "remove_stopwords",
-    "semantize", "threeway_report", "tokenize", "write_run",
+    "ConceptMatch", "DataError", "DeltaRecord", "DeltaReport", "EvalRecord", "EvalResult", "Index",
+    "IndexMode", "Lexicon", "LexiconMismatchWarning", "PrecisionSummary", "Qrels", "Query", "RankedList",
+    "Run", "RunFormatError", "SearchSystem", "SearchType", "SignBuckets", "Synset", "ThreeWayBuckets",
+    "ThreeWayReport", "build_index", "build_indexes", "delta_report", "evaluate_run", "expand", "format_run",
+    "load_index", "load_lexicon", "load_stopwords", "match_concepts", "normalize", "normalize_lemma",
+    "read_corpus", "read_qrels", "read_queries", "read_run", "remove_stopwords", "semantize",
+    "threeway_report", "tokenize", "write_run",
 }
 
 
@@ -26,7 +28,23 @@ def test_the_public_names_are_exactly_these():
     # Counted as the CI summary counts them: submodules and _names aside.
     names = {name for name, value in vars(semindex).items() if not name.startswith("_") and not inspect.ismodule(value)}
     assert names == PUBLIC_NAMES
-    assert len(names) == 47
+    assert len(names) == 43
+
+
+def test_the_error_and_warning_classes_are_exactly_these():
+    # Counted as the CI summary counts them: the exception and warning
+    # classes each module of the package defines, _names aside. One class
+    # per exit code (UsageError 1, DataError 2); RunFormatError is the
+    # DataError that the CLI prefixes with the run file's path.
+    modules = [importlib.import_module(f"semindex.{info.name}") for info in pkgutil.iter_modules(semindex.__path__)]
+    classes = {
+        name
+        for module in modules
+        for name, value in vars(module).items()
+        if inspect.isclass(value) and issubclass(value, BaseException) and value.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+    assert classes == {"DataError", "RunFormatError", "UsageError", "LexiconMismatchWarning"}
 
 
 def test_the_settings_are_exactly_these():

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semindex import (
+    DataError,
     IndexMode,
-    IndexModeError,
     Lexicon,
     LexiconMismatchWarning,
     Query,
-    QueryFileError,
     RankedList,
     Run,
     RunFormatError,
@@ -101,14 +100,14 @@ class TestRunQuery:
         system = SearchSystem(**slots)
         given = "none was given" if slot == "missing" else f"the index given was built in {other.value} mode"
         message = f"^{st.value} requires a {st.index_mode.value} index, but {given}$"
-        with pytest.raises(IndexModeError, match=message):
+        with pytest.raises(DataError, match=message):
             system.run_query(Query("q", "اثم"), st)
-        with pytest.raises(IndexModeError, match=message):
+        with pytest.raises(DataError, match=message):
             system.batch_run([], st)
 
     def test_missing_semantic_index(self):
         system = SearchSystem(plain_index=build_index([], IndexMode.PLAIN))
-        with pytest.raises(IndexModeError, match="semantic index, but none was given"):
+        with pytest.raises(DataError, match="semantic index, but none was given"):
             system.run_query(Query("q", "اثم"), SearchType.R1)
 
     def test_lexicon_mismatch_warns_on_expansion(self):
@@ -276,9 +275,9 @@ class TestBatchRun:
     def test_index_checked_before_any_query(self):
         # A missing or wrong-mode index fails the batch whatever its queries.
         plain = build_index([], IndexMode.PLAIN)
-        with pytest.raises(IndexModeError, match="semantic index, but none was given"):
+        with pytest.raises(DataError, match="semantic index, but none was given"):
             SearchSystem(plain_index=plain).batch_run([], SearchType.R1)
-        with pytest.raises(IndexModeError, match="plain mode"):
+        with pytest.raises(DataError, match="plain mode"):
             SearchSystem(semantic_index=plain).batch_run([], SearchType.R3)
 
 
@@ -455,11 +454,11 @@ class TestReadQueries:
         assert queries == [Query("q1", "اثم كبير"), Query("q2", "ذنب")]
 
     def test_missing_tab(self):
-        with pytest.raises(QueryFileError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             read_queries(io.StringIO("q1 اثم\n"))
 
     def test_duplicate_qid(self):
-        with pytest.raises(QueryFileError, match="duplicate qid"):
+        with pytest.raises(DataError, match="duplicate qid"):
             read_queries(io.StringIO("q1\tاثم\nq1\tذنب\n"))
 
     def test_blank_lines_skipped(self):

@@ -3,12 +3,14 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semindex import (
+    DataError,
     EvalRecord,
     Run,
     RankedList,
@@ -21,9 +23,7 @@ from semindex.evalkit import (
     DEFAULT_PRECISION_CUTOFFS,
     DeltaRecord,
     DeltaReport,
-    EvalError,
     PrecisionSummary,
-    QrelsError,
     SignBuckets,
     ThreeWayBuckets,
     ThreeWayReport,
@@ -283,14 +283,14 @@ class TestDeltaReport:
         assert format_percent(61, 70) == "87.14"
 
     def test_qid_mismatch_rejected(self):
-        with pytest.raises(EvalError, match="q2"):
+        with pytest.raises(DataError, match="q2"):
             delta_report([record("q1", 1, 1)], [record("q2", 1, 1)])
 
     @pytest.mark.parametrize("side", ["before", "after"])
     def test_repeated_qid_rejected(self, side):
         records = {"before": [record("q1", 1, 1)], "after": [record("q1", 2, 1)]}
         records[side] = [record("q1", 1, 1), record("q1", 3, 1)]
-        with pytest.raises(EvalError, match=rf"^{side}: duplicate qid 'q1'$"):
+        with pytest.raises(DataError, match=rf"^{side}: duplicate qid 'q1'$"):
             delta_report(records["before"], records["after"])
 
     def test_record_order_follows_before(self):
@@ -357,20 +357,20 @@ class TestThreeWayReport:
         assert pct[0] > 50.0
 
     def test_qid_mismatch_rejected(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(DataError, match=re.escape("query sets differ on qids ['q1', 'qX']")):
             threeway_report([record("q1", 1, 1)], [record("q1", 1, 1)], [record("qX", 1, 1)], LABELS_R)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_repeated_qid_rejected(self, position):
         systems = [[record("q1", 1, 1), record("q2", 1, 1)] for _ in LABELS_R]
         systems[position].append(record("q1", 2, 1))
-        with pytest.raises(EvalError, match=rf"^{LABELS_R[position]}: duplicate qid 'q1'$"):
+        with pytest.raises(DataError, match=rf"^{LABELS_R[position]}: duplicate qid 'q1'$"):
             threeway_report(*systems, LABELS_R)
 
     def test_repeated_labels_rejected(self):
         # Two "x" systems would share one x_wins bucket, and a win would be lost.
         first, second, third = [record("q1", 3, 1)], [record("q1", 2, 1)], [record("q1", 1, 0)]
-        with pytest.raises(EvalError, match="not distinct"):
+        with pytest.raises(DataError, match="not distinct"):
             threeway_report(first, second, third, labels=("x", "x", "y"))
 
     def test_five_buckets_partition_queries(self):
@@ -393,11 +393,11 @@ class TestReadQrels:
         assert qrels == {"q1": {"d1"}, "q2": {"d3"}}
 
     def test_bad_field_count(self):
-        with pytest.raises(QrelsError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             read_qrels(io.StringIO("q1 d1 1\n"))
 
     def test_bad_relevance_value(self):
-        with pytest.raises(QrelsError, match="relevance"):
+        with pytest.raises(DataError, match="relevance"):
             read_qrels(io.StringIO("q1 0 d1 2\n"))
 
     # The later judgment of a pair used to win silently when it was 1, the
@@ -406,7 +406,7 @@ class TestReadQrels:
     def test_pair_judged_twice_rejected(self, rels):
         text = f"q1 0 d1 {rels[0]}\nq1 0 d2 1\nq1 1 d1 {rels[1]}\n"
         message = r"^line 3: document 'd1' judged twice for query 'q1' \(first seen on line 1\)$"
-        with pytest.raises(QrelsError, match=message):
+        with pytest.raises(DataError, match=message):
             read_qrels(io.StringIO(text))
 
     def test_all_zero_judgments_leave_empty_set(self):

@@ -24,9 +24,8 @@ from hypothesis import strategies as st
 
 import semindex
 from semindex import (
-    DuplicateDocumentError,
+    DataError,
     Index,
-    IndexFormatError,
     IndexMode,
     build_index,
     build_indexes,
@@ -110,16 +109,20 @@ class TestBuild:
             build_index([("d1", "اثم")], IndexMode.SEMANTIC)
 
     def test_duplicate_doc_id(self):
-        with pytest.raises(DuplicateDocumentError):
+        # DataError itself, as for a doc id that cannot be a run field below.
+        with pytest.raises(DataError, match="duplicate doc_id: 'd1'") as raised:
             build_index([("d1", "اثم"), ("d1", "ذنب")], IndexMode.PLAIN)
+        assert type(raised.value) is DataError
 
     @pytest.mark.parametrize("doc_id", ["a b", "d\n1", "", "d\ud800"])
     def test_doc_id_that_cannot_be_a_run_field_rejected(self, doc_id):
         # A run line "q1 Q0 a b 1 ..." would not read back, and a lone
-        # surrogate cannot be written as UTF-8.
+        # surrogate cannot be written as UTF-8. load_index raises the same.
         corpus = [("d0", "اثم"), (doc_id, "ذنب")]
-        with pytest.raises(ValueError, match=re.escape(f"doc id {doc_id!r} cannot be a field of a run file")):
+        message = re.escape(f"doc id {doc_id!r} cannot be a field of a run file")
+        with pytest.raises(DataError, match=message) as raised:
             build_indexes(corpus, (IndexMode.PLAIN, IndexMode.SEMANTIC), make_lexicon([("s1", "n", ["اثم"])]))
+        assert type(raised.value) is DataError
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
@@ -616,8 +619,8 @@ class TestPersistence:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.idx"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(IndexFormatError):
+        path.write_bytes(sealed(b"NOPE" + b"\x00" * 64))  # sealed, so the magic is what fails
+        with pytest.raises(DataError, match="bad magic"):
             load_index(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -631,7 +634,7 @@ class TestPersistence:
 
         body = bytes(data[:-32])
         path.write_bytes(body + hashlib.sha256(body).digest())
-        with pytest.raises(IndexFormatError, match="version 99 .* rebuild the index with 'semindex index'"):
+        with pytest.raises(DataError, match="version 99 .* rebuild the index with 'semindex index'"):
             load_index(path)
 
     def test_v1_file_names_the_rebuild(self, tmp_path):
@@ -639,10 +642,10 @@ class TestPersistence:
         for version in (1, 2):
             # The empty index as format v2 wrote it: shorter than a v3 header.
             path.write_bytes(sealed(b"SIDX" + struct.pack("<IBIQQ", version, 0, 0, 0, 0)))
-            with pytest.raises(IndexFormatError, match=f"version {version} .* rebuild the index with 'semindex index'"):
+            with pytest.raises(DataError, match=f"version {version} .* rebuild the index with 'semindex index'"):
                 load_index(path)
             path.write_bytes(v3_file(["d1"], [1], [("ا", [0], [1])], version=version))
-            with pytest.raises(IndexFormatError, match="rebuild the index with 'semindex index'"):
+            with pytest.raises(DataError, match="rebuild the index with 'semindex index'"):
                 load_index(path)
 
     # One case per loader check. Each spec starts from two documents of
@@ -679,7 +682,7 @@ class TestPersistence:
         spec.update(fields)
         path = tmp_path / "x.idx"
         path.write_bytes(v3_file(**spec))
-        with pytest.raises(IndexFormatError, match=message):
+        with pytest.raises(DataError, match=message):
             load_index(path)
 
     def test_crafted_valid_file_loads(self, tmp_path):
@@ -695,7 +698,7 @@ class TestPersistence:
         path = tmp_path / "x.idx"
         body = v3_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])])[:-32]
         path.write_bytes(sealed(body[:size]))
-        with pytest.raises(IndexFormatError, match="truncated"):
+        with pytest.raises(DataError, match="truncated"):
             load_index(path)
 
     def test_checksum_failure(self, tmp_path):
@@ -705,7 +708,7 @@ class TestPersistence:
         data = bytearray(path.read_bytes())
         data[10] ^= 0xFF
         path.write_bytes(bytes(data))
-        with pytest.raises(IndexFormatError, match="checksum"):
+        with pytest.raises(DataError, match="checksum"):
             load_index(path)
 
     def test_truncated_file(self, tmp_path):
@@ -713,7 +716,7 @@ class TestPersistence:
         path = tmp_path / "x.idx"
         idx.save(path)
         path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(IndexFormatError):
+        with pytest.raises(DataError, match="truncated"):
             load_index(path)
 
 
@@ -797,7 +800,7 @@ class TestLoaderFuzz:
             path.write_bytes(mutant)
             try:
                 loaded = load_index(path)
-            except IndexFormatError:
+            except DataError:
                 continue
             assert all(map(is_field, loaded.to_jsonable()["doc_lengths"]))
             loaded.save(path)
@@ -977,7 +980,7 @@ class TestReadCorpus:
 
     def test_repeated_id_names_both_lines(self):
         lines = ['{"id": "d1", "text": "اثم"}', '{"id": "d2", "text": "ذنب"}', '{"id": "d1", "text": "بيت"}']
-        with pytest.raises(DuplicateDocumentError, match=r"^line 3: duplicate doc_id 'd1' \(first seen on line 1\)$"):
+        with pytest.raises(DataError, match=r"^line 3: duplicate doc_id 'd1' \(first seen on line 1\)$"):
             read_corpus(io.StringIO("\n".join(lines)))
 
     def test_skipped_record_does_not_claim_its_id(self):

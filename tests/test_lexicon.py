@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings
 
-from semindex import Lexicon, LexiconError, Synset, load_lexicon, match_concepts
+from semindex import DataError, Lexicon, Synset, load_lexicon, match_concepts
 from semindex.lexicon import POS_BY_TAG, normalize_lemma
 
 from helpers import lexicon_jsonl, lexicon_strategy, make_lexicon, senses, strategy_ids
@@ -41,19 +41,19 @@ class TestLoad:
 
     def test_malformed_json_reports_line(self):
         text = '{"id": "s1", "pos": "n", "lemmas": ["اثم"]}\n{oops\n'
-        with pytest.raises(LexiconError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             load_lexicon(io.StringIO(text))
 
     def test_duplicate_id(self):
         text = lexicon_jsonl([("s1", "n", ["اثم"]), ("s1", "v", ["ذنب"])])
-        with pytest.raises(LexiconError, match="duplicate synset id"):
+        with pytest.raises(DataError, match="duplicate synset id"):
             load_lexicon(io.StringIO(text))
 
     def test_duplicate_id_in_synsets_given_directly(self):
         # load_lexicon refuses a repeated id by line first; the constructor
         # keeps its own check for synsets that no file numbered.
         synsets = [Synset("s1", "noun", ("اثم",)), Synset("s1", "verb", ("ذنب",))]
-        with pytest.raises(LexiconError, match=r"^duplicate synset id: 's1'$"):
+        with pytest.raises(DataError, match=r"^duplicate synset id: 's1'$"):
             Lexicon(synsets)
 
     def test_lemma_listed_twice_in_synsets_given_directly(self):
@@ -61,7 +61,7 @@ class TestLoad:
         # repeat would list the synset twice for its lemma, so a single-sense
         # concept would read as polysemous.
         synsets = [Synset("s0", "noun", ("ذنب",)), Synset("s1", "noun", ("اثم", "ذنب", "اثم"))]
-        with pytest.raises(LexiconError, match=r"^synset 's1' lists lemma 'اثم' twice$"):
+        with pytest.raises(DataError, match=r"^synset 's1' lists lemma 'اثم' twice$"):
             Lexicon(synsets)
 
     @pytest.mark.parametrize(
@@ -75,27 +75,27 @@ class TestLoad:
     )
     def test_invalid_field_names_its_line(self, record, message):
         text = lexicon_jsonl([("s1", "n", ["ذنب"])]) + "\n" + json.dumps(record, ensure_ascii=False)
-        with pytest.raises(LexiconError, match=f"^line 2: {re.escape(message)}$"):
+        with pytest.raises(DataError, match=f"^line 2: {re.escape(message)}$"):
             load_lexicon(io.StringIO(text))
 
     def test_empty_lemma_list(self):
-        with pytest.raises(LexiconError, match="non-empty"):
+        with pytest.raises(DataError, match="non-empty"):
             load_lexicon(io.StringIO('{"id": "s1", "pos": "n", "lemmas": []}'))
 
     def test_lemma_empty_after_normalization(self):
-        with pytest.raises(LexiconError, match="empty after normalization"):
+        with pytest.raises(DataError, match="empty after normalization"):
             load_lexicon(io.StringIO('{"id": "s1", "pos": "n", "lemmas": ["ًّ"]}'))
 
     def test_unknown_pos(self):
-        with pytest.raises(LexiconError, match="unknown pos tag"):
+        with pytest.raises(DataError, match="unknown pos tag"):
             load_lexicon(io.StringIO('{"id": "s1", "pos": "adj", "lemmas": ["اثم"]}'))
 
     def test_record_not_object(self):
-        with pytest.raises(LexiconError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             load_lexicon(io.StringIO('["s1"]'))
 
     def test_lemma_too_many_tokens(self):
-        with pytest.raises(LexiconError, match="more than 4 tokens"):
+        with pytest.raises(DataError, match="more than 4 tokens"):
             load_lexicon(io.StringIO('{"id": "s1", "pos": "n", "lemmas": ["ا ب ت ث ج"]}'))
 
     def test_duplicate_lemmas_collapse_keeping_first(self):

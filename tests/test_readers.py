@@ -1,5 +1,6 @@
-"""Every input reader turns arbitrary text or bytes into data or into its
-own error class, never into any other exception."""
+"""Every input reader turns arbitrary text or bytes into data or into
+DataError (the config reader into UsageError), never into any other
+exception."""
 
 from __future__ import annotations
 
@@ -11,11 +12,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semindex import (
-    DuplicateDocumentError,
+    DataError,
     Lexicon,
-    LexiconError,
     Query,
-    QueryFileError,
     RunFormatError,
     load_lexicon,
     load_stopwords,
@@ -24,9 +23,7 @@ from semindex import (
     read_queries,
     read_run,
 )
-from semindex._util import DataError
 from semindex.config import UsageError, load_config
-from semindex.evalkit import QrelsError
 
 READERS = {
     "corpus": (read_corpus, DataError),
@@ -106,12 +103,12 @@ def test_a_leading_byte_order_mark_is_not_text(reader, tmp_path):
 # comes back on line 3, and the reader's words for that repeat.
 DUPLICATE_KEYS = {
     "corpus": (
-        DuplicateDocumentError,
+        DataError,
         ['{"id": "d1", "text": "a"}', '{"id": "d2", "text": "b"}', '{"id": "d1", "text": "c"}'],
         "duplicate doc_id 'd1'",
     ),
     "lexicon": (
-        LexiconError,
+        DataError,
         [
             '{"id": "s1", "pos": "n", "lemmas": ["a"]}',
             '{"id": "s2", "pos": "n", "lemmas": ["b"]}',
@@ -119,9 +116,9 @@ DUPLICATE_KEYS = {
         ],
         "duplicate synset id 's1'",
     ),
-    "queries": (QueryFileError, ["q1\ta", "q2\tb", "q1\tc"], "duplicate qid 'q1'"),
+    "queries": (DataError, ["q1\ta", "q2\tb", "q1\tc"], "duplicate qid 'q1'"),
     "qrels": (
-        QrelsError,
+        DataError,
         ["q1 0 d1 1", "q1 0 d2 1", "q1 0 d1 0"],
         "document 'd1' judged twice for query 'q1'",
     ),
@@ -159,7 +156,7 @@ def test_a_corpus_record_that_repeats_a_key_is_skipped():
 
 def test_a_lexicon_record_that_repeats_a_key_is_an_error():
     lines = ['{"id": "s1", "pos": "n", "lemmas": ["a"]}', '{"id": "s2", "pos": "n", "lemmas": ["b"], "lemmas": ["c"]}']
-    with pytest.raises(LexiconError) as raised:
+    with pytest.raises(DataError) as raised:
         load_lexicon(io.StringIO("\n".join(lines) + "\n"))
     assert str(raised.value) == "line 2: invalid JSON (duplicate key 'lemmas')"
 

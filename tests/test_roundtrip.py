@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semindex import (
+    DataError,
     IndexMode,
     Query,
-    QueryFileError,
     Run,
     RunFormatError,
     SearchSystem,
@@ -58,7 +58,7 @@ def accepted_queries(pairs) -> list:
     for qid, text in pairs:
         try:
             read = read_queries(io.StringIO(f"{qid}\t{text}\n"))
-        except QueryFileError:
+        except DataError:
             continue
         for query in read:  # none for a blank line
             if query.qid not in seen:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semindex._util import DataError
+from semindex import DataError
 from semindex.textnorm import load_stopwords, normalize, remove_stopwords, tokenize
 
 from helpers import reference_normalize

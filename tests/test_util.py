@@ -7,7 +7,8 @@ import stat
 
 import pytest
 
-from semindex._util import DataError, atomic_write_bytes, iter_lines, parse_json, read_text
+from semindex import DataError
+from semindex._util import atomic_write_bytes, iter_lines, parse_json, read_text
 
 
 class TestAtomicWrite:

@@ -11,7 +11,6 @@ from .engine import (
     LexiconMismatchWarning,
     Query,
     Run,
-    RunFormatError,
     SearchSystem,
     SearchType,
     format_run,

@@ -13,8 +13,13 @@ TextSource = Union[str, os.PathLike, IO[str], IO[bytes]]
 class DataError(ValueError):
     """Input data that semindex cannot use: a malformed lexicon, corpus,
     stopword, query, qrels, run or index file, or inputs that do not fit
-    together. The one class the CLI exits 2 for; config files raise
-    ``config.UsageError`` instead."""
+    together. The one class the CLI exits 2 for (config files raise
+    ``config.UsageError``). ``read_text`` and ``read_run`` name their file first."""
+
+
+def source_name(source: TextSource) -> str:
+    """How a message names a source: the path, a stream's ``name`` or ``input stream``."""
+    return str(getattr(source, "name", "input stream") if hasattr(source, "read") else source)
 
 
 def read_text(source: TextSource) -> str:
@@ -26,8 +31,7 @@ def read_text(source: TextSource) -> str:
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
-        where = getattr(source, "name", "input stream") if is_stream else source
-        raise DataError(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise DataError(f"{source_name(source)}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return text.removeprefix("\ufeff")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ._util import DataError, atomic_write_text
 from .config import Config, UsageError, coerce, load_config, nonempty_path, validate_sanity
-from .engine import Query, Run, RunFormatError, SearchSystem, SearchType, read_queries, read_run, write_run
+from .engine import Query, Run, SearchSystem, SearchType, read_queries, read_run, write_run
 from .evalkit import (
     EvalResult,
     delta_report,
@@ -153,10 +153,7 @@ def _evaluate(run: Run, qrels, run_path: Path) -> EvalResult:
 
 def _evaluate_run_file(run_file: Path, qrels) -> EvalResult:
     found_path = _found_path(run_file)
-    try:
-        run = read_run(run_file, found_path if found_path.exists() else None)
-    except RunFormatError as exc:
-        raise RunFormatError(f"{run_file}: {exc}") from None
+    run = read_run(run_file, found_path if found_path.exists() else None)
     return _evaluate(run, qrels, run_file)
 
 

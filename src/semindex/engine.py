@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._util import DataError, TextSource, atomic_write_text, first_seen, is_field, iter_lines
-from ._util import parse_json, read_text
+from ._util import parse_json, read_text, source_name
 from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList
 from .index import check_bm25_params, check_depth
 from .lexicon import Lexicon
@@ -26,11 +26,6 @@ from .semantics import analyze, expand
 from .textnorm import tokenize
 
 DEFAULT_RUN_TAG = "semindex"
-
-
-class RunFormatError(DataError):
-    """A run that a run file cannot hold, or a malformed run file. A class of
-    its own so that the CLI can name the run file in front of the message."""
 
 
 class LexiconMismatchWarning(UserWarning):
@@ -62,22 +57,25 @@ class Query:
 @dataclass(frozen=True)
 class Run:
     """One RankedList per query, in query order. The tag and each qid are
-    fields of a run file, no qid comes twice and no query finds fewer
-    documents than it ranks, so a run file and its sidecar can hold it."""
+    fields of a run file, no qid comes twice and no query ranks a document
+    twice or finds fewer than it ranks, so ``read_run`` reads its file back."""
 
     tag: str
     results: tuple[RankedList, ...]
 
     def __post_init__(self) -> None:
         if not is_field(self.tag):
-            raise RunFormatError(f"run tag {self.tag!r} cannot be a field of a run file")
+            raise DataError(f"run tag {self.tag!r} cannot be a field of a run file")
         seen: set[str] = set()
         for ranked in self.results:
             if ranked.qid in seen or not is_field(ranked.qid):
                 fault = "is given twice" if ranked.qid in seen else "cannot be a field of a run file"
-                raise RunFormatError(f"qid {ranked.qid!r} {fault}")
+                raise DataError(f"qid {ranked.qid!r} {fault}")
+            if len(set(ranked.doc_ids)) < len(ranked.doc_ids):
+                doc_id = next(d for i, d in enumerate(ranked.doc_ids) if d in ranked.doc_ids[:i])
+                raise DataError(f"document {doc_id!r} is ranked twice for query {ranked.qid!r}")
             if ranked.found_count < len(ranked.doc_ids):
-                raise RunFormatError(
+                raise DataError(
                     f"found count {ranked.found_count} for query {ranked.qid!r} is below its "
                     f"{len(ranked.doc_ids)} ranked documents"
                 )
@@ -192,33 +190,32 @@ def read_run(run_source: TextSource, found_source: TextSource | None = None) -> 
     A query ranks each document once, and every line has the run's one tag
     (``DEFAULT_RUN_TAG`` for a file with no lines). The sidecar, when given,
     lists every query the run ranks; without one, found_count falls back to
-    the ranking length.
+    the ranking length. A malformed line or sidecar names the run file first.
     """
+    where = source_name(run_source)
     per_qid: dict[str, dict[str, float]] = {}  # qid -> doc_id -> score, in rank order
     tag, tag_line = DEFAULT_RUN_TAG, 0
     for line_no, line in iter_lines(run_source):
         parts = line.split()
         if len(parts) != 6:
-            raise RunFormatError(f"line {line_no}: expected 6 fields, got {len(parts)}")
+            raise DataError(f"{where}: line {line_no}: expected 6 fields, got {len(parts)}")
         qid, _q0, doc_id, rank_str, score_str, line_tag = parts
         if not tag_line:
             tag, tag_line = line_tag, line_no
         elif line_tag != tag:
-            raise RunFormatError(
-                f"line {line_no}: run tag {line_tag!r} differs from {tag!r} (first seen on line {tag_line})"
+            raise DataError(
+                f"{where}: line {line_no}: run tag {line_tag!r} differs from {tag!r} (first seen on line {tag_line})"
             )
         try:
             rank = int(rank_str)
             score = float(score_str)
         except ValueError:
-            raise RunFormatError(f"line {line_no}: bad rank or score") from None
+            raise DataError(f"{where}: line {line_no}: bad rank or score") from None
         scores = per_qid.setdefault(qid, {})
         if rank != len(scores) + 1:
-            raise RunFormatError(
-                f"line {line_no}: rank {rank} out of order for query {qid!r}"
-            )
+            raise DataError(f"{where}: line {line_no}: rank {rank} out of order for query {qid!r}")
         if doc_id in scores:
-            raise RunFormatError(f"line {line_no}: document {doc_id!r} ranked twice for query {qid!r}")
+            raise DataError(f"{where}: line {line_no}: document {doc_id!r} ranked twice for query {qid!r}")
         scores[doc_id] = score
 
     # The sidecar lists every query in batch order, including zero-result
@@ -226,32 +223,32 @@ def read_run(run_source: TextSource, found_source: TextSource | None = None) -> 
     if found_source is None:
         found_counts = {qid: len(scores) for qid, scores in per_qid.items()}
     else:
-        found_counts = _read_found_counts(found_source)
+        found_counts = _read_found_counts(found_source, where)
         for qid in per_qid:
             if qid not in found_counts:
-                raise RunFormatError(f"found-count sidecar does not list the ranked query {qid!r}")
+                raise DataError(f"{where}: found-count sidecar does not list the ranked query {qid!r}")
 
     results = []
     for qid, found in found_counts.items():
         scores = per_qid.get(qid, {})
         if found < len(scores):
-            raise RunFormatError(
-                f"found-count sidecar: {found} for query {qid!r} is below its {len(scores)} ranked lines"
+            raise DataError(
+                f"{where}: found-count sidecar: {found} for query {qid!r} is below its {len(scores)} ranked lines"
             )
         results.append(RankedList(qid, tuple(scores), tuple(scores.values()), found))
     return Run(tag, tuple(results))
 
 
-def _read_found_counts(source: TextSource) -> dict[str, int]:
+def _read_found_counts(source: TextSource, where: str) -> dict[str, int]:
     try:
         raw = parse_json(read_text(source))
     except json.JSONDecodeError as exc:
-        raise RunFormatError(f"found-count sidecar is not valid JSON ({exc})") from None
+        raise DataError(f"{where}: found-count sidecar is not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
-        raise RunFormatError("found-count sidecar is not a JSON object")
+        raise DataError(f"{where}: found-count sidecar is not a JSON object")
     for qid, count in raw.items():
         if not is_field(qid):
-            raise RunFormatError(f"found-count sidecar: qid {qid!r} cannot be a field of a run file")
+            raise DataError(f"{where}: found-count sidecar: qid {qid!r} cannot be a field of a run file")
         if type(count) is not int or count < 0:
-            raise RunFormatError(f"found-count sidecar: bad count {count!r} for query {qid!r}")
+            raise DataError(f"{where}: found-count sidecar: bad count {count!r} for query {qid!r}")
     return raw

@@ -16,11 +16,11 @@ from ._util import DataError, TextSource, iter_lines
 # Token characters: ASCII letters/digits, Arabic letters including hamza
 # forms (U+0621-U+064A), tatweel, tashkeel and other combining marks up to
 # U+065F, Arabic-Indic digits, superscript alef and the extended Arabic
-# letters through U+06D5. Combining marks must count as token characters:
-# NFC folds alef+madda/hamza mark sequences into single letters, and
-# splitting on the marks would make tokenization disagree before and after
-# normalization.
-_TOKEN_RE = re.compile(r"[0-9A-Za-zء-٩ٰ-ە]+")
+# letters through U+06D5, less U+06D4 ARABIC FULL STOP, a punctuation mark.
+# Combining marks must count as token characters: NFC folds alef+madda/hamza
+# mark sequences into single letters, and splitting on the marks would make
+# tokenization disagree before and after normalization.
+_TOKEN_RE = re.compile(r"[0-9A-Za-zء-٩ٰ-ۓە]+")
 
 # Character -> replacement: tashkeel (U+064B-U+0652), the combining
 # madda/hamza marks (U+0653-U+0655) and tatweel removed, then the letter

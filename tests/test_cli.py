@@ -477,6 +477,22 @@ class TestEvalCommand:
         assert main([command, str(good), str(bad)] + common_args(workspace)) == 2
         assert f"{bad}: {fault}" in caplog.text
 
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("not_utf8", ["run", "sidecar"])
+    def test_file_that_is_not_utf8_is_named_once(self, workspace, caplog, command, not_utf8):
+        build_indexes(workspace)
+        assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 0
+        good, bad = workspace["report_dir"] / "semindex.R0.run", workspace["report_dir"] / "b.run"
+        sidecar = workspace["report_dir"] / "b.found.json"
+        bad.write_bytes(b"q1 Q0 d1 1 2.0 t\n")
+        sidecar.write_bytes(b'{"q1": 1}')
+        target = bad if not_utf8 == "run" else sidecar
+        target.write_bytes(b"\xff" + target.read_bytes())
+        assert main([command, str(good), str(bad)] + common_args(workspace)) == 2
+        assert f"{target}: not UTF-8 text" in caplog.text
+        assert caplog.text.count(str(target)) == 1
+        assert caplog.text.count(str(bad)) == (target == bad)
+
     def test_runs_that_share_a_label_are_usage_error(self, workspace, caplog):
         build_indexes(workspace)
         main(["batch", "--search-type", "R0"] + common_args(workspace))

@@ -17,7 +17,6 @@ from semindex import (
     Query,
     RankedList,
     Run,
-    RunFormatError,
     SearchSystem,
     SearchType,
     build_index,
@@ -223,7 +222,7 @@ class TestBatchRun:
 
     def test_duplicate_qids_rejected(self):
         system = build_system([("d1", "اثم")], Lexicon())
-        with pytest.raises(RunFormatError, match=re.escape("qid 'q1' is given twice")):
+        with pytest.raises(DataError, match=re.escape("qid 'q1' is given twice")):
             system.batch_run([Query("q1", "اثم"), Query("q1", "ذنب")], SearchType.R0)
 
     def test_batch_equals_concatenated_singles(self):
@@ -335,13 +334,40 @@ class TestRunFiles:
     def test_found_count_below_the_ranked_documents_refused(self, doc_ids, found):
         # read_run would refuse the sidecar of such a run, so none is made.
         message = f"found count {found} for query 'q1' is below its {len(doc_ids)} ranked documents"
-        with pytest.raises(RunFormatError, match=re.escape(message)):
+        with pytest.raises(DataError, match=re.escape(message)):
             Run("t", (RankedList("q1", doc_ids, (1.0,) * len(doc_ids), found),))
+
+    def test_ranking_that_lists_a_document_twice_refused(self, tmp_path):
+        # read_run would refuse the second line of such a run, so none is
+        # made and none is written.
+        with pytest.raises(DataError, match=re.escape("document 'd1' is ranked twice for query 'q1'")):
+            run = Run("t", (RankedList("q1", ("d1", "d1"), (2.0, 1.0), 2),))
+            write_run(run, tmp_path / "x.run", tmp_path / "x.found.json")
+        assert not list(tmp_path.iterdir())
+
+    def test_messages_start_with_the_run_files_name(self, tmp_path):
+        # A path, a stream's name or "input stream", for a fault of the
+        # sidecar too; a file that is not UTF-8 is named once, by itself.
+        path = tmp_path / "bad.run"
+        path.write_text("q1 Q0 d1\n", encoding="utf-8")
+        named = io.StringIO("q1 Q0 d1\n")
+        named.name = "named.run"
+        for source, name in ((path, str(path)), (named, "named.run"), (io.StringIO("q1 Q0 d1\n"), "input stream")):
+            with pytest.raises(DataError) as raised:
+                read_run(source)
+            assert str(raised.value) == f"{name}: line 1: expected 6 fields, got 3"
+        with pytest.raises(DataError) as raised:
+            read_run(io.StringIO(""), io.StringIO("[1]"))
+        assert str(raised.value) == "input stream: found-count sidecar is not a JSON object"
+        path.write_bytes(b"q1 Q0 d\xff 1 1.0 t\n")
+        with pytest.raises(DataError) as raised:
+            read_run(path)
+        assert str(raised.value) == f"{path}: not UTF-8 text (invalid start byte at byte 7)"
 
     def test_lines_with_two_tags_rejected(self):
         run = "q1 Q0 d1 1 2.0 alpha\nq1 Q0 d2 2 1.0 beta\n"
         message = "line 2: run tag 'beta' differs from 'alpha' (first seen on line 1)"
-        with pytest.raises(RunFormatError, match=re.escape(message)):
+        with pytest.raises(DataError, match=re.escape(message)):
             read_run(io.StringIO(run))
         assert read_run(io.StringIO("q1 Q0 d1 1 2.0 alpha\nq2 Q0 d2 1 1.0 alpha\n")).tag == "alpha"
         assert read_run(io.StringIO("")).tag == engine.DEFAULT_RUN_TAG
@@ -370,10 +396,10 @@ class TestRunFiles:
         # and none is written.
         system = build_system([("d1", "اثم")], Lexicon())
         queries = [Query(qid, "اثم") for qid in qids]
-        with pytest.raises(RunFormatError, match=re.escape(refused)):
+        with pytest.raises(DataError, match=re.escape(refused)):
             run = Run(tag, tuple(system.run_query(q, SearchType.R0) for q in queries))
             write_run(run, tmp_path / "x.run", tmp_path / "x.found.json")
-        with pytest.raises(RunFormatError, match=re.escape(refused)):
+        with pytest.raises(DataError, match=re.escape(refused)):
             system.batch_run(queries, SearchType.R0, tag=tag)
         assert not list(tmp_path.iterdir())
 
@@ -416,27 +442,28 @@ class TestRunFiles:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.run"
         path.write_text("q1 Q0 d1 1 0.5 tag\nq1 Q0 d2 2\n", encoding="utf-8")
-        with pytest.raises(RunFormatError, match="line 2"):
+        with pytest.raises(DataError) as raised:
             read_run(path)
+        assert str(raised.value) == f"{path}: line 2: expected 6 fields, got 4"
 
     def test_sidecar_count_below_the_ranked_lines_rejected(self):
         run = "q1 Q0 d1 1 0.5 t\nq1 Q0 d2 2 0.4 t\nq2 Q0 d3 1 0.3 t\n"
         loaded = read_run(io.StringIO(run), io.StringIO('{"q1": 2, "q2": 1}'))
         assert [rl.found_count for rl in loaded.results] == [2, 1]
-        with pytest.raises(RunFormatError, match="sidecar: 1 for query 'q1' is below its 2 ranked lines"):
+        with pytest.raises(DataError, match="sidecar: 1 for query 'q1' is below its 2 ranked lines"):
             read_run(io.StringIO(run), io.StringIO('{"q1": 1, "q2": 1}'))
 
     def test_document_ranked_twice_under_one_query_rejected(self):
         # Counted twice, d1 would give relevant_found 2 and AP 2.0.
         run = "q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t\n"
-        with pytest.raises(RunFormatError, match="line 2: document 'd1' ranked twice for query 'q1'"):
+        with pytest.raises(DataError, match="line 2: document 'd1' ranked twice for query 'q1'"):
             read_run(io.StringIO(run))
         loaded = read_run(io.StringIO("q1 Q0 d1 1 2.0 t\nq2 Q0 d1 1 1.0 t\n"))
         assert [rl.qid for rl in loaded.results] == ["q1", "q2"]
 
     def test_sidecar_must_list_every_ranked_query(self):
         run = "q1 Q0 d1 1 0.5 t\nq2 Q0 d2 1 0.4 t\n"
-        with pytest.raises(RunFormatError, match="sidecar does not list the ranked query 'q1'"):
+        with pytest.raises(DataError, match="sidecar does not list the ranked query 'q1'"):
             read_run(io.StringIO(run), io.StringIO('{"q2": 5}'))
         loaded = read_run(io.StringIO(run), io.StringIO('{"q2": 5, "q1": 1, "q3": 0}'))
         assert [(rl.qid, rl.found_count) for rl in loaded.results] == [("q2", 5), ("q1", 1), ("q3", 0)]
@@ -444,8 +471,9 @@ class TestRunFiles:
     def test_out_of_order_rank_rejected(self, tmp_path):
         path = tmp_path / "bad.run"
         path.write_text("q1 Q0 d1 2 0.5 tag\n", encoding="utf-8")
-        with pytest.raises(RunFormatError, match="rank"):
+        with pytest.raises(DataError) as raised:
             read_run(path)
+        assert str(raised.value) == f"{path}: line 1: rank 2 out of order for query 'q1'"
 
 
 class TestReadQueries:

@@ -15,7 +15,6 @@ from semindex import (
     DataError,
     Lexicon,
     Query,
-    RunFormatError,
     load_lexicon,
     load_stopwords,
     read_corpus,
@@ -162,9 +161,9 @@ def test_a_lexicon_record_that_repeats_a_key_is_an_error():
 
 
 def test_a_sidecar_that_repeats_a_qid_is_an_error():
-    with pytest.raises(RunFormatError) as raised:
+    with pytest.raises(DataError) as raised:
         read_run(io.StringIO("q1 Q0 d1 1 1.0 t\n"), io.StringIO('{"q1": 9, "q1": 1}'))
-    assert str(raised.value) == "found-count sidecar is not valid JSON (duplicate key 'q1')"
+    assert str(raised.value) == "input stream: found-count sidecar is not valid JSON (duplicate key 'q1')"
 
 
 # str.splitlines() ends a line at each of these; a text editor does not, and

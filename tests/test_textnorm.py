@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import re
 import string
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -95,6 +96,12 @@ class TestTokenize:
 
     def test_mixed_scripts(self):
         assert tokenize("BM25 اثم x1") == ["bm25", "اثم", "x1"]
+
+    def test_every_character_but_letters_marks_and_digits_splits(self):
+        # U+06D4 ARABIC FULL STOP is punctuation inside the extended Arabic letters.
+        assert tokenize("كتاب۔ قلم") == ["كتاب", "قلم"]
+        separators = [chr(c) for c in range(0x0700) if unicodedata.category(chr(c))[0] not in "LMN"]
+        assert [c for c in separators if tokenize(f"ب{c}ب") != ["ب", "ب"]] == []
 
     @given(fuzz_text)
     def test_tokens_contain_no_separators(self, text):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from ._util import DataError, TextSource, first_seen, is_field, iter_lines
+from ._util import DataError, TextSource, first_seen, is_field, iter_lines, line_error
 from .engine import DEFAULT_RUN_TAG
 from .index import DEFAULT_B, DEFAULT_K1, check_bm25_params, check_depth, check_workers
 
@@ -78,16 +78,15 @@ def load_config(source: TextSource) -> Config:
         if not stripped:  # a comment line
             continue
         if "=" not in stripped:
-            raise UsageError(f"line {line_no}: expected key = value")
+            raise line_error(source, line_no, "expected key = value", UsageError)
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _COERCERS:
-            raise UsageError(f"line {line_no}: unknown option {key!r}")
-        first_seen(seen, key, line_no, UsageError, f"option {key!r} set twice")
+            raise line_error(source, line_no, f"unknown option {key!r}", UsageError)
+        first_seen(seen, key, source, line_no, f"option {key!r} set twice", UsageError)
         if raw[:1] in ("\"", "'"):
             if len(raw) < 2 or raw[-1] != raw[0]:
-                raise UsageError(
-                    f"line {line_no}: unterminated quote in {raw!r} ('#' starts a comment, even in quotes)"
-                )
+                what = f"unterminated quote in {raw!r} ('#' starts a comment, even in quotes)"
+                raise line_error(source, line_no, what, UsageError)
             raw = raw[1:-1]
         values[key] = coerce(key, raw)
     return Config(**values)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._util import DataError, TextSource, atomic_write_text, first_seen, is_field, iter_lines
-from ._util import parse_json, read_text, source_name
+from ._util import line_error, parse_json, read_text, source_name
 from .index import DEFAULT_B, DEFAULT_K1, Index, IndexMode, RankedList
 from .index import check_bm25_params, check_depth
 from .lexicon import Lexicon
@@ -144,14 +144,14 @@ def read_queries(source: TextSource) -> list[Query]:
     seen: dict[str, int] = {}
     for line_no, line in iter_lines(source):
         if "\t" not in line:
-            raise DataError(f"line {line_no}: expected qid<TAB>query text")
+            raise line_error(source, line_no, "expected qid<TAB>query text")
         qid, text = line.split("\t", 1)
         qid = qid.strip()
         if not qid:
-            raise DataError(f"line {line_no}: empty qid")
+            raise line_error(source, line_no, "empty qid")
         if not is_field(qid):
-            raise DataError(f"line {line_no}: qid {qid!r} contains whitespace or cannot be encoded as UTF-8")
-        first_seen(seen, qid, line_no, DataError, f"duplicate qid {qid!r}")
+            raise line_error(source, line_no, f"qid {qid!r} contains whitespace or cannot be encoded as UTF-8")
+        first_seen(seen, qid, source, line_no, f"duplicate qid {qid!r}")
         queries.append(Query(qid, text))
     return queries
 
@@ -198,24 +198,23 @@ def read_run(run_source: TextSource, found_source: TextSource | None = None) -> 
     for line_no, line in iter_lines(run_source):
         parts = line.split()
         if len(parts) != 6:
-            raise DataError(f"{where}: line {line_no}: expected 6 fields, got {len(parts)}")
+            raise line_error(run_source, line_no, f"expected 6 fields, got {len(parts)}")
         qid, _q0, doc_id, rank_str, score_str, line_tag = parts
         if not tag_line:
             tag, tag_line = line_tag, line_no
         elif line_tag != tag:
-            raise DataError(
-                f"{where}: line {line_no}: run tag {line_tag!r} differs from {tag!r} (first seen on line {tag_line})"
-            )
+            what = f"run tag {line_tag!r} differs from {tag!r} (first seen on line {tag_line})"
+            raise line_error(run_source, line_no, what)
         try:
             rank = int(rank_str)
             score = float(score_str)
         except ValueError:
-            raise DataError(f"{where}: line {line_no}: bad rank or score") from None
+            raise line_error(run_source, line_no, "bad rank or score") from None
         scores = per_qid.setdefault(qid, {})
         if rank != len(scores) + 1:
-            raise DataError(f"{where}: line {line_no}: rank {rank} out of order for query {qid!r}")
+            raise line_error(run_source, line_no, f"rank {rank} out of order for query {qid!r}")
         if doc_id in scores:
-            raise DataError(f"{where}: line {line_no}: document {doc_id!r} ranked twice for query {qid!r}")
+            raise line_error(run_source, line_no, f"document {doc_id!r} ranked twice for query {qid!r}")
         scores[doc_id] = score
 
     # The sidecar lists every query in batch order, including zero-result
@@ -236,7 +235,10 @@ def read_run(run_source: TextSource, found_source: TextSource | None = None) -> 
                 f"{where}: found-count sidecar: {found} for query {qid!r} is below its {len(scores)} ranked lines"
             )
         results.append(RankedList(qid, tuple(scores), tuple(scores.values()), found))
-    return Run(tag, tuple(results))
+    try:
+        return Run(tag, tuple(results))
+    except DataError as exc:  # a qid or tag that no file can hold, read from a str stream
+        raise DataError(f"{where}: {exc}") from None
 
 
 def _read_found_counts(source: TextSource, where: str) -> dict[str, int]:

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ._util import DataError, TextSource, first_seen, iter_lines
+from ._util import DataError, TextSource, first_seen, iter_lines, line_error
 from .engine import Run
 
 Qrels = dict[str, set[str]]
@@ -267,12 +267,12 @@ def read_qrels(source: TextSource) -> Qrels:
     for line_no, line in iter_lines(source):
         parts = line.split()
         if len(parts) != 4:
-            raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
+            raise line_error(source, line_no, f"expected 4 fields, got {len(parts)}")
         qid, _iteration, doc_id, rel = parts
         if rel not in ("0", "1"):
-            raise DataError(f"line {line_no}: relevance must be 0 or 1, got {rel!r}")
+            raise line_error(source, line_no, f"relevance must be 0 or 1, got {rel!r}")
         what = f"document {doc_id!r} judged twice for query {qid!r}"
-        first_seen(seen, (qid, doc_id), line_no, DataError, what)
+        first_seen(seen, (qid, doc_id), source, line_no, what)
         judged = qrels.setdefault(qid, set())
         if rel == "1":
             judged.add(doc_id)

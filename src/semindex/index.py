@@ -557,6 +557,6 @@ def read_corpus(source: TextSource) -> CorpusReadResult:
         if not isinstance(text, str):
             skipped.append(SkippedDocument(line_no, "missing or invalid 'text'"))
             continue
-        first_seen(seen, doc_id, line_no, DataError, f"duplicate doc_id {doc_id!r}")
+        first_seen(seen, doc_id, source, line_no, f"duplicate doc_id {doc_id!r}")
         documents.append((doc_id, text))
     return CorpusReadResult(documents, skipped)

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._util import DataError, TextSource, first_seen, iter_lines, parse_json
+from ._util import DataError, TextSource, first_seen, iter_lines, line_error, parse_json
 from .textnorm import tokenize
 
 POS_BY_TAG = {"n": "noun", "v": "verb", "a": "adjective", "r": "adverb"}
@@ -104,35 +104,35 @@ class Lexicon:
         return self._digest
 
 
-def _parse_record(line_no: int, line: str) -> Synset:
+def _parse_record(source: TextSource, line_no: int, line: str) -> Synset:
     try:
         record = parse_json(line)
     except json.JSONDecodeError as exc:
-        raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        raise line_error(source, line_no, f"invalid JSON ({exc.msg})") from exc
     if not isinstance(record, dict):
-        raise DataError(f"line {line_no}: record is not an object")
+        raise line_error(source, line_no, "record is not an object")
 
     synset_id = record.get("id")
     if not isinstance(synset_id, str) or not synset_id:
-        raise DataError(f"line {line_no}: missing or invalid 'id'")
+        raise line_error(source, line_no, "missing or invalid 'id'")
 
     pos_tag = record.get("pos")
     if not isinstance(pos_tag, str) or pos_tag not in POS_BY_TAG:
-        raise DataError(f"line {line_no}: unknown pos tag {pos_tag!r}")
+        raise line_error(source, line_no, f"unknown pos tag {pos_tag!r}")
 
     raw_lemmas = record.get("lemmas")
     if not isinstance(raw_lemmas, list) or not raw_lemmas:
-        raise DataError(f"line {line_no}: 'lemmas' must be a non-empty list")
+        raise line_error(source, line_no, "'lemmas' must be a non-empty list")
 
     lemmas: dict[str, None] = {}
     for raw in raw_lemmas:
         if not isinstance(raw, str):
-            raise DataError(f"line {line_no}: lemma {raw!r} is not a string")
+            raise line_error(source, line_no, f"lemma {raw!r} is not a string")
         lemma = normalize_lemma(raw)
         if not lemma:
-            raise DataError(f"line {line_no}: lemma {raw!r} is empty after normalization")
+            raise line_error(source, line_no, f"lemma {raw!r} is empty after normalization")
         if lemma.count(" ") + 1 > MAX_LEMMA_TOKENS:
-            raise DataError(f"line {line_no}: lemma {raw!r} has more than {MAX_LEMMA_TOKENS} tokens")
+            raise line_error(source, line_no, f"lemma {raw!r} has more than {MAX_LEMMA_TOKENS} tokens")
         # Duplicates after normalization collapse to the first occurrence.
         lemmas.setdefault(lemma)
 
@@ -148,7 +148,7 @@ def load_lexicon(source: TextSource) -> Lexicon:
     synsets: list[Synset] = []
     seen: dict[str, int] = {}
     for line_no, line in iter_lines(source):
-        syn = _parse_record(line_no, line)
-        first_seen(seen, syn.id, line_no, DataError, f"duplicate synset id {syn.id!r}")
+        syn = _parse_record(source, line_no, line)
+        first_seen(seen, syn.id, source, line_no, f"duplicate synset id {syn.id!r}")
         synsets.append(syn)
     return Lexicon(synsets)

@@ -11,7 +11,7 @@ import re
 import string
 import unicodedata
 
-from ._util import DataError, TextSource, iter_lines
+from ._util import TextSource, iter_lines, line_error
 
 # Token characters: ASCII letters/digits, Arabic letters including hamza
 # forms (U+0621-U+064A), tatweel, tashkeel and other combining marks up to
@@ -91,6 +91,6 @@ def load_stopwords(source: TextSource) -> frozenset[str]:
     for line_no, line in iter_lines(source):
         tokens = tokenize(line)
         if len(tokens) > 1:
-            raise DataError(f"line {line_no}: stopword {line.strip()!r} is more than one token")
+            raise line_error(source, line_no, f"stopword {line.strip()!r} is more than one token")
         words.update(tokens)
     return frozenset(words)

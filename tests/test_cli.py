@@ -156,7 +156,7 @@ class TestIndexCommand:
         lines[2] = lines[2].replace('"d3"', '"d1"')
         workspace["corpus"].write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["index", "--mode", "plain"] + common_args(workspace)) == 2
-        assert "line 3: duplicate doc_id 'd1' (first seen on line 1)" in caplog.text
+        assert f"{workspace['corpus']}: line 3: duplicate doc_id 'd1' (first seen on line 1)" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
         assert not (workspace["index_dir"] / "plain.idx").exists()
 
@@ -179,7 +179,7 @@ class TestIndexCommand:
     def test_lexicon_pos_that_is_not_a_string_is_data_error(self, workspace, caplog):
         workspace["lexicon"].write_text('{"id": "s1", "pos": ["n"], "lemmas": ["اثم"]}\n', encoding="utf-8")
         assert main(["index", "--mode", "semantic"] + common_args(workspace)) == 2
-        assert "line 1: unknown pos tag" in caplog.text
+        assert f"{workspace['lexicon']}: line 1: unknown pos tag" in caplog.text
 
     def test_skipped_corpus_lines_counted(self, workspace):
         workspace["corpus"].write_text(
@@ -280,7 +280,7 @@ class TestUnparsableJson:
         with open(workspace["lexicon"], "a", encoding="utf-8") as fh:
             fh.write(bad + "\n")
         assert main(["index", "--mode", "semantic"] + common_args(workspace)) == 2
-        assert "line 3: invalid JSON" in caplog.text
+        assert f"{workspace['lexicon']}: line 3: invalid JSON" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
 
@@ -298,7 +298,7 @@ class TestBatchCommand:
         build_indexes(workspace)
         workspace["queries"].write_text("q1\tاثم\nq 2\tبيت\n", encoding="utf-8")
         assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 2
-        assert "line 2" in caplog.text and "whitespace" in caplog.text
+        assert f"{workspace['queries']}: line 2: qid 'q 2' contains whitespace" in caplog.text
         assert not (workspace["report_dir"] / "semindex.R0.run").exists()
 
     def test_doc_id_that_cannot_be_a_run_field_is_data_error(self, workspace, caplog):
@@ -584,6 +584,27 @@ class TestPipelineCommand:
         args = ["--corpus", str(workspace["corpus"])]
         assert main(["pipeline"] + args) == 1
 
+    # Each input file's line fault names that file, as a run file's does.
+    @pytest.mark.parametrize(
+        "key, line, fault",
+        [
+            ("lexicon", '{"id": "s1"}', "line 1: unknown pos tag None"),
+            ("stopwords", "من في", "line 1: stopword 'من في' is more than one token"),
+            (
+                "corpus",
+                '{"id": "d1", "text": "a"}\n{"id": "d1", "text": "b"}',
+                "line 2: duplicate doc_id 'd1' (first seen on line 1)",
+            ),
+            ("queries", "q1 اثم", "line 1: expected qid<TAB>query text"),
+            ("qrels", "q1 d1 1", "line 1: expected 4 fields, got 3"),
+        ],
+        ids=["lexicon", "stopwords", "corpus", "queries", "qrels"],
+    )
+    def test_a_line_fault_names_its_file(self, workspace, caplog, key, line, fault):
+        workspace[key].write_text(line + "\n", encoding="utf-8")
+        assert main(["pipeline", "--stopwords", str(workspace["stopwords"])] + common_args(workspace)) == 2
+        assert f"{workspace[key]}: {fault}" in caplog.text
+
     def test_reports_equal_the_step_by_step_commands(self, workspace, tmp_path):
         # One unjudged query, so evaluation skips a qid on both paths.
         with open(workspace["queries"], "a", encoding="utf-8") as fh:
@@ -744,7 +765,7 @@ class TestConfigHandling:
         config = tmp_path / "twice.conf"
         config.write_text("depth = 5\n# deeper\ndepth = 7\n", encoding="utf-8")
         assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
-        assert "line 3: option 'depth' set twice (first seen on line 1)" in caplog.text
+        assert f"{config}: line 3: option 'depth' set twice (first seen on line 1)" in caplog.text
 
     def test_max_concept_tokens_is_not_an_option(self, workspace, tmp_path):
         # The lexicon's own lemmas bound concept matching.
@@ -763,7 +784,7 @@ class TestConfigHandling:
         config = tmp_path / "quoted.conf"
         config.write_text(f"# settings\n{line}\n", encoding="utf-8")
         assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
-        assert "line 2: unterminated quote" in caplog.text
+        assert f"{config}: line 2: unterminated quote" in caplog.text
         assert "'#' starts a comment" in caplog.text
 
     def test_invalid_value(self, tmp_path):

@@ -1,0 +1,156 @@
+"""End-to-end checks at bench scale on the seed-1 pipeline inputs of ``bench/gen.py``, which is only read here."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from helpers import reference_ranking, reference_scores
+
+from semindex import IndexMode, Run, SearchSystem, SearchType, build_indexes, load_lexicon, load_stopwords
+from semindex import read_corpus, read_queries, read_run, write_run
+from semindex.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "bench"))
+import gen  # noqa: E402
+import workloads  # noqa: E402
+
+# The golden hashes cover depths 10 and 1000; these also cross the selection cut (one in 32) and hold ties.
+DEPTHS = (1, 2, 10, 31, 32, 33, 100, 1000, None)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> gen.Inputs:
+    return gen.generate(1, workloads.SIZES["pipeline"], tmp_path_factory.mktemp("inputs"))
+
+
+@pytest.fixture(scope="module")
+def rankings(inputs) -> dict:
+    """(search type, depth) -> [(``run_query``'s ranking, the per-term fold's found count, doc ids, score bits)]."""
+    lex, stop = load_lexicon(inputs.lexicon), load_stopwords(inputs.stopwords)
+    indexes = dict(zip(IndexMode, build_indexes(read_corpus(inputs.corpus).documents, tuple(IndexMode), lex, stop)))
+    system = SearchSystem(indexes[IndexMode.PLAIN], indexes[IndexMode.SEMANTIC], lex, stop)
+    found: dict = {}
+    for query in read_queries(inputs.queries):
+        for st in SearchType:
+            scores = reference_scores(indexes[st.index_mode], system.query_terms(query, st), system.k1, system.b)
+            for depth in DEPTHS:
+                doc_ids = reference_ranking(scores, depth)
+                want = (len(scores), tuple(doc_ids), [scores[doc_id].hex() for doc_id in doc_ids])
+                found.setdefault((st, depth), []).append((system.run_query(query, st, depth), want))
+    return found
+
+
+def test_rankings_equal_the_per_term_fold(rankings):
+    pairs = [(key, *pair) for key, pairs in rankings.items() for pair in pairs]
+    differ = [(got.qid, *key) for key, got, want in pairs
+              if (got.found_count, got.doc_ids, [score.hex() for score in got.scores]) != want]
+    assert (differ, len(pairs)) == ([], 3600)
+
+
+def test_every_written_run_reads_back(rankings, tmp_path):
+    def fields(run):
+        return run.tag, [(r.qid, r.doc_ids, r.found_count, [f"{s:.6f}" for s in r.scores]) for r in run.results]
+
+    run_path, found_path = tmp_path / "check.run", tmp_path / "check.found.json"
+    for (st, depth), pairs in rankings.items():
+        run = Run(f"{st.value}-{depth}", tuple(got for got, _ in pairs))
+        write_run(run, run_path, found_path)
+        assert fields(read_run(run_path, found_path)) == fields(run), f"{st.value} depth {depth}"
+    assert len(rankings) == 36
+
+
+def _flags(inputs: gen.Inputs, *names: str) -> list[str]:
+    return [arg for name in names for arg in (f"--{name}", str(getattr(inputs, name)))]
+
+
+def _cli(*argv) -> None:
+    assert main([str(arg) for arg in argv]) == 0
+
+
+def _pipeline(inputs: gen.Inputs, out: Path, workers: int = 1) -> Path:
+    _cli("pipeline", *_flags(inputs, "corpus", "lexicon", "queries", "qrels", "stopwords"),
+         "--index-dir", out / "indexes", "--report-dir", out / "reports", "--depth", 1000, "--workers", workers)
+    return out
+
+
+def _tree(root: Path, *skip: str) -> dict[str, bytes]:
+    """Every file under ``root`` by relative path, with its bytes; names matching a ``skip`` glob aside."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*"))
+            if path.is_file() and not any(path.match(pattern) for pattern in skip)}
+
+
+@pytest.fixture(scope="module")
+def out(inputs, tmp_path_factory) -> Path:
+    return _pipeline(inputs, tmp_path_factory.mktemp("one-worker"))
+
+
+def test_two_workers_write_what_one_writes(inputs, out, tmp_path):
+    _pipeline(inputs, tmp_path, workers=2)
+    assert _tree(tmp_path / "indexes") == _tree(out / "indexes")
+    assert _tree(tmp_path / "reports") == _tree(out / "reports")
+
+
+def test_index_run_once_per_mode_writes_the_pipeline_indexes(inputs, out, tmp_path):
+    for mode in ("plain", "semantic"):
+        _cli("index", "--mode", mode, *_flags(inputs, "corpus", "lexicon", "stopwords"), "--index-dir", tmp_path)
+    assert _tree(tmp_path) == _tree(out / "indexes")
+
+
+def test_eval_and_compare_rewrite_the_pipeline_reports(inputs, out, tmp_path):
+    """The bench never calls read_run, so this checks that every run the program writes keeps its rules."""
+    runs = [out / "reports" / f"semindex.{st.value}.run" for st in SearchType]
+    for command in ("eval", "compare"):
+        _cli(command, *runs, *_flags(inputs, "qrels", "stopwords"), "--report-dir", tmp_path)
+    assert _tree(tmp_path) == _tree(out / "reports", "*.run", "*.found.json")
+
+
+def test_search_prints_the_first_query_lines_of_the_r1_run(inputs, out, capsys):
+    qid, text = inputs.queries.read_text(encoding="utf-8").split("\n", 1)[0].split("\t", 1)
+    lines = (line.split() for line in (out / "reports" / "semindex.R1.run").read_text(encoding="utf-8").splitlines())
+    expected = "".join(f"{rank}\t{doc_id}\t{score}\n" for q, _, doc_id, rank, score, _ in lines if q == qid)
+    assert expected
+    capsys.readouterr()
+    _cli("search", "--search-type", "R1", "--depth", 1000, *_flags(inputs, "qrels", "stopwords", "lexicon"),
+         "--index-dir", out / "indexes", text)
+    assert capsys.readouterr().out == expected
+
+
+def test_a_byte_order_mark_and_crlf_line_ends_change_no_output(inputs, out, tmp_path):
+    """Some editors save UTF-8 with a byte-order mark and CRLF line ends."""
+    for path in inputs.corpus.parent.iterdir():
+        (tmp_path / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+    _pipeline(gen.Inputs.at(tmp_path), tmp_path)
+    assert _tree(tmp_path / "reports") == _tree(out / "reports")
+    assert _tree(tmp_path / "indexes") == _tree(out / "indexes")
+
+
+# The pipeline tokenizes and semantizes its 600 documents once each and expands its 100 queries for R1 and R2.
+# Search makes 2,400 retrieve calls (300 queries x R0-R3 x depth 10 and 1000). A bench change that moves a count
+# edits it here.
+TRACED_COUNTS = {
+    "pipeline": {"textnorm.tokenize.calls": 600, "semantics.semantize.calls": 600, "semantics.expand.calls": 200,
+                 "textnorm.tokenize.tokens": 113742, "semantics.semantize.tokens_out": 119246},
+    "search": {"index.retrieve.calls": 2400, "index.retrieve.postings_touched": 869086,
+               "index.retrieve.found": 775630, "index.retrieve.returned": 399595},
+}
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", sorted(TRACED_COUNTS))
+def test_seed_1_bench_run_is_correct(workload, trace):
+    """``bench/run.py`` exits 0 when a check or a golden hash fails: the verdict is its last line's ``correct``."""
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", str(trace)]
+    done = subprocess.run([sys.executable, ROOT / "bench" / "run.py", *argv], cwd=ROOT, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    verdict = json.loads(done.stdout.splitlines()[-1])
+    assert verdict["correct"] is True, done.stdout
+    if trace:  # the tracer patches functions by name and only notes those it cannot find
+        assert "tracer: not found" not in done.stdout
+        counts = TRACED_COUNTS[workload]
+        assert {name: verdict["metrics"].get(name, {}).get("value") for name in counts} == counts

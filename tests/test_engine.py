@@ -364,6 +364,16 @@ class TestRunFiles:
             read_run(path)
         assert str(raised.value) == f"{path}: not UTF-8 text (invalid start byte at byte 7)"
 
+    @pytest.mark.parametrize(
+        "line, fault",
+        [("q\ud800 Q0 d1 1 1.0 t", "qid 'q\\ud800'"), ("q1 Q0 d1 1 1.0 t\ud800", "run tag 't\\ud800'")],
+    )
+    def test_a_field_no_file_can_hold_names_the_stream(self, line, fault):
+        # Only a str stream can hold a lone surrogate; Run refuses it.
+        with pytest.raises(DataError) as raised:
+            read_run(io.StringIO(line + "\n"))
+        assert str(raised.value) == f"input stream: {fault} cannot be a field of a run file"
+
     def test_lines_with_two_tags_rejected(self):
         run = "q1 Q0 d1 1 2.0 alpha\nq1 Q0 d2 2 1.0 beta\n"
         message = "line 2: run tag 'beta' differs from 'alpha' (first seen on line 1)"

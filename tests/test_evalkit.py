@@ -405,7 +405,7 @@ class TestReadQrels:
     @pytest.mark.parametrize("rels", [("1", "0"), ("0", "1"), ("1", "1")])
     def test_pair_judged_twice_rejected(self, rels):
         text = f"q1 0 d1 {rels[0]}\nq1 0 d2 1\nq1 1 d1 {rels[1]}\n"
-        message = r"^line 3: document 'd1' judged twice for query 'q1' \(first seen on line 1\)$"
+        message = r"^input stream: line 3: document 'd1' judged twice for query 'q1' \(first seen on line 1\)$"
         with pytest.raises(DataError, match=message):
             read_qrels(io.StringIO(text))
 

@@ -980,7 +980,7 @@ class TestReadCorpus:
 
     def test_repeated_id_names_both_lines(self):
         lines = ['{"id": "d1", "text": "اثم"}', '{"id": "d2", "text": "ذنب"}', '{"id": "d1", "text": "بيت"}']
-        with pytest.raises(DataError, match=r"^line 3: duplicate doc_id 'd1' \(first seen on line 1\)$"):
+        with pytest.raises(DataError, match=r"^input stream: line 3: duplicate doc_id 'd1' \(first seen on line 1\)$"):
             read_corpus(io.StringIO("\n".join(lines)))
 
     def test_skipped_record_does_not_claim_its_id(self):

@@ -75,7 +75,7 @@ class TestLoad:
     )
     def test_invalid_field_names_its_line(self, record, message):
         text = lexicon_jsonl([("s1", "n", ["ذنب"])]) + "\n" + json.dumps(record, ensure_ascii=False)
-        with pytest.raises(DataError, match=f"^line 2: {re.escape(message)}$"):
+        with pytest.raises(DataError, match=f"^input stream: line 2: {re.escape(message)}$"):
             load_lexicon(io.StringIO(text))
 
     def test_empty_lemma_list(self):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given
@@ -132,7 +133,36 @@ def test_a_repeated_key_names_both_lines(reader):
     with pytest.raises(error) as raised:
         read(io.StringIO("\n".join(lines) + "\n"))
     assert type(raised.value) is error
-    assert str(raised.value) == f"line 3: {what} (first seen on line 1)"
+    assert str(raised.value) == f"input stream: line 3: {what} (first seen on line 1)"
+
+
+# Each line reader but read_run (see tests/test_engine.py), an input with a
+# fault on one line, and its message.
+LINE_FAULTS = {
+    **{reader: (lines, f"line 3: {what} (first seen on line 1)")
+       for reader, (_, lines, what) in DUPLICATE_KEYS.items()},
+    "stopwords": (["في", "من في"], "line 2: stopword 'من في' is more than one token"),
+}
+
+
+@pytest.mark.parametrize("reader", LINE_FAULTS)
+def test_a_line_fault_names_its_source(reader, tmp_path):
+    # As read_text names a file that is not UTF-8: the path, a stream's name,
+    # or "input stream"; and that file is named once.
+    read, error = READERS[reader]
+    lines, message = LINE_FAULTS[reader]
+    path = tmp_path / "input"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    unnamed = io.StringIO(path.read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as named:
+        for source, name in ((path, str(path)), (named, str(path)), (unnamed, "input stream")):
+            with pytest.raises(error) as raised:
+                read(source)
+            assert str(raised.value) == f"{name}: {message}"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(error) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}: not UTF-8 text (invalid start byte at byte 0)"
 
 
 # A JSON object that repeats a key is malformed, at any depth. Each JSON
@@ -157,7 +187,7 @@ def test_a_lexicon_record_that_repeats_a_key_is_an_error():
     lines = ['{"id": "s1", "pos": "n", "lemmas": ["a"]}', '{"id": "s2", "pos": "n", "lemmas": ["b"], "lemmas": ["c"]}']
     with pytest.raises(DataError) as raised:
         load_lexicon(io.StringIO("\n".join(lines) + "\n"))
-    assert str(raised.value) == "line 2: invalid JSON (duplicate key 'lemmas')"
+    assert str(raised.value) == "input stream: line 2: invalid JSON (duplicate key 'lemmas')"
 
 
 def test_a_sidecar_that_repeats_a_qid_is_an_error():
@@ -187,9 +217,9 @@ def test_records_hold_characters_that_are_not_line_ends(tmp_path, char, newline)
 
     lexicon = load_lexicon(write(json.dumps({"id": f"s{char}1", "pos": "n", "lemmas": ["x"]}, ensure_ascii=False)))
     assert lexicon.synset(f"s{char}1").lemmas == ("x",)
-    with pytest.raises(DataError, match="^line 2: invalid JSON"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: invalid JSON"):
         load_lexicon(write(json.dumps({"id": "s1", "pos": "n", "lemmas": ["x"]}), "{broken"))
 
     assert read_queries(write(f"q1\t{text}")) == [Query("q1", text)]
-    with pytest.raises(DataError, match="^line 2: expected qid<TAB>query text"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: expected qid<TAB>query text"):
         read_queries(write(f"q1\t{text}", "no tab"))

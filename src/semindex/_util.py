@@ -13,9 +13,9 @@ TextSource = Union[str, os.PathLike, IO[str], IO[bytes]]
 class DataError(ValueError):
     """Input data that semindex cannot use: a malformed lexicon, corpus,
     stopword, query, qrels, run or index file, or inputs that do not fit
-    together. The one class the CLI exits 2 for (config files raise
-    ``config.UsageError``). A reader names its file first: ``read_text`` for
-    bytes that are not UTF-8, ``line_error`` for a fault on one line."""
+    together. The one class the CLI exits 2 for (``load_config`` turns it
+    into ``config.UsageError``). A reader names its file first: ``read_text``
+    for bytes that are not UTF-8, ``line_error`` for a fault on one line."""
 
 
 def source_name(source: TextSource) -> str:
@@ -48,19 +48,18 @@ def iter_lines(source: TextSource) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def line_error(source: TextSource, line_no: int, what: str, error: type[Exception] = DataError) -> Exception:
+def line_error(source: TextSource, line_no: int, what: str) -> DataError:
     """The error to raise for a fault on line ``line_no`` of ``source``:
     ``<source name>: line N: <what>``. The name is worked out only here."""
-    return error(f"{source_name(source)}: line {line_no}: {what}")
+    return DataError(f"{source_name(source)}: line {line_no}: {what}")
 
 
-def first_seen(seen: dict, key, source: TextSource, line_no: int, what: str,
-               error: type[Exception] = DataError) -> None:
+def first_seen(seen: dict, key, source: TextSource, line_no: int, what: str) -> None:
     """Record ``key`` as seen on ``line_no``; a key seen before raises
-    ``error`` naming both lines, after the reader's own words ``what``."""
+    DataError naming both lines, after the reader's own words ``what``."""
     first = seen.setdefault(key, line_no)
     if first != line_no:
-        raise line_error(source, line_no, f"{what} (first seen on line {first})", error)
+        raise line_error(source, line_no, f"{what} (first seen on line {first})")
 
 
 class _UnplacedJSONError(json.JSONDecodeError):

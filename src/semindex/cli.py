@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from ._util import DataError, atomic_write_text
-from .config import Config, UsageError, coerce, load_config, nonempty_path, validate_sanity
+from .config import _COERCERS, Config, UsageError, load_config, nonempty_path, validate_sanity
 from .engine import Query, Run, SearchSystem, SearchType, read_queries, read_run, write_run
 from .evalkit import (
     EvalResult,
@@ -293,11 +293,11 @@ def cmd_pipeline(cfg: Config, args: argparse.Namespace) -> int:
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=nonempty_path, help="flat key = value config file")
-    # One flag per Config field (--index-dir for index_dir), with the field's help.
+    # One flag per Config field (--index-dir for index_dir), read as its config file value is.
     for f in fields(Config):
         shown = repr(f.default) if isinstance(f.default, str) else f.default
-        default = "" if f.default is None else f" (default {shown})"
-        parser.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"] + default)
+        text = f.metadata["help"] + ("" if f.default is None else f" (default {shown})")
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_COERCERS[f.name], help=text)
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
 
 
@@ -344,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
+    """Config file values, then the flags given (a flag left out is None), then the sanity checks."""
     cfg = load_config(args.config) if args.config else Config()
-    # Flag values are text, read like config file values; a flag left out is None.
     flags = {f.name: getattr(args, f.name) for f in fields(Config)}
-    cfg = replace(cfg, **{key: coerce(key, raw) for key, raw in flags.items() if raw is not None})
+    cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
     validate_sanity(cfg)
     return cfg
 

@@ -50,45 +50,41 @@ def nonempty_path(raw: str) -> Path:
     return Path(raw)
 
 
-# Config key -> the function that reads its value from text: nonempty_path
-# for a Path or Path | None field, the field's type (float, int, str) else.
+# Config key -> the function that reads its value from text, in a file or a
+# flag: nonempty_path for a Path or Path | None field, its type (float, int, str) else.
 _COERCERS = {
     key: nonempty_path if Path in (hint, *get_args(hint)) else hint
     for key, hint in get_type_hints(Config).items()
 }
 
 
-def coerce(key: str, raw: str):
-    """The value of config key ``key`` given as text, in a file or a flag."""
-    try:
-        return _COERCERS[key](raw)
-    except ValueError:
-        raise UsageError(f"invalid value for {key!r}: {raw!r}") from None
-
-
 def load_config(source: TextSource) -> Config:
-    try:
-        lines = list(iter_lines(source))
-    except DataError as exc:  # the file is not UTF-8
-        raise UsageError(str(exc)) from None
+    """The settings of a config file over the defaults. Every fault in the
+    file raises UsageError; one on a line reads ``<file>: line N: <what>``."""
     values: dict = {}
     seen: dict[str, int] = {}
-    for line_no, line in lines:
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:  # a comment line
-            continue
-        if "=" not in stripped:
-            raise line_error(source, line_no, "expected key = value", UsageError)
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _COERCERS:
-            raise line_error(source, line_no, f"unknown option {key!r}", UsageError)
-        first_seen(seen, key, source, line_no, f"option {key!r} set twice", UsageError)
-        if raw[:1] in ("\"", "'"):
-            if len(raw) < 2 or raw[-1] != raw[0]:
-                what = f"unterminated quote in {raw!r} ('#' starts a comment, even in quotes)"
-                raise line_error(source, line_no, what, UsageError)
-            raw = raw[1:-1]
-        values[key] = coerce(key, raw)
+    try:
+        for line_no, line in iter_lines(source):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:  # a comment line
+                continue
+            if "=" not in stripped:
+                raise line_error(source, line_no, "expected key = value")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key not in _COERCERS:
+                raise line_error(source, line_no, f"unknown option {key!r}")
+            first_seen(seen, key, source, line_no, f"option {key!r} set twice")
+            if raw[:1] in ("\"", "'"):
+                if len(raw) < 2 or raw[-1] != raw[0]:
+                    what = f"unterminated quote in {raw!r} ('#' starts a comment, even in quotes)"
+                    raise line_error(source, line_no, what)
+                raw = raw[1:-1]
+            try:
+                values[key] = _COERCERS[key](raw)
+            except ValueError:
+                raise line_error(source, line_no, f"invalid value for {key!r}: {raw!r}") from None
+    except DataError as exc:  # a line fault, or the file is not UTF-8
+        raise UsageError(str(exc)) from None
     return Config(**values)
 
 

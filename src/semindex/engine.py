@@ -57,8 +57,9 @@ class Query:
 @dataclass(frozen=True)
 class Run:
     """One RankedList per query, in query order. The tag and each qid are
-    fields of a run file, no qid comes twice and no query ranks a document
-    twice or finds fewer than it ranks, so ``read_run`` reads its file back."""
+    fields of a run file, no qid comes twice, each ranked document has one
+    score, and no query ranks a document twice or finds fewer than it ranks,
+    so ``read_run`` reads its file back."""
 
     tag: str
     results: tuple[RankedList, ...]
@@ -71,6 +72,9 @@ class Run:
             if ranked.qid in seen or not is_field(ranked.qid):
                 fault = "is given twice" if ranked.qid in seen else "cannot be a field of a run file"
                 raise DataError(f"qid {ranked.qid!r} {fault}")
+            if len(ranked.scores) != len(ranked.doc_ids):
+                columns = f"doc_ids ({len(ranked.doc_ids)}) and scores ({len(ranked.scores)})"
+                raise DataError(f"{columns} of query {ranked.qid!r} differ in length")
             if len(set(ranked.doc_ids)) < len(ranked.doc_ids):
                 doc_id = next(d for i, d in enumerate(ranked.doc_ids) if d in ranked.doc_ids[:i])
                 raise DataError(f"document {doc_id!r} is ranked twice for query {ranked.qid!r}")
@@ -163,7 +167,7 @@ def format_run(run: Run) -> str:
     """TREC lines: qid Q0 doc_id rank score tag, scores at 6 decimals."""
     lines = []
     for ranked in run.results:
-        for rank, (doc_id, score) in enumerate(zip(ranked.doc_ids, ranked.scores, strict=True), 1):
+        for rank, (doc_id, score) in enumerate(zip(ranked.doc_ids, ranked.scores), 1):
             lines.append(f"{ranked.qid} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n")
     return "".join(lines)
 

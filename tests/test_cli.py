@@ -699,15 +699,12 @@ class TestConfigHandling:
         assert not workspace["report_dir"].exists()
         assert not (tmp_path / "abs").exists()
 
+    # argparse reads a path flag as it reads a path argument, below.
     @pytest.mark.parametrize("key", PATH_KEYS)
-    def test_empty_path_flag_is_usage_error(self, workspace, tmp_path, monkeypatch, caplog, key):
-        # Path("") is the working directory, which no path option means.
-        build_indexes(workspace)
-        monkeypatch.chdir(tmp_path)
-        code = main(["batch", "--search-type", "R2"] + common_args(workspace) + [flag_of(key), ""])
-        assert code == 1
-        assert f"invalid value for {key!r}: ''" in caplog.text
-        assert not workspace["report_dir"].exists() and not list(tmp_path.glob("*.run"))
+    def test_empty_path_flag_is_usage_error(self, workspace, tmp_path, monkeypatch, capsys, key):
+        self.test_empty_path_argument_is_usage_error(
+            workspace, tmp_path, monkeypatch, capsys, ["batch", "--search-type", "R2", flag_of(key), ""]
+        )
 
     @pytest.mark.parametrize("key", PATH_KEYS)
     def test_empty_path_in_config_file_is_usage_error(self, workspace, tmp_path, monkeypatch, caplog, key):
@@ -791,6 +788,25 @@ class TestConfigHandling:
         config = tmp_path / "bad.conf"
         config.write_text("depth = soon\n", encoding="utf-8")
         assert main(["index", "--mode", "plain", "--config", str(config)]) == 1
+
+    # A value its key's reader refuses is a fault on a line like any other.
+    @pytest.mark.parametrize(
+        "line, key, raw", [("depth = x", "depth", "x"), ("k1 = x", "k1", "x"), ("corpus = ''", "corpus", "")],
+        ids=["int", "float", "path"],
+    )
+    def test_invalid_value_names_the_file_and_line(self, workspace, tmp_path, caplog, line, key, raw):
+        config = tmp_path / "exp.conf"
+        config.write_text(f"# settings\n{line}\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(config)] + common_args(workspace)) == 1
+        assert caplog.messages == [f"{config}: line 2: invalid value for {key!r}: {raw!r}"]
+        assert not workspace["index_dir"].exists() and not workspace["report_dir"].exists()
+
+    @pytest.mark.parametrize("flag, kind", [("--depth", "int"), ("--k1", "float")])
+    def test_unreadable_flag_value_is_reported_by_argparse(self, workspace, capsys, caplog, flag, kind):
+        assert main(["pipeline", flag, "x"] + common_args(workspace)) == 1
+        assert f"argument {flag}: invalid {kind} value: 'x'" in capsys.readouterr().err
+        assert caplog.messages == []
+        assert not workspace["index_dir"].exists() and not workspace["report_dir"].exists()
 
     @pytest.mark.parametrize(
         "flag", [["--k1", "nan"], ["--k1", "inf"], ["--b", "nan"]], ids=["k1-nan", "k1-inf", "b-nan"]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -142,11 +144,15 @@ TRACED_COUNTS = {
 
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("workload", sorted(TRACED_COUNTS))
-def test_seed_1_bench_run_is_correct(workload, trace):
-    """``bench/run.py`` exits 0 when a check or a golden hash fails: the verdict is its last line's ``correct``."""
+def test_seed_1_bench_run_is_correct(workload, trace, tmp_path):
+    """``bench/run.py`` exits 0 when a check or a golden hash fails: the verdict is its last line's ``correct``.
+    It runs from a copy of the checkout, so its work directory and spans land in ``tmp_path``."""
+    for name in ("src", "bench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", str(trace)]
-    done = subprocess.run([sys.executable, ROOT / "bench" / "run.py", *argv], cwd=ROOT, capture_output=True,
-                          text=True, timeout=600)
+    done = subprocess.run([sys.executable, tmp_path / "bench" / "run.py", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
     verdict = json.loads(done.stdout.splitlines()[-1])
     assert verdict["correct"] is True, done.stdout
@@ -154,3 +160,12 @@ def test_seed_1_bench_run_is_correct(workload, trace):
         assert "tracer: not found" not in done.stdout
         counts = TRACED_COUNTS[workload]
         assert {name: verdict["metrics"].get(name, {}).get("value") for name in counts} == counts
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    """Only a build with more than one worker starts a process pool, so search, batch, eval, compare and a
+    one-worker pipeline do not pay for importing ``concurrent.futures`` and ``multiprocessing``."""
+    code = "import sys, semindex.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

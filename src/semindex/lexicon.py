@@ -37,6 +37,12 @@ class Synset:
     lemmas: tuple[str, ...]
 
 
+def _monosemous(synset_ids: tuple[str, ...]) -> bool:
+    """The concept step's rule: a lemma with exactly one sense, counted
+    across all POS classes, is rewritten and expanded."""
+    return len(synset_ids) == 1
+
+
 def normalize_lemma(raw: str) -> str:
     """Normalize a lemma the same way document text is tokenized."""
     return " ".join(tokenize(raw))
@@ -54,9 +60,10 @@ class Lexicon:
     def __init__(self, synsets: Iterable[Synset] = ()):
         self._synsets: dict[str, Synset] = {}
         self._inverted: dict[str, tuple[str, ...]] = {}
-        # First token of any lemma -> token count of the longest lemma that
-        # starts with it; lets concept matching skip and bound its windows.
-        self._longest_from: dict[str, int] = {}
+        # The first two tokens of a multiword lemma -> token count of the
+        # longest lemma that starts with them: concept matching tries windows
+        # only where such a pair stands, and bounds them.
+        self._phrases: dict[tuple[str, str], int] = {}
         self._digest: str | None = None
         for syn in synsets:
             if syn.id in self._synsets:
@@ -67,9 +74,18 @@ class Lexicon:
                 if syn.id in senses:
                     raise DataError(f"synset {syn.id!r} lists lemma {lemma!r} twice")
                 self._inverted[lemma] = senses + (syn.id,)
-                lemma_tokens = lemma.split(" ")
-                if len(lemma_tokens) > self._longest_from.get(lemma_tokens[0], 0):
-                    self._longest_from[lemma_tokens[0]] = len(lemma_tokens)
+                if " " in lemma:
+                    first, second, *rest = lemma.split(" ")
+                    pair = first, second
+                    self._phrases[pair] = max(self._phrases.get(pair, 0), 2 + len(rest))
+        # Monosemous lemma -> its synset's canonical lemma (its first), where
+        # the two differ: the whole of semantize's rewrite.
+        self._rewrites: dict[str, str] = {
+            lemma: syn.lemmas[0]
+            for syn in self._synsets.values()
+            for lemma in syn.lemmas[1:]
+            if _monosemous(self._inverted[lemma])
+        }
 
     def __len__(self) -> int:
         return len(self._synsets)

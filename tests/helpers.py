@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -94,21 +95,28 @@ def reference_document_terms(text: str, mode: IndexMode, lex: Lexicon | None, st
     return remove_stopwords(tokens, stoplist)
 
 
-def reference_match_concepts(tokens, lex: Lexicon) -> list[ConceptMatch]:
-    """Exhaustive greedy leftmost-longest matcher: at every position, every
-    window from the rest of the stream down to 1 token is joined and looked
-    up in a lemma -> synset ids map rebuilt from the lexicon's synsets in
-    file order."""
+@functools.lru_cache(maxsize=4)
+def _reference_senses(lex: Lexicon) -> dict[str, list[str]]:
+    """lemma -> synset ids in file order, from the stored synset records (the
+    loader's output, not the lookup tables that match_concepts reads); a
+    lexicon is immutable, so a bench-scale one is read once."""
     senses_of: dict[str, list[str]] = {}
-    # The stored synset records are the loader's output, not the lookup
-    # tables that match_concepts reads.
     for syn in lex._synsets.values():
         for lemma in syn.lemmas:
             senses_of.setdefault(lemma, []).append(syn.id)
+    return senses_of
+
+
+def reference_match_concepts(tokens, lex: Lexicon, max_tokens: int | None = None) -> list[ConceptMatch]:
+    """Exhaustive greedy leftmost-longest matcher: at every position, every
+    window from the rest of the stream (or from ``max_tokens``) down to 1
+    token is joined and looked up in a lemma -> synset ids map read from
+    the lexicon's synsets in file order."""
+    senses_of = _reference_senses(lex)
     matches: list[ConceptMatch] = []
     i, n = 0, len(tokens)
     while i < n:
-        for length in range(n - i, 0, -1):
+        for length in range(min(n - i, max_tokens or n), 0, -1):
             lemma = " ".join(tokens[i : i + length])
             synset_ids = senses_of.get(lemma)
             if synset_ids:
@@ -118,6 +126,22 @@ def reference_match_concepts(tokens, lex: Lexicon) -> list[ConceptMatch]:
         else:
             i += 1
     return matches
+
+
+def reference_semantize(tokens, lex: Lexicon, max_tokens: int | None = None) -> list[str]:
+    """semantize as it was before it read the lexicon's rewrite table, over
+    ``reference_match_concepts``: each match with exactly one synset is
+    replaced by the tokens of that synset's first lemma, and the other
+    matches and tokens are copied."""
+    out: list[str] = []
+    prev_end = 0
+    for match in reference_match_concepts(tokens, lex, max_tokens):
+        if len(match.synset_ids) == 1:
+            out.extend(tokens[prev_end : match.start])
+            out.extend(lex.synset(match.synset_ids[0]).lemmas[0].split(" "))
+            prev_end = match.end
+    out.extend(tokens[prev_end:])
+    return out
 
 
 _REF_MARKS_RE = re.compile(r"[\u064b-\u0655]")

@@ -10,11 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import reference_ranking, reference_scores
+from helpers import reference_match_concepts, reference_ranking, reference_scores, reference_semantize
 
 from semindex import IndexMode, Run, SearchSystem, SearchType, build_indexes, load_lexicon, load_stopwords
-from semindex import read_corpus, read_queries, read_run, write_run
+from semindex import match_concepts, read_corpus, read_queries, read_run, semantize, tokenize, write_run
 from semindex.cli import main
+from semindex.lexicon import MAX_LEMMA_TOKENS
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT / "bench"))
@@ -64,6 +65,19 @@ def test_every_written_run_reads_back(rankings, tmp_path):
         write_run(run, run_path, found_path)
         assert fields(read_run(run_path, found_path)) == fields(run), f"{st.value} depth {depth}"
     assert len(rankings) == 36
+
+
+def test_the_concept_step_equals_the_exhaustive_matcher(inputs):
+    """Windows up to the longest lemma ``load_lexicon`` accepts are every window that can match."""
+    lex = load_lexicon(inputs.lexicon)
+    documents = [tokenize(text) for _, text in read_corpus(inputs.corpus).documents]
+    differ = [i for i, tokens in enumerate(documents)
+              if semantize(tokens, lex) != reference_semantize(tokens, lex, MAX_LEMMA_TOKENS)]
+    assert (differ, len(documents)) == ([], 600)
+    queries = [tokenize(query.text) for query in read_queries(inputs.queries)]
+    differ = [i for i, tokens in enumerate(queries)
+              if match_concepts(tokens, lex) != reference_match_concepts(tokens, lex, MAX_LEMMA_TOKENS)]
+    assert (differ, len(queries)) == ([], 100)
 
 
 def _flags(inputs: gen.Inputs, *names: str) -> list[str]:

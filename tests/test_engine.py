@@ -339,6 +339,11 @@ class TestRunFiles:
             write_run(run, tmp_path / "x.run", tmp_path / "x.found.json")
         assert not list(tmp_path.iterdir())
 
+    def test_the_document_ranked_twice_is_named(self):
+        # The repeated document, not the first one ranked.
+        with pytest.raises(DataError, match=re.escape("document 'd2' is ranked twice for query 'q1'")):
+            Run("t", (RankedList("q1", ("d1", "d2", "d2"), (3.0, 2.0, 1.0), 3),))
+
     def test_messages_start_with_the_run_files_name(self, tmp_path):
         # A path, a stream's name or "input stream", for a fault of the
         # sidecar too; a file that is not UTF-8 is named once, by itself.
@@ -488,6 +493,10 @@ class TestReadQueries:
     def test_missing_tab(self):
         with pytest.raises(DataError, match="line 1"):
             read_queries(io.StringIO("q1 اثم\n"))
+
+    def test_blank_qid(self):
+        with pytest.raises(DataError, match=r"^input stream: line 1: empty qid$"):
+            read_queries(io.StringIO(" \tاثم\n"))
 
     def test_duplicate_qid(self):
         with pytest.raises(DataError, match="duplicate qid"):

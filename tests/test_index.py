@@ -970,6 +970,11 @@ class TestReadCorpus:
         assert [d[0] for d in result.documents] == ["d1"]
         assert [s.line_no for s in result.skipped] == [2, 3, 4, 5]
 
+    def test_empty_id_skipped_as_missing(self):
+        result = read_corpus(io.StringIO('{"id": "", "text": "اثم"}\n{"id": "d2", "text": "ذنب"}\n'))
+        assert [d[0] for d in result.documents] == ["d2"]
+        assert [(s.line_no, s.reason) for s in result.skipped] == [(1, "missing or invalid 'id'")]
+
     @pytest.mark.parametrize("doc_id", ["d 1", "d\t1", " d1", "d1\u00a0", "d\u20031"])
     def test_whitespace_in_id_skipped(self, doc_id):
         line = json.dumps({"id": doc_id, "text": "اثم"})

@@ -16,6 +16,7 @@ from helpers import (
     lexicon_strategy,
     make_lexicon,
     reference_match_concepts,
+    reference_semantize,
     senses,
     strategy_ids,
     token_stream_strategy,
@@ -182,9 +183,7 @@ class TestAgainstExhaustiveMatcher:
     @settings(max_examples=100)
     @given(dense_lexicons, dense_streams)
     def test_semantize(self, lex, tokens):
-        with mock.patch.object(semantics, "match_concepts", reference_match_concepts):
-            expected = semantize(tokens, lex)
-        assert semantize(tokens, lex) == expected
+        assert semantize(tokens, lex) == reference_semantize(tokens, lex)
 
     @settings(max_examples=100)
     @given(dense_lexicons, dense_streams)
@@ -201,6 +200,40 @@ class TestAgainstExhaustiveMatcher:
         got = [(m.start, m.end) for m in match_concepts(tokens, lex)]
         assert got == [(0, 2), (3, 7), (7, 8)]
         assert match_concepts(tokens, lex) == reference_match_concepts(tokens, lex)
+
+
+class TestPhraseGate:
+    """Multiword matches are tried only where a lemma's first two tokens stand;
+    each case holds for semantize and match_concepts alike."""
+
+    @staticmethod
+    def check(lex, tokens, expected):
+        assert semantize(tokens, lex) == reference_semantize(tokens, lex) == expected
+        assert match_concepts(tokens, lex) == reference_match_concepts(tokens, lex)
+
+    def test_phrase_at_the_end_of_the_stream(self):
+        # The 4-token window is the last one the stream holds.
+        lex = make_lexicon([("s1", "n", ["p", "x y z w"])])
+        self.check(lex, ["w", "x", "y", "z", "w"], ["w", "p"])
+
+    def test_failed_phrase_window_falls_back_to_a_token_rewrite(self):
+        # "x y" passes the gate, but neither "x y w" nor "x y" is a lemma.
+        lex = make_lexicon([("s1", "n", ["q", "x"]), ("s2", "n", ["x y z"])])
+        self.check(lex, ["x", "y", "w", "x", "z"], ["q", "y", "w", "q", "z"])
+
+    def test_token_rewritten_to_a_multiword_canonical_lemma(self):
+        lex = make_lexicon([("s1", "n", ["x y z", "w"])])
+        self.check(lex, ["w", "a", "w"], ["x", "y", "z", "a", "x", "y", "z"])
+
+    def test_polysemous_phrase_keeps_its_tokens(self):
+        # Matched as a phrase, "x y" hides the rewrite its first token has alone.
+        lex = make_lexicon([("s1", "n", ["p", "x y"]), ("s2", "v", ["x y"]), ("s3", "n", ["q", "x"])])
+        self.check(lex, ["x", "y", "x"], ["x", "y", "q"])
+
+    def test_candidate_inside_an_earlier_phrase_is_skipped(self):
+        # "y z" starts inside "x y"; "z" after it is matched on its own.
+        lex = make_lexicon([("s1", "n", ["p", "x y"]), ("s2", "n", ["r", "y z"]), ("s3", "n", ["s", "z"])])
+        self.check(lex, ["x", "y", "z"], ["p", "s"])
 
 
 class TestUnification:

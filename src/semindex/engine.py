@@ -253,8 +253,6 @@ def _read_found_counts(source: TextSource, where: str) -> dict[str, int]:
     if not isinstance(raw, dict):
         raise DataError(f"{where}: found-count sidecar is not a JSON object")
     for qid, count in raw.items():
-        if not is_field(qid):
-            raise DataError(f"{where}: found-count sidecar: qid {qid!r} cannot be a field of a run file")
         if type(count) is not int or count < 0:
             raise DataError(f"{where}: found-count sidecar: bad count {count!r} for query {qid!r}")
     return raw

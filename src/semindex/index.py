@@ -123,8 +123,9 @@ class Index:
         self.lexicon_digest = lexicon_digest
         self._doc_ids, self._doc_lengths = doc_ids, doc_lengths
         self._terms, self._offsets, self._ordinals, self._tfs = terms, offsets, ordinals, tfs
-        # (k1, b), per-document length norms, term -> (ordinals, impacts).
-        self._bm25: tuple[tuple[float, float], list[float], dict[str, tuple[array, array]]] | None = None
+        # (k1, b), per-document length norms, one int object per ordinal,
+        # term -> (ordinals as those objects, impacts).
+        self._bm25: tuple[tuple[float, float], list[float], list[int], dict[str, tuple[tuple, array]]] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -192,9 +193,10 @@ class Index:
 
         Each queried term's ordinals and BM25 contribution to each of those
         documents ("impacts") are built on first use, empty for a term the
-        index lacks, and cached with the length norms for the last (k1, b):
-        12 bytes per posting. New parameters drop both, and
-        ``check_bm25_params`` refuses bad ones with a ValueError.
+        index lacks, and cached with the length norms and one shared int
+        object per ordinal for the last (k1, b): 16 bytes per posting, plus
+        about 36 per document for the ints. New parameters drop all of it,
+        and ``check_bm25_params`` refuses bad ones with a ValueError.
         """
         check_depth(depth)
         cached = self._bm25
@@ -204,15 +206,16 @@ class Index:
             # avgdl is 0 only when no document has a token, and then no
             # term has postings, so no norm is ever looked up.
             norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in self._doc_lengths] if avgdl else []
-            cached = self._bm25 = ((k1, b), norms, {})
-        _, norms, segments = cached
+            cached = self._bm25 = ((k1, b), norms, list(range(self.doc_count)), {})
+        _, norms, ints, segments = cached
         scores: dict[int, float] = {}
         for term in query_terms:
             segment = segments.get(term)
             if segment is None:
                 span = self._span(term)
-                # An array slice, not a memoryview: iterating it is faster.
-                ordinals, tfs = self._ordinals[span], self._tfs[span]
+                # Shared ints: an array would box each ordinal anew twice per
+                # query. A tuple, unlike a list, holds no spare slots.
+                ordinals, tfs = tuple(map(ints.__getitem__, self._ordinals[span])), self._tfs[span]
                 idf, k1_plus_1 = self._idf(len(ordinals)), k1 + 1.0
                 impacts = [idf * (tf * k1_plus_1) / (tf + norms[o]) for o, tf in zip(ordinals, tfs)]
                 segment = segments[term] = (ordinals, array("d", impacts))

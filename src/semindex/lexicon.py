@@ -60,10 +60,6 @@ class Lexicon:
     def __init__(self, synsets: Iterable[Synset] = ()):
         self._synsets: dict[str, Synset] = {}
         self._inverted: dict[str, tuple[str, ...]] = {}
-        # The first two tokens of a multiword lemma -> token count of the
-        # longest lemma that starts with them: concept matching tries windows
-        # only where such a pair stands, and bounds them.
-        self._phrases: dict[tuple[str, str], int] = {}
         self._digest: str | None = None
         for syn in synsets:
             if syn.id in self._synsets:
@@ -74,10 +70,17 @@ class Lexicon:
                 if syn.id in senses:
                     raise DataError(f"synset {syn.id!r} lists lemma {lemma!r} twice")
                 self._inverted[lemma] = senses + (syn.id,)
-                if " " in lemma:
-                    first, second, *rest = lemma.split(" ")
-                    pair = first, second
-                    self._phrases[pair] = max(self._phrases.get(pair, 0), 2 + len(rest))
+        # The first two tokens of a multiword lemma -> token count of the
+        # longest lemma that starts with them: concept matching tries windows
+        # only where such a pair stands, and bounds them. Each distinct token
+        # is one string object: a 1-token lemma's own, else the first copy.
+        words = {lemma: lemma for lemma in self._inverted if " " not in lemma}
+        self._phrases: dict[tuple[str, str], int] = {}
+        for lemma in self._inverted:
+            if " " in lemma:
+                first, second, *rest = lemma.split(" ")
+                pair = words.setdefault(first, first), words.setdefault(second, second)
+                self._phrases[pair] = max(self._phrases.get(pair, 0), 2 + len(rest))
         # Monosemous lemma -> its synset's canonical lemma (its first), where
         # the two differ: the whole of semantize's rewrite.
         self._rewrites: dict[str, str] = {

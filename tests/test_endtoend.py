@@ -156,22 +156,46 @@ TRACED_COUNTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def bench_run(tmp_path_factory):
+    """Starts every seed-1 ``bench/run.py`` run of ``TRACED_COUNTS`` at once, untraced and traced, and returns
+    a function that waits for one: (workload, trace) -> (exit code, stdout, stderr). Each run works in its own
+    copy of the checkout, so its work directory and spans land there; a run no test waited for is killed."""
+    procs = {}
+    for workload in TRACED_COUNTS:
+        for trace in (0, 1):
+            root = tmp_path_factory.mktemp(f"bench-{workload}-{trace}")
+            for name in ("src", "bench"):
+                shutil.copytree(ROOT / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copy(ROOT / "BENCHMARK.json", root / "BENCHMARK.json")
+            argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", str(trace)]
+            procs[workload, trace] = subprocess.Popen([sys.executable, root / "bench" / "run.py", *argv], cwd=root,
+                                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    done = {}
+
+    def wait(workload: str, trace: int) -> tuple[int, str, str]:
+        if (workload, trace) not in done:
+            stdout, stderr = procs[workload, trace].communicate(timeout=600)
+            done[workload, trace] = procs[workload, trace].returncode, stdout, stderr
+        return done[workload, trace]
+
+    yield wait
+    for key, proc in procs.items():
+        if key not in done:
+            proc.kill()
+            proc.communicate()
+
+
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("workload", sorted(TRACED_COUNTS))
-def test_seed_1_bench_run_is_correct(workload, trace, tmp_path):
-    """``bench/run.py`` exits 0 when a check or a golden hash fails: the verdict is its last line's ``correct``.
-    It runs from a copy of the checkout, so its work directory and spans land in ``tmp_path``."""
-    for name in ("src", "bench"):
-        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
-    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", str(trace)]
-    done = subprocess.run([sys.executable, tmp_path / "bench" / "run.py", *argv], cwd=tmp_path,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stdout + done.stderr
-    verdict = json.loads(done.stdout.splitlines()[-1])
-    assert verdict["correct"] is True, done.stdout
+def test_seed_1_bench_run_is_correct(workload, trace, bench_run):
+    """``bench/run.py`` exits 0 when a check or a golden hash fails: the verdict is its last line's ``correct``."""
+    returncode, stdout, stderr = bench_run(workload, trace)
+    assert returncode == 0, stdout + stderr
+    verdict = json.loads(stdout.splitlines()[-1])
+    assert verdict["correct"] is True, stdout
     if trace:  # the tracer patches functions by name and only notes those it cannot find
-        assert "tracer: not found" not in done.stdout
+        assert "tracer: not found" not in stdout
         counts = TRACED_COUNTS[workload]
         assert {name: verdict["metrics"].get(name, {}).get("value") for name in counts} == counts
 

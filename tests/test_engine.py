@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 import re
 from pathlib import Path
@@ -372,6 +373,16 @@ class TestRunFiles:
         with pytest.raises(DataError) as raised:
             read_run(io.StringIO(line + "\n"))
         assert str(raised.value) == f"input stream: {fault} cannot be a field of a run file"
+
+    @pytest.mark.parametrize("qid, shown", [("q 2", "'q 2'"), ("q\ud800", "'q\\ud800'")], ids=["space", "surrogate"])
+    def test_a_sidecar_qid_no_file_can_hold_names_the_run_file(self, tmp_path, qid, shown):
+        # A query that found nothing is listed only in the sidecar; Run refuses its qid.
+        run_path, found_path = tmp_path / "x.run", tmp_path / "x.found.json"
+        run_path.write_text("q1 Q0 d1 1 1.0 t\n", encoding="utf-8")
+        found_path.write_text(json.dumps({"q1": 1, qid: 0}), encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            read_run(run_path, found_path)
+        assert str(raised.value) == f"{run_path}: qid {shown} cannot be a field of a run file"
 
     def test_lines_with_two_tags_rejected(self):
         run = "q1 Q0 d1 1 2.0 alpha\nq1 Q0 d2 2 1.0 beta\n"

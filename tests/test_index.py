@@ -14,6 +14,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -452,6 +453,22 @@ class TestRetrieve:
             for doc_id, score in rows(got):
                 expected = reference_bm25(corpus_tokens, query, doc_id, k1=k1, b=b)
                 assert score.hex() == expected.hex()
+
+    def test_the_cache_takes_16_bytes_per_queried_posting(self):
+        """The README's bound: 16 bytes per posting of the queried terms, plus a little per term (its entry, the
+        pair and both headers) and per document (a norm and a shared int, 32 + 36 bytes). Ordinals above 256
+        fall outside CPython's small-int cache, so a cache of fresh ints would take about 44 bytes a posting."""
+        vocab = [f"t{i}" for i in range(60)]
+        idx = build_index(random_corpus(random.Random(5), 600, vocab, 40, 80), IndexMode.PLAIN)
+        terms = idx.terms()
+        postings = sum(map(idx.document_frequency, terms))
+        tracemalloc.start()
+        try:
+            idx.retrieve(terms, depth=1)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grown <= 16 * postings + 400 * len(terms) + 72 * idx.doc_count, (grown, postings)
 
     @settings(max_examples=40)
     @given(token_stream_strategy(max_size=5), st.sampled_from(["ا", "ب", "x"]))

@@ -14,6 +14,7 @@ import enum
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, count
 from pathlib import Path
 from typing import Sequence
 
@@ -164,12 +165,14 @@ def read_queries(source: TextSource) -> list[Query]:
 
 
 def format_run(run: Run) -> str:
-    """TREC lines: qid Q0 doc_id rank score tag, scores at 6 decimals."""
-    lines = []
-    for ranked in run.results:
-        for rank, (doc_id, score) in enumerate(zip(ranked.doc_ids, ranked.scores), 1):
-            lines.append(f"{ranked.qid} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n")
-    return "".join(lines)
+    """TREC lines: qid Q0 doc_id rank score tag, scores at 6 decimals. One
+    ``%`` per query fills its line, repeated per document (``%`` escaped)."""
+    tag = run.tag.replace("%", "%%")
+    return "".join([
+        (f"{ranked.qid.replace('%', '%%')} Q0 %s %d %.6f {tag}\n" * len(ranked.doc_ids))
+        % tuple(chain.from_iterable(zip(ranked.doc_ids, count(1), ranked.scores)))
+        for ranked in run.results
+    ])
 
 
 def write_run(run: Run, run_path, found_path) -> None:

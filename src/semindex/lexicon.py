@@ -14,18 +14,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import takewhile
+from json.encoder import encode_basestring_ascii as _json_ascii
 from typing import Iterable
 
 from ._util import DataError, TextSource, first_seen, iter_lines, line_error, parse_json
-from .textnorm import tokenize
+from .textnorm import _tokenize_each, tokenize
 
 POS_BY_TAG = {"n": "noun", "v": "verb", "a": "adjective", "r": "adverb"}
 
 # Synset invariant: a lemma is 1-4 space-separated tokens.
 MAX_LEMMA_TOKENS = 4
-
-# Built once: json.dumps with options builds an encoder on every call.
-_DIGEST_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -111,19 +110,21 @@ class Lexicon:
 
     def digest(self) -> str:
         """SHA-256 over the canonical synset listing; identifies the lexicon
-        content independently of file formatting."""
+        content independently of file formatting. The listing is one line
+        ``[<id>,<pos>,[<lemma>,...]]\\n`` per synset in ascending id order,
+        each string JSON-encoded with non-ASCII characters escaped, hashed
+        in one call."""
         if self._digest is None:
-            h = hashlib.sha256()
-            for sid in sorted(self._synsets):
-                syn = self._synsets[sid]
-                record = _DIGEST_ENCODER.encode([syn.id, syn.pos, list(syn.lemmas)])
-                h.update(record.encode("ascii"))
-                h.update(b"\n")
-            self._digest = h.hexdigest()
+            records = [
+                f"[{_json_ascii(syn.id)},{_json_ascii(syn.pos)},[{','.join(map(_json_ascii, syn.lemmas))}]]\n"
+                for syn in map(self._synsets.__getitem__, sorted(self._synsets))
+            ]
+            self._digest = hashlib.sha256("".join(records).encode("ascii")).hexdigest()
         return self._digest
 
 
-def _parse_record(source: TextSource, line_no: int, line: str) -> Synset:
+def _parse_record(source: TextSource, line_no: int, line: str) -> tuple[str, str, list]:
+    """A line's synset id, part of speech and raw lemma list, each checked for its type."""
     try:
         record = parse_json(line)
     except json.JSONDecodeError as exc:
@@ -142,32 +143,46 @@ def _parse_record(source: TextSource, line_no: int, line: str) -> Synset:
     raw_lemmas = record.get("lemmas")
     if not isinstance(raw_lemmas, list) or not raw_lemmas:
         raise line_error(source, line_no, "'lemmas' must be a non-empty list")
-
-    lemmas: dict[str, None] = {}
-    for raw in raw_lemmas:
-        if not isinstance(raw, str):
-            raise line_error(source, line_no, f"lemma {raw!r} is not a string")
-        lemma = normalize_lemma(raw)
-        if not lemma:
-            raise line_error(source, line_no, f"lemma {raw!r} is empty after normalization")
-        if lemma.count(" ") + 1 > MAX_LEMMA_TOKENS:
-            raise line_error(source, line_no, f"lemma {raw!r} has more than {MAX_LEMMA_TOKENS} tokens")
-        # Duplicates after normalization collapse to the first occurrence.
-        lemmas.setdefault(lemma)
-
-    return Synset(id=synset_id, pos=POS_BY_TAG[pos_tag], lemmas=tuple(lemmas))
+    return synset_id, POS_BY_TAG[pos_tag], raw_lemmas
 
 
 def load_lexicon(source: TextSource) -> Lexicon:
     """Load a JSONL lexicon from a path or file-like object.
 
-    Raises DataError on malformed lines (with line numbers), duplicate
-    synset ids, empty lemma lists, or unknown pos tags.
+    Raises DataError for the file's first fault: malformed lines (with line
+    numbers), empty lemma lists, unknown pos tags, bad lemmas, or duplicate
+    synset ids. Within a line, the record's fields come first, then its
+    lemmas in order, then a repeated id.
     """
-    synsets: list[Synset] = []
+    # Pass 1 reads records up to the first fault but a lemma's normal form,
+    # and holds that fault back: the lemmas read before it, on its line
+    # too, may hold an earlier one, which pass 2 finds.
+    records: list[tuple[int, str, str, list[str]]] = []
     seen: dict[str, int] = {}
-    for line_no, line in iter_lines(source):
-        syn = _parse_record(source, line_no, line)
-        first_seen(seen, syn.id, source, line_no, f"duplicate synset id {syn.id!r}")
-        synsets.append(syn)
+    held: DataError | None = None
+    try:
+        for line_no, line in iter_lines(source):
+            synset_id, pos, raw_lemmas = _parse_record(source, line_no, line)
+            strings = list(takewhile(str.__instancecheck__, raw_lemmas))
+            records.append((line_no, synset_id, pos, strings))
+            if len(strings) < len(raw_lemmas):
+                raise line_error(source, line_no, f"lemma {raw_lemmas[len(strings)]!r} is not a string")
+            first_seen(seen, synset_id, source, line_no, f"duplicate synset id {synset_id!r}")
+    except DataError as exc:
+        held = exc
+    # Pass 2 normalizes every lemma read in one pass over their joined text.
+    normalized = _tokenize_each([raw for *_, raws in records for raw in raws])
+    synsets: list[Synset] = []
+    for line_no, synset_id, pos, raws in records:
+        lemmas: dict[str, None] = {}
+        for raw, tokens in zip(raws, normalized):  # raws first: zip stops before taking another line's lemma
+            if not tokens:
+                raise line_error(source, line_no, f"lemma {raw!r} is empty after normalization")
+            if len(tokens) > MAX_LEMMA_TOKENS:
+                raise line_error(source, line_no, f"lemma {raw!r} has more than {MAX_LEMMA_TOKENS} tokens")
+            # Duplicates after normalization collapse to the first occurrence.
+            lemmas.setdefault(" ".join(tokens))
+        synsets.append(Synset(synset_id, pos, tuple(lemmas)))
+    if held is not None:
+        raise held
     return Lexicon(synsets)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 import string
 import unicodedata
+from typing import Iterator
 
 from ._util import TextSource, iter_lines, line_error
 
@@ -73,6 +74,17 @@ def tokenize(text: str) -> list[str]:
     a space.
     """
     return _TOKEN_RE.findall(normalize(text))
+
+
+def _tokenize_each(texts: list[str]) -> Iterator[list[str]]:
+    """``tokenize`` of each text in turn, from one ``normalize`` of them all joined.
+
+    A text's own ``"\\n"`` becomes a space first, so the joined text splits
+    back into exactly these texts: both are token separators, ``normalize``
+    never adds or removes either, and NFC composes across neither.
+    """
+    joined = "\n".join([text.replace("\n", " ") for text in texts])
+    return map(_TOKEN_RE.findall, normalize(joined).split("\n") if texts else ())
 
 
 def remove_stopwords(tokens: list[str], stoplist: frozenset[str] | set[str]) -> list[str]:

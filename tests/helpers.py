@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import io
 import json
 import math
@@ -17,7 +18,9 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from semindex import Index, IndexMode, Lexicon, RankedList, load_lexicon, remove_stopwords, semantize, tokenize
+from semindex import Index, IndexMode, Lexicon, RankedList, Run, Synset, load_lexicon, remove_stopwords, semantize
+from semindex import tokenize
+from semindex._util import TextSource, first_seen, iter_lines, line_error, parse_json
 from semindex.evalkit import (
     DEFAULT_PRECISION_CUTOFFS,
     DeltaRecord,
@@ -30,6 +33,7 @@ from semindex.evalkit import (
     format_percent,
 )
 from semindex.index import DEFAULT_B, DEFAULT_K1
+from semindex.lexicon import MAX_LEMMA_TOKENS, POS_BY_TAG, normalize_lemma
 from semindex.semantics import ConceptMatch, match_concepts
 
 # Already-normalized single tokens (Arabic letters and lowercase Latin).
@@ -448,3 +452,78 @@ def reference_render_threeway(report: ThreeWayReport, fmt: str) -> str:
                 "\t".join([name, label, str(count), format_percent(count, buckets.total)])
             )
     return "\n".join(lines) + "\n"
+
+
+# -- reference lexicon loader, digest and run formatter ------------------------
+#
+# The per-item loops load_lexicon, Lexicon.digest and format_run ran before
+# each became one pass over a joined string, kept verbatim (renamed) as the
+# byte-level oracle.
+
+_REFERENCE_DIGEST_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
+
+
+def _reference_parse_record(source: TextSource, line_no: int, line: str) -> Synset:
+    try:
+        record = parse_json(line)
+    except json.JSONDecodeError as exc:
+        raise line_error(source, line_no, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise line_error(source, line_no, "record is not an object")
+
+    synset_id = record.get("id")
+    if not isinstance(synset_id, str) or not synset_id:
+        raise line_error(source, line_no, "missing or invalid 'id'")
+
+    pos_tag = record.get("pos")
+    if not isinstance(pos_tag, str) or pos_tag not in POS_BY_TAG:
+        raise line_error(source, line_no, f"unknown pos tag {pos_tag!r}")
+
+    raw_lemmas = record.get("lemmas")
+    if not isinstance(raw_lemmas, list) or not raw_lemmas:
+        raise line_error(source, line_no, "'lemmas' must be a non-empty list")
+
+    lemmas: dict[str, None] = {}
+    for raw in raw_lemmas:
+        if not isinstance(raw, str):
+            raise line_error(source, line_no, f"lemma {raw!r} is not a string")
+        lemma = normalize_lemma(raw)
+        if not lemma:
+            raise line_error(source, line_no, f"lemma {raw!r} is empty after normalization")
+        if lemma.count(" ") + 1 > MAX_LEMMA_TOKENS:
+            raise line_error(source, line_no, f"lemma {raw!r} has more than {MAX_LEMMA_TOKENS} tokens")
+        # Duplicates after normalization collapse to the first occurrence.
+        lemmas.setdefault(lemma)
+
+    return Synset(id=synset_id, pos=POS_BY_TAG[pos_tag], lemmas=tuple(lemmas))
+
+
+def reference_load_lexicon(source: TextSource) -> Lexicon:
+    """load_lexicon as one pass that normalizes and checks each lemma as it reads its line."""
+    synsets: list[Synset] = []
+    seen: dict[str, int] = {}
+    for line_no, line in iter_lines(source):
+        syn = _reference_parse_record(source, line_no, line)
+        first_seen(seen, syn.id, source, line_no, f"duplicate synset id {syn.id!r}")
+        synsets.append(syn)
+    return Lexicon(synsets)
+
+
+def reference_digest(lex: Lexicon) -> str:
+    """Lexicon.digest as one JSON encode and two hash updates per synset."""
+    h = hashlib.sha256()
+    for sid in sorted(lex._synsets):
+        syn = lex._synsets[sid]
+        record = _REFERENCE_DIGEST_ENCODER.encode([syn.id, syn.pos, list(syn.lemmas)])
+        h.update(record.encode("ascii"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def reference_format_run(run: Run) -> str:
+    """format_run as one f-string per ranked document."""
+    lines = []
+    for ranked in run.results:
+        for rank, (doc_id, score) in enumerate(zip(ranked.doc_ids, ranked.scores), 1):
+            lines.append(f"{ranked.qid} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n")
+    return "".join(lines)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -103,6 +104,22 @@ def _tree(root: Path, *skip: str) -> dict[str, bytes]:
 @pytest.fixture(scope="module")
 def out(inputs, tmp_path_factory) -> Path:
     return _pipeline(inputs, tmp_path_factory.mktemp("one-worker"))
+
+
+# SHA-256 of each file the seed-1 pipeline writes to its index directory, and the digest of its lexicon. Only a
+# change to the index format or to the analysis moves them; such a change edits them here and says why.
+INDEX_SHA256 = {
+    "plain.build.json": "122433619ca8850e65584c576c184f9ace62277f6e950869e2ee7eb4f70e245f",
+    "plain.idx": "1dcffd2414f1d687b4d6ff4f7b4b54d8fbfa371d3f5ff8a1d1c27672c64f22b3",
+    "semantic.build.json": "18be0bd9e1842d3b35c5495f1f8e6fb14259b76dd9481f203475576ee108b733",
+    "semantic.idx": "c85b61c3974ecd5754de76df543d8384f4f8dceb5f8b884cc1caacf0c8e74907",
+}
+LEXICON_DIGEST = "7d8d4fd682080c756588d8a941b833d4ebdf3c9fcefba015cfbbae0a834ccf7f"
+
+
+def test_the_index_files_and_the_lexicon_digest_keep_their_bytes(inputs, out):
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in _tree(out / "indexes").items()} == INDEX_SHA256
+    assert load_lexicon(inputs.lexicon).digest() == LEXICON_DIGEST
 
 
 def test_two_workers_write_what_one_writes(inputs, out, tmp_path):

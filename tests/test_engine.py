@@ -29,7 +29,8 @@ from semindex import (
 )
 from semindex import engine
 
-from helpers import TOKEN_POOL, lexicon_strategy, make_lexicon, random_corpus, rows, token_stream_strategy
+from helpers import TOKEN_POOL, lexicon_strategy, make_lexicon, random_corpus, reference_format_run, rows
+from helpers import token_stream_strategy
 
 SIN_RECORDS = [("s1", "n", ["خطيئة", "إثم"])]
 
@@ -289,6 +290,26 @@ class TestRunFiles:
         qid, q0, doc_id, rank, score, tag = line.split()
         assert (qid, q0, doc_id, rank, tag) == ("q1", "Q0", "d1", "1", "mytag")
         assert len(score.split(".")[1]) == 6
+
+    @given(
+        st.text(alphabet="%sdx.", min_size=1, max_size=4),
+        st.dictionaries(
+            st.text(alphabet="%sdq1", min_size=1, max_size=4),
+            st.one_of(*(
+                st.lists(st.tuples(st.text(alphabet="%sdx", min_size=1, max_size=3), st.floats()),
+                         min_size=low, max_size=high, unique_by=lambda row: row[0])
+                for low, high in ((0, 0), (1, 1), (2, 40))
+            )),
+            max_size=4,
+        ),
+    )
+    def test_format_run_equals_one_line_per_document(self, tag, rankings):
+        # One % over a repeated template: a % in a qid, tag or doc id stays text.
+        run = Run(tag, tuple(
+            RankedList(qid, tuple(doc_id for doc_id, _ in ranking), tuple(score for _, score in ranking), len(ranking))
+            for qid, ranking in rankings.items()
+        ))
+        assert format_run(run) == reference_format_run(run)
 
     @pytest.mark.parametrize(
         "doc_ids, scores",

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semindex import DataError, Lexicon, Synset, load_lexicon, match_concepts
-from semindex.lexicon import POS_BY_TAG, normalize_lemma
+from semindex.lexicon import MAX_LEMMA_TOKENS, POS_BY_TAG, normalize_lemma
 
-from helpers import lexicon_jsonl, lexicon_strategy, make_lexicon, senses, strategy_ids
+from helpers import lexicon_jsonl, lexicon_strategy, make_lexicon, reference_digest, reference_load_lexicon, senses
+from helpers import strategy_ids
 
 
 class TestLoad:
@@ -250,3 +253,86 @@ class TestProperties:
         a = make_lexicon([("s1", "n", ["اثم"])])
         b = make_lexicon([("s1", "n", ["ذنب"])])
         assert a.digest() != b.digest()
+
+
+# Lemmas of a generated lexicon file: ones that load, ones that normalize
+# alike, and each lemma fault (not a string, empty after normalization, more
+# than MAX_LEMMA_TOKENS tokens).
+_GOOD_LEMMAS = ["اثم", "إثم", "ذنب خطا", "ا ب ت ث", "X\ny", "ـكتاب", "كَتَبَ"]
+_BAD_LEMMAS = [1, None, ["ا"], "", "ً", "!!", " ".join("ابتثج"[: MAX_LEMMA_TOKENS + 1]), "ا\nب\nت\nث\nج"]
+
+
+def _record(synset_id, lemmas, pos="n") -> str:
+    return json.dumps({"id": synset_id, "pos": pos, "lemmas": lemmas}, ensure_ascii=False)
+
+
+_good_line = st.builds(_record, st.sampled_from(["s1", "s2", "s3", "s4", "s5", "s6"]),
+                       st.lists(st.sampled_from(_GOOD_LEMMAS), min_size=1, max_size=4))
+_any_line = st.one_of(
+    _good_line,
+    st.builds(_record, st.sampled_from(["s1", "s2", "s3"]),
+              st.lists(st.sampled_from(_GOOD_LEMMAS + _BAD_LEMMAS), min_size=1, max_size=5)),
+    st.sampled_from(["{bad json", "[1]", _record("", ["ا"]), _record("s9", ["ا"], pos="x"), _record("s9", []),
+                     "   "]),
+)
+
+
+def _outcome(load, text: str) -> tuple[str | None, list | None, str | None]:
+    """(error message, synsets in file order, digest by the reference) of loading ``text``."""
+    try:
+        lex = load(io.StringIO(text))
+    except DataError as exc:
+        return str(exc), None, None
+    return None, list(lex._synsets.items()), reference_digest(lex)
+
+
+class TestAgainstTheReferenceLoader:
+    """load_lexicon normalizes the file's lemmas in one pass; the reference checks each as it reads it."""
+
+    @settings(max_examples=300)
+    @given(st.lists(_any_line, max_size=6))
+    def test_the_first_fault_wins_as_in_the_reference(self, lines):
+        text = "\n".join(lines)
+        assert _outcome(load_lexicon, text) == _outcome(reference_load_lexicon, text)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.lists(st.sampled_from(_GOOD_LEMMAS), min_size=1, max_size=4), max_size=6))
+    def test_a_file_without_a_fault_loads_the_reference_lexicon(self, groups):
+        text = "\n".join(_record(f"s{i}", lemmas) for i, lemmas in enumerate(groups))
+        error, synsets, digest = _outcome(load_lexicon, text)
+        assert (error, synsets, digest) == _outcome(reference_load_lexicon, text)
+        assert error is None and load_lexicon(io.StringIO(text)).digest() == digest
+
+    @pytest.mark.parametrize("lemmas, fault", [
+        (["ا", 1, ""], "lemma 1 is not a string"),
+        (["ا", "", 1], "lemma '' is empty after normalization"),
+        (["ً", "ا ب ت ث ج"], "lemma 'ً' is empty after normalization"),
+        (["ا ب ت ث ج", None], "lemma 'ا ب ت ث ج' has more than 4 tokens"),
+    ])
+    def test_a_line_reports_its_first_lemma_fault(self, lemmas, fault):
+        text = _record("s1", lemmas)
+        assert _outcome(load_lexicon, text)[0] == f"input stream: line 1: {fault}"
+
+    def test_a_repeated_id_comes_after_its_line_lemma_faults(self):
+        text = "\n".join([_record("s1", ["ا"]), _record("s2", ["ب"]), _record("s1", ["ت", "ً"])])
+        assert _outcome(load_lexicon, text)[0] == "input stream: line 3: lemma 'ً' is empty after normalization"
+        text = "\n".join([_record("s1", ["ا"]), _record("s1", ["ت"]), _record("s2", ["ً"])])
+        assert _outcome(load_lexicon, text)[0] == (
+            "input stream: line 2: duplicate synset id 's1' (first seen on line 1)")
+
+
+_DIGEST_TEXT = st.text(alphabet=['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\ud800", "\udfff", "\U0001f600", "\u00e9",
+                                 "ا", " ", "/", "a"], min_size=1, max_size=6)
+
+
+class TestDigest:
+    @given(st.dictionaries(_DIGEST_TEXT, st.tuples(_DIGEST_TEXT, st.lists(_DIGEST_TEXT, min_size=1, max_size=3,
+                                                                          unique=True)), max_size=5))
+    def test_equals_the_reference_listing(self, records):
+        lex = Lexicon(Synset(sid, pos, tuple(lemmas)) for sid, (pos, lemmas) in records.items())
+        assert lex.digest() == reference_digest(lex)
+
+    def test_is_the_sha256_of_the_listing(self):
+        lex = Lexicon([Synset("s2", "noun", ("b",)), Synset("s1", "verb", ("\u0627", 'q"\\'))])
+        listing = '["s1","verb",["\\u0627","q\\"\\\\"]]\n["s2","noun",["b"]]\n'
+        assert lex.digest() == hashlib.sha256(listing.encode("ascii")).hexdigest()

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semindex import DataError
-from semindex.textnorm import load_stopwords, normalize, remove_stopwords, tokenize
+from semindex.lexicon import normalize_lemma
+from semindex.textnorm import _tokenize_each, load_stopwords, normalize, remove_stopwords, tokenize
 
 from helpers import reference_normalize
 
@@ -129,6 +130,29 @@ class TestTokenize:
 def _is_subsequence(part: list[str], whole: list[str]) -> bool:
     it = iter(whole)
     return all(any(tok == cand for cand in it) for tok in part)
+
+
+# Lemma pieces for the bulk tokenizer: Arabic letters, every removed mark,
+# tatweel, ARABIC FULL STOP, line ends, spaces and ASCII capitals; at each
+# end of a lemma, also Hangul jamo and combining accents, which NFC composes
+# with a neighbour, and alef and combining madda/hamza, which it folds.
+_LEMMA_BODY = st.text(
+    alphabet=list("ابتةىأإآي") + [chr(c) for c in range(0x064B, 0x0656)] + ["ـ", "۔", "\n", "\r", " ", "A", "Z"],
+    max_size=10,
+)
+_LEMMA_EDGE = st.text(alphabet=["\u1100", "\u1161", "\u11a8", "\u0300", "\u0301", "e", "ا", "\u0653", "\u0654", "\n"],
+                      max_size=2)
+lemma_text = st.tuples(_LEMMA_EDGE, _LEMMA_BODY, _LEMMA_EDGE).map("".join)
+
+
+class TestTokenizeEach:
+    @given(st.lists(lemma_text, max_size=8))
+    def test_equals_tokenizing_each_text(self, raws):
+        assert list(_tokenize_each(raws)) == [tokenize(raw) for raw in raws]
+        assert list(map(" ".join, _tokenize_each(raws))) == list(map(normalize_lemma, raws))
+
+    def test_a_line_end_inside_a_text_separates_tokens_of_that_text(self):
+        assert list(_tokenize_each(["ا\nب", "ت\u0653", "\u0653"])) == [["ا", "ب"], ["ت"], []]
 
 
 class TestRemoveStopwords:

@@ -42,7 +42,7 @@ from .index import (
     load_index,
     read_corpus,
 )
-from .lexicon import Lexicon, Synset, load_lexicon, normalize_lemma
+from .lexicon import Lexicon, Synset, load_lexicon
 from .semantics import ConceptMatch, expand, match_concepts, semantize
 from .textnorm import load_stopwords, normalize, remove_stopwords, tokenize
 

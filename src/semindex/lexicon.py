@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _json_ascii
 from typing import Iterable
 
 from ._util import DataError, TextSource, first_seen, iter_lines, line_error, parse_json
-from .textnorm import _tokenize_each, tokenize
+from .textnorm import _tokenize_each
 
 POS_BY_TAG = {"n": "noun", "v": "verb", "a": "adjective", "r": "adverb"}
 
@@ -40,11 +40,6 @@ def _monosemous(synset_ids: tuple[str, ...]) -> bool:
     """The concept step's rule: a lemma with exactly one sense, counted
     across all POS classes, is rewritten and expanded."""
     return len(synset_ids) == 1
-
-
-def normalize_lemma(raw: str) -> str:
-    """Normalize a lemma the same way document text is tokenized."""
-    return " ".join(tokenize(raw))
 
 
 class Lexicon:
@@ -100,10 +95,6 @@ class Lexicon:
             return self._synsets[synset_id]
         except KeyError:
             raise KeyError(f"unknown synset id: {synset_id!r}") from None
-
-    def canonical_lemma(self, synset_id: str) -> str:
-        """The synset's representative: its first lemma in stored order."""
-        return self.synset(synset_id).lemmas[0]
 
     def lemmas_of(self, synset_id: str) -> list[str]:
         return list(self.synset(synset_id).lemmas)

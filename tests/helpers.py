@@ -33,7 +33,7 @@ from semindex.evalkit import (
     format_percent,
 )
 from semindex.index import DEFAULT_B, DEFAULT_K1
-from semindex.lexicon import MAX_LEMMA_TOKENS, POS_BY_TAG, normalize_lemma
+from semindex.lexicon import MAX_LEMMA_TOKENS, POS_BY_TAG
 from semindex.semantics import ConceptMatch, match_concepts
 
 # Already-normalized single tokens (Arabic letters and lowercase Latin).
@@ -487,7 +487,7 @@ def _reference_parse_record(source: TextSource, line_no: int, line: str) -> Syns
     for raw in raw_lemmas:
         if not isinstance(raw, str):
             raise line_error(source, line_no, f"lemma {raw!r} is not a string")
-        lemma = normalize_lemma(raw)
+        lemma = " ".join(tokenize(raw))
         if not lemma:
             raise line_error(source, line_no, f"lemma {raw!r} is empty after normalization")
         if lemma.count(" ") + 1 > MAX_LEMMA_TOKENS:

@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     "IndexMode", "Lexicon", "LexiconMismatchWarning", "PrecisionSummary", "Qrels", "Query", "RankedList",
     "Run", "SearchSystem", "SearchType", "SignBuckets", "Synset", "ThreeWayBuckets",
     "ThreeWayReport", "build_index", "build_indexes", "delta_report", "evaluate_run", "expand", "format_run",
-    "load_index", "load_lexicon", "load_stopwords", "match_concepts", "normalize", "normalize_lemma",
+    "load_index", "load_lexicon", "load_stopwords", "match_concepts", "normalize",
     "read_corpus", "read_qrels", "read_queries", "read_run", "remove_stopwords", "semantize",
     "threeway_report", "tokenize", "write_run",
 }
@@ -81,7 +81,7 @@ def optional_parameters() -> dict[str, list[str]]:
 def test_the_public_names_are_exactly_these():
     names = public_names()
     assert names == PUBLIC_NAMES
-    assert len(names) == 42
+    assert len(names) == 41
 
 
 def test_the_error_and_warning_classes_are_exactly_these():

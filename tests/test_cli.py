@@ -368,6 +368,14 @@ def test_index_file_of_the_other_mode_is_data_error(workspace, caplog, capsys, c
     assert not workspace["report_dir"].exists()
 
 
+@pytest.mark.parametrize("command", [["batch"], ["search", "اثم"]], ids=["batch", "search"])
+@pytest.mark.parametrize("search_type, mode", [("R0", "plain"), ("R1", "semantic")])
+def test_missing_index_file_names_the_command_that_builds_it(workspace, caplog, command, search_type, mode):
+    workspace["index_dir"].mkdir()
+    assert main(command + ["--search-type", search_type] + common_args(workspace)) == 3
+    assert f"{mode}.idx; build it with 'semindex index --mode {mode}'" in caplog.text
+
+
 class TestSearchCommand:
     def test_prints_ranking(self, workspace, capsys):
         build_indexes(workspace)

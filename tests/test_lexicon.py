@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semindex import DataError, Lexicon, Synset, load_lexicon, match_concepts
-from semindex.lexicon import MAX_LEMMA_TOKENS, POS_BY_TAG, normalize_lemma
+from semindex import DataError, Lexicon, Synset, load_lexicon, match_concepts, semantize, tokenize
+from semindex.lexicon import MAX_LEMMA_TOKENS, POS_BY_TAG
 
 from helpers import lexicon_jsonl, lexicon_strategy, make_lexicon, reference_digest, reference_load_lexicon, senses
 from helpers import strategy_ids
@@ -139,25 +139,37 @@ class TestLookups:
         assert "اثم" in lex
         assert "ذنب" not in lex
 
+    def test_phrase_gate_tokens_are_the_one_token_lemmas_themselves(self):
+        # One string object per distinct token: a phrase token that is also a
+        # 1-token lemma, listed before or after the phrase, is that lemma's key.
+        lex = make_lexicon([("s1", "n", ["اثم"]), ("s2", "n", ["اثم كبير", "ذنب عظيم"]), ("s3", "v", ["عظيم"])])
+        words = {lemma: lemma for lemma in lex._inverted if " " not in lemma}
+        shared = [token for pair in lex._phrases for token in pair if token in words]
+        assert sorted(shared) == sorted(["اثم", "عظيم"])
+        assert all(token is words[token] for token in shared)
+
 
 class TestCanonicalLemma:
+    """A synset's canonical lemma, the one semantize rewrites onto, is its first."""
+
     def test_first_lemma_wins(self):
         lex = make_lexicon([("s1", "n", ["خطيئة", "اثم"])])
-        assert lex.canonical_lemma("s1") == normalize_lemma("خطيئة")
+        assert lex.synset("s1").lemmas[0] == " ".join(tokenize("خطيئة"))
+        assert semantize(["اثم"], lex) == [lex.synset("s1").lemmas[0]]
 
     def test_singleton(self):
         lex = make_lexicon([("s1", "n", ["اثم"])])
-        assert lex.canonical_lemma("s1") == "اثم"
+        assert lex.synset("s1").lemmas[0] == "اثم"
 
     def test_member_of_lemmas(self):
         lex = make_lexicon([("s1", "n", ["خطيئة", "اثم"]), ("s2", "v", ["ذنب"])])
         for sid in ("s1", "s2"):
-            assert lex.canonical_lemma(sid) in lex.lemmas_of(sid)
+            assert lex.synset(sid).lemmas[0] in lex.lemmas_of(sid)
 
     def test_unknown_synset(self):
         lex = make_lexicon([("s1", "n", ["اثم"])])
         with pytest.raises(KeyError, match="unknown synset"):
-            lex.canonical_lemma("nope")
+            lex.synset("nope")
 
 
 class TestLemmasOf:
@@ -247,7 +259,7 @@ class TestProperties:
         second = load_lexicon(io.StringIO(text))
         assert first.digest() == second.digest()
         for sid in ("s1", "s2"):
-            assert first.canonical_lemma(sid) == second.canonical_lemma(sid)
+            assert first.synset(sid).lemmas[0] == second.synset(sid).lemmas[0]
 
     def test_digest_changes_with_content(self):
         a = make_lexicon([("s1", "n", ["اثم"])])

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semindex import Lexicon, expand, match_concepts, semantize
+from semindex import Lexicon, expand, match_concepts, semantize, tokenize
 from semindex import semantics
-from semindex.lexicon import MAX_LEMMA_TOKENS, normalize_lemma
+from semindex.lexicon import MAX_LEMMA_TOKENS
 
 from helpers import (
     TOKEN_POOL,
@@ -22,7 +22,7 @@ from helpers import (
     token_stream_strategy,
 )
 
-SIN = normalize_lemma("خطيئة")  # canonical in the replacement fixture
+SIN = " ".join(tokenize("خطيئة"))  # canonical in the replacement fixture
 
 
 @pytest.fixture
@@ -234,6 +234,12 @@ class TestPhraseGate:
         # "y z" starts inside "x y"; "z" after it is matched on its own.
         lex = make_lexicon([("s1", "n", ["p", "x y"]), ("s2", "n", ["r", "y z"]), ("s3", "n", ["s", "z"])])
         self.check(lex, ["x", "y", "z"], ["p", "s"])
+
+    def test_phrase_windows_stop_at_the_end_of_the_stream(self):
+        # "x y z" bounds the windows at "x y" to 3 tokens, but only 2 are left.
+        lex = make_lexicon([("s1", "n", ["p", "x y"]), ("s2", "n", ["x y z"])])
+        self.check(lex, ["w", "x", "y"], ["w", "p"])
+        assert match_concepts(["w", "x", "y"], lex)[-1].end == 3
 
 
 class TestUnification:

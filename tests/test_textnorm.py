@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semindex import DataError
-from semindex.lexicon import normalize_lemma
 from semindex.textnorm import _tokenize_each, load_stopwords, normalize, remove_stopwords, tokenize
 
 from helpers import reference_normalize
@@ -149,7 +148,6 @@ class TestTokenizeEach:
     @given(st.lists(lemma_text, max_size=8))
     def test_equals_tokenizing_each_text(self, raws):
         assert list(_tokenize_each(raws)) == [tokenize(raw) for raw in raws]
-        assert list(map(" ".join, _tokenize_each(raws))) == list(map(normalize_lemma, raws))
 
     def test_a_line_end_inside_a_text_separates_tokens_of_that_text(self):
         assert list(_tokenize_each(["ا\nب", "ت\u0653", "\u0653"])) == [["ا", "ب"], ["ت"], []]

@@ -34,6 +34,19 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
         assert target.read_bytes() == b"old"
 
+    def test_failed_rename_is_raised_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_bytes(target, b"new")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert target.read_bytes() == b"old"
+
     @pytest.mark.skipif(os.name != "posix", reason="only POSIX can open a directory to fsync it")
     def test_directory_is_fsynced_after_the_file(self, tmp_path, monkeypatch):
         # On POSIX the rename is durable only once its directory is synced.

@@ -11,7 +11,7 @@ against a semantized corpus can miss terms that were rewritten away.
 from __future__ import annotations
 
 from itertools import compress, count, islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .lexicon import Lexicon, _monosemous
 from .textnorm import remove_stopwords
@@ -31,31 +31,36 @@ class ConceptMatch(NamedTuple):
         return _monosemous(self.synset_ids)
 
 
-def _phrase_matches(tokens: list[str], lex: Lexicon, starts: Iterable[int]) -> Iterator[ConceptMatch]:
-    """The multiword matches of greedy leftmost-longest matching, in order.
+def _units(tokens: list[str], lex: Lexicon) -> list[str]:
+    """The stream as greedy leftmost-longest lexicon matching cuts it: each
+    multiword match as its space-joined lemma, every other token as itself.
 
-    ``starts`` are ascending positions, and they hold every position whose
-    token and the next one start some multiword lemma. A start inside an
-    earlier match is skipped; at the others, windows from the longest lemma
-    starting with that pair down to 2 tokens are tried, and the first whose
-    space-joined form is a lexicon lemma is a match. A single token never
-    covers another, so the tokens between these matches are exactly the
-    ones the full matcher tries as 1-token windows.
+    Windows are tried only at the positions whose token and the next one
+    start some multiword lemma, found in one C-level pass. A position inside
+    an earlier match is skipped; at the others, windows from the longest
+    lemma starting with that pair down to 2 tokens are tried, and the first
+    whose space-joined form is a lexicon lemma is a match. A single token
+    never covers another, so the tokens between these matches are exactly
+    the ones the full matcher tries as 1-token windows.
     """
     # Package-internal lookups, read directly: this runs per document and query.
     phrases, senses = lex._phrases, lex._inverted
-    n, end = len(tokens), 0
-    for i in starts:
-        longest = phrases.get((tokens[i], tokens[i + 1])) if i >= end else None
-        if longest is None:
+    units: list[str] = []
+    end = 0
+    pairs = zip(tokens, islice(tokens, 1, None))
+    for i in compress(count(), map(phrases.__contains__, pairs)):
+        if i < end:
             continue
-        for length in range(min(n - i, longest), 1, -1):
+        # A window past the end of the stream repeats the shorter one tried next.
+        for length in range(phrases[tokens[i], tokens[i + 1]], 1, -1):
             lemma = " ".join(tokens[i : i + length])
-            synset_ids = senses.get(lemma)
-            if synset_ids:
+            if lemma in senses:
+                units += tokens[end:i]
+                units.append(lemma)
                 end = i + length
-                yield ConceptMatch(i, end, lemma, synset_ids)
                 break
+    units += tokens[end:]
+    return units
 
 
 def match_concepts(tokens: list[str], lex: Lexicon) -> list[ConceptMatch]:
@@ -65,27 +70,17 @@ def match_concepts(tokens: list[str], lex: Lexicon) -> list[ConceptMatch]:
     windows from the longest lemma starting there down to 1 token are
     tried; the first window whose space-joined form is a lexicon lemma
     becomes a match and scanning resumes after it. Matches never overlap
-    and come out sorted by start position: the multiword ones from one scan
-    of the lexicon's phrase gate, and the 1-token ones between them. Tokens
-    must contain no space, as every ``tokenize`` token does.
+    and come out sorted by start position. Tokens must contain no space,
+    as every ``tokenize`` token does.
     """
-    matches: list[ConceptMatch] = []
-    start = 0
-    # Every position is a start: on a query's few tokens, a Python loop costs
-    # less than setting up semantize's C-level pass.
-    for phrase in _phrase_matches(tokens, lex, range(len(tokens) - 1)):
-        matches += _token_matches(tokens, start, phrase.start, lex)
-        matches.append(phrase)
-        start = phrase.end
-    return matches + _token_matches(tokens, start, len(tokens), lex)
-
-
-def _token_matches(tokens: list[str], start: int, stop: int, lex: Lexicon) -> list[ConceptMatch]:
-    """The 1-token matches in tokens[start:stop], a stretch outside every phrase match."""
     senses = lex._inverted
-    return [
-        ConceptMatch(i, i + 1, tokens[i], senses[tokens[i]]) for i in range(start, stop) if tokens[i] in senses
-    ]
+    matches: list[ConceptMatch] = []
+    end = 0
+    for unit in _units(tokens, lex):
+        start, end = end, end + unit.count(" ") + 1
+        if unit in senses:
+            matches.append(ConceptMatch(start, end, unit, senses[unit]))
+    return matches
 
 
 def semantize(tokens: list[str], lex: Lexicon) -> list[str]:
@@ -98,21 +93,8 @@ def semantize(tokens: list[str], lex: Lexicon) -> list[str]:
     as every ``tokenize`` token does: the output is one join of the kept
     and rewritten forms, split at spaces.
     """
-    rewrites = lex._rewrites
-    forms: list[str] = []
-    start = 0
-    # The positions of the token pairs that start a multiword lemma, found in
-    # one C-level pass over the document.
-    pairs = zip(tokens, islice(tokens, 1, None))
-    starts = compress(count(), map(lex._phrases.__contains__, pairs))
-    for phrase in _phrase_matches(tokens, lex, starts):
-        words = tokens[start : phrase.start]
-        forms += map(rewrites.get, words, words)
-        forms.append(rewrites.get(phrase.surface_lemma, phrase.surface_lemma))
-        start = phrase.end
-    words = tokens[start:]
-    forms += map(rewrites.get, words, words)
-    return " ".join(forms).split(" ") if forms else []
+    units = _units(tokens, lex)
+    return " ".join(map(lex._rewrites.get, units, units)).split(" ") if units else []
 
 
 def expand(tokens: list[str], lex: Lexicon) -> list[str]:

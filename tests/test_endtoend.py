@@ -9,12 +9,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from helpers import reference_match_concepts, reference_ranking, reference_scores, reference_semantize
 
 from semindex import IndexMode, Run, SearchSystem, SearchType, build_indexes, load_lexicon, load_stopwords
-from semindex import match_concepts, read_corpus, read_queries, read_run, semantize, tokenize, write_run
+from semindex import expand, match_concepts, read_corpus, read_queries, read_run, semantize, tokenize, write_run
+from semindex import semantics
 from semindex.cli import main
 from semindex.lexicon import MAX_LEMMA_TOKENS
 
@@ -69,15 +71,21 @@ def test_every_written_run_reads_back(rankings, tmp_path):
 
 
 def test_the_concept_step_equals_the_exhaustive_matcher(inputs):
-    """Windows up to the longest lemma ``load_lexicon`` accepts are every window that can match."""
+    """Windows up to the longest lemma ``load_lexicon`` accepts are every window that can match. Documents and
+    queries are cut by one scanner, so both check ``match_concepts`` besides their own step."""
     lex = load_lexicon(inputs.lexicon)
     documents = [tokenize(text) for _, text in read_corpus(inputs.corpus).documents]
     differ = [i for i, tokens in enumerate(documents)
               if semantize(tokens, lex) != reference_semantize(tokens, lex, MAX_LEMMA_TOKENS)]
     assert (differ, len(documents)) == ([], 600)
     queries = [tokenize(query.text) for query in read_queries(inputs.queries)]
-    differ = [i for i, tokens in enumerate(queries)
-              if match_concepts(tokens, lex) != reference_match_concepts(tokens, lex, MAX_LEMMA_TOKENS)]
+    for streams, size in (documents, 600), (queries, 100):
+        differ = [i for i, tokens in enumerate(streams)
+                  if match_concepts(tokens, lex) != reference_match_concepts(tokens, lex, MAX_LEMMA_TOKENS)]
+        assert (differ, len(streams)) == ([], size)
+    with mock.patch.object(semantics, "match_concepts", reference_match_concepts):
+        expected = [expand(tokens, lex) for tokens in queries]
+    differ = [i for i, tokens in enumerate(queries) if expand(tokens, lex) != expected[i]]
     assert (differ, len(queries)) == ([], 100)
 
 

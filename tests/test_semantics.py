@@ -236,7 +236,8 @@ class TestPhraseGate:
         self.check(lex, ["x", "y", "z"], ["p", "s"])
 
     def test_phrase_windows_stop_at_the_end_of_the_stream(self):
-        # "x y z" bounds the windows at "x y" to 3 tokens, but only 2 are left.
+        # "x y z" bounds the windows at "x y" to 3 tokens, but only 2 are left: the
+        # 3-token window runs past the end and repeats the 2-token one tried next.
         lex = make_lexicon([("s1", "n", ["p", "x y"]), ("s2", "n", ["x y z"])])
         self.check(lex, ["w", "x", "y"], ["w", "p"])
         assert match_concepts(["w", "x", "y"], lex)[-1].end == 3

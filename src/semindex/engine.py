@@ -40,13 +40,10 @@ class SearchType(enum.Enum):
     R2 = "R2"
     R3 = "R3"
 
-    @property
-    def index_mode(self) -> IndexMode:
-        return IndexMode.SEMANTIC if self in (SearchType.R1, SearchType.R3) else IndexMode.PLAIN
-
-    @property
-    def expands_query(self) -> bool:
-        return self in (SearchType.R1, SearchType.R2)
+    def __init__(self, value: str) -> None:
+        # Member attributes, set once: every query reads both.
+        self.index_mode = IndexMode.SEMANTIC if value in ("R1", "R3") else IndexMode.PLAIN
+        self.expands_query = value in ("R1", "R2")
 
 
 @dataclass(frozen=True)

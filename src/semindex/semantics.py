@@ -101,17 +101,24 @@ def expand(tokens: list[str], lex: Lexicon) -> list[str]:
     """Append the synonyms of each monosemous concept to a query stream.
 
     The output starts with the input tokens unchanged; for each monosemous
-    match in stream order, every lemma of its synset not already present is
-    appended (multiword lemmas contribute their tokens contiguously).
+    unit of the cut that ``semantize`` and ``match_concepts`` read, in
+    stream order, every lemma of its synset not already present is appended
+    (multiword lemmas contribute their tokens contiguously). Tokens must
+    contain no space, as every ``tokenize`` token does: the output joined
+    with spaces holds a multiword lemma only as a contiguous token run.
     """
+    senses, synsets = lex._inverted, lex._synsets
     out = list(tokens)
-    for match in match_concepts(tokens, lex):
-        if not match.monosemous:
+    for unit in _units(tokens, lex):
+        synset_ids = senses.get(unit, ())
+        if not _monosemous(synset_ids):
             continue
-        for lemma in lex.lemmas_of(match.synset_ids[0]):
-            lemma_tokens = lemma.split(" ")
-            if not _contains_run(out, lemma_tokens):
-                out.extend(lemma_tokens)
+        for lemma in synsets[synset_ids[0]].lemmas:
+            if " " not in lemma:
+                if lemma not in out:
+                    out.append(lemma)
+            elif f" {lemma} " not in f" {' '.join(out)} ":
+                out += lemma.split(" ")
     return out
 
 
@@ -126,10 +133,3 @@ def analyze(
         tokens = concept_step(tokens, lex)
     return remove_stopwords(tokens, stoplist)
 
-
-def _contains_run(haystack: list[str], needle: list[str]) -> bool:
-    """True if needle occurs in haystack as a contiguous token run."""
-    if len(needle) == 1:
-        return needle[0] in haystack
-    n = len(needle)
-    return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))

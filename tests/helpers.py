@@ -148,6 +148,23 @@ def reference_semantize(tokens, lex: Lexicon, max_tokens: int | None = None) -> 
     return out
 
 
+def reference_expand(tokens, lex: Lexicon, max_tokens: int | None = None) -> list[str]:
+    """The oracle of ``expand``, over ``reference_match_concepts``: for each
+    match with exactly one synset,
+    every lemma of that synset (``Lexicon.lemmas_of``) whose tokens are not
+    already in the output as a contiguous run is appended, token by token."""
+    out = list(tokens)
+    for match in reference_match_concepts(tokens, lex, max_tokens):
+        if len(match.synset_ids) != 1:
+            continue
+        for lemma in lex.lemmas_of(match.synset_ids[0]):
+            needle = lemma.split(" ")
+            n = len(needle)
+            if not any(out[i : i + n] == needle for i in range(len(out) - n + 1)):
+                out.extend(needle)
+    return out
+
+
 _REF_MARKS_RE = re.compile(r"[\u064b-\u0655]")
 _REF_FOLDS = str.maketrans(
     {"\u0622": "\u0627", "\u0623": "\u0627", "\u0625": "\u0627", "\u0649": "\u064a", "\u0629": "\u0647"}

@@ -68,9 +68,6 @@ MEMORY_CAP = 2 << 30
 # (module, function, kind, the mutated line) -> why no output can tell the
 # mutant from the original. For a deleted statement the line is the original's.
 EQUIVALENT = {
-    ("semantics.py", "_contains_run", "- -> +",
-     "return any(haystack[i : i + n] == needle for i in range(len(haystack) + n + 1))"):
-        "windows past the end of the haystack are shorter than the needle, so none equals it",
     ("index.py", "Index.retrieve", "> -> <=", "if len(ordinals) <= len(scores):"):
         "only the fold's direction changes, and a two-operand float sum is commutative",
     ("index.py", "Index.retrieve", "* -> /", "if depth is not None and _SELECT_RATIO / depth < len(scores):"):

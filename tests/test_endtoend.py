@@ -9,14 +9,12 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
-from helpers import reference_match_concepts, reference_ranking, reference_scores, reference_semantize
+from helpers import reference_expand, reference_match_concepts, reference_ranking, reference_scores, reference_semantize
 
-from semindex import IndexMode, Run, SearchSystem, SearchType, build_indexes, load_lexicon, load_stopwords
+from semindex import IndexMode, Lexicon, Run, SearchSystem, SearchType, build_indexes, load_lexicon, load_stopwords
 from semindex import expand, match_concepts, read_corpus, read_queries, read_run, semantize, tokenize, write_run
-from semindex import semantics
 from semindex.cli import main
 from semindex.lexicon import MAX_LEMMA_TOKENS
 
@@ -70,23 +68,47 @@ def test_every_written_run_reads_back(rankings, tmp_path):
     assert len(rankings) == 36
 
 
-def test_the_concept_step_equals_the_exhaustive_matcher(inputs):
-    """Windows up to the longest lemma ``load_lexicon`` accepts are every window that can match. Documents and
-    queries are cut by one scanner, so both check ``match_concepts`` besides their own step."""
+def _concept_step_faults(inputs: gen.Inputs) -> tuple[list, list[list[str]], list[list[str]], Lexicon]:
+    """(step, stream index) wherever a concept step differs from its exhaustive oracle: ``semantize`` and
+    ``match_concepts`` on the documents, ``match_concepts`` and ``expand`` on the queries. Windows up to the
+    longest lemma ``load_lexicon`` accepts are every window that can match. Returns the faults, the documents,
+    the queries and the lexicon."""
     lex = load_lexicon(inputs.lexicon)
     documents = [tokenize(text) for _, text in read_corpus(inputs.corpus).documents]
-    differ = [i for i, tokens in enumerate(documents)
-              if semantize(tokens, lex) != reference_semantize(tokens, lex, MAX_LEMMA_TOKENS)]
-    assert (differ, len(documents)) == ([], 600)
     queries = [tokenize(query.text) for query in read_queries(inputs.queries)]
-    for streams, size in (documents, 600), (queries, 100):
-        differ = [i for i, tokens in enumerate(streams)
-                  if match_concepts(tokens, lex) != reference_match_concepts(tokens, lex, MAX_LEMMA_TOKENS)]
-        assert (differ, len(streams)) == ([], size)
-    with mock.patch.object(semantics, "match_concepts", reference_match_concepts):
-        expected = [expand(tokens, lex) for tokens in queries]
-    differ = [i for i, tokens in enumerate(queries) if expand(tokens, lex) != expected[i]]
-    assert (differ, len(queries)) == ([], 100)
+    faults = [("semantize", i) for i, tokens in enumerate(documents)
+              if semantize(tokens, lex) != reference_semantize(tokens, lex, MAX_LEMMA_TOKENS)]
+    for kind, streams in ("documents", documents), ("queries", queries):
+        faults += [(f"match_concepts on {kind}", i) for i, tokens in enumerate(streams)
+                   if match_concepts(tokens, lex) != reference_match_concepts(tokens, lex, MAX_LEMMA_TOKENS)]
+    faults += [("expand", i) for i, tokens in enumerate(queries)
+               if expand(tokens, lex) != reference_expand(tokens, lex, MAX_LEMMA_TOKENS)]
+    return faults, documents, queries, lex
+
+
+def test_the_concept_step_equals_the_exhaustive_matcher(inputs):
+    faults, documents, queries, _ = _concept_step_faults(inputs)
+    assert (faults, len(documents), len(queries)) == ([], 600, 100)
+
+
+# Seed and size chosen once: over a 100-word vocabulary lemmas share tokens, so multiword lemmas start
+# inside earlier phrase matches, where the cut must not start another. The seed-1 inputs hold no such start.
+DENSE_SEED, DENSE_SIZE = 3, gen.Size(
+    docs=100, doc_tokens=(20, 80), vocab=100, synsets=40, queries=40, query_tokens=(1, 6),
+    multiword_share=0.7, polysemous_share=0.3, phrase_rate=0.1, diacritic_rate=0.25,
+)
+
+
+def test_the_concept_step_equals_the_exhaustive_matcher_where_lemmas_overlap(tmp_path):
+    faults, documents, queries, lex = _concept_step_faults(gen.generate(DENSE_SEED, DENSE_SIZE, tmp_path))
+    assert (faults, len(documents), len(queries)) == ([], 100, 40)
+    # Positions inside a phrase match where a multiword lemma starts, in documents and in queries alike.
+    inside = {kind for kind, streams in (("document", documents), ("query", queries)) for tokens in streams
+              for match in reference_match_concepts(tokens, lex, MAX_LEMMA_TOKENS)
+              for at in range(match.start + 1, match.end)
+              if any(" ".join(tokens[at : at + n]) in lex for n in range(2, MAX_LEMMA_TOKENS + 1)
+                     if at + n <= len(tokens))}
+    assert inside == {"document", "query"}
 
 
 def _flags(inputs: gen.Inputs, *names: str) -> list[str]:

@@ -1,20 +1,19 @@
 from __future__ import annotations
 
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semindex import Lexicon, expand, match_concepts, semantize, tokenize
-from semindex import semantics
 from semindex.lexicon import MAX_LEMMA_TOKENS
 
 from helpers import (
     TOKEN_POOL,
     lexicon_strategy,
     make_lexicon,
+    reference_expand,
     reference_match_concepts,
     reference_semantize,
     senses,
@@ -145,6 +144,17 @@ class TestExpand:
         # the same tokens non-contiguously do not count as present
         assert expand(["e", "c", "x", "d"], lex) == ["e", "c", "x", "d", "c", "d"]
 
+    @pytest.mark.parametrize("stream", [["x", "a", "b"], ["a", "b", "x"]])
+    def test_multiword_lemma_present_as_whole_tokens(self, stream):
+        lex = make_lexicon([("s1", "n", ["q", "a b"])])
+        assert expand([*stream, "q"], lex) == [*stream, "q"]
+
+    @pytest.mark.parametrize("stream", [["ab"], ["xa", "b"], ["a", "bx"]])
+    def test_multiword_lemma_absent_across_token_boundaries(self, stream):
+        # Joined with spaces, these tokens hold "a b" only inside other tokens.
+        lex = make_lexicon([("s1", "n", ["q", "a b"])])
+        assert expand([*stream, "q"], lex) == [*stream, "q", "a", "b"]
+
     @settings(max_examples=60)
     @given(lexicon_strategy(), token_stream_strategy())
     def test_output_prefix_is_input(self, lex, tokens):
@@ -172,6 +182,11 @@ dense_lexicons = lexicon_strategy(
 dense_streams = token_stream_strategy(max_size=16, pool=_SMALL_POOL)
 
 
+# Tokens that join into each other: a lemma's tokens stand inside other tokens
+# of a stream, so presence must be decided on whole tokens.
+_JOINING_POOL = ["a", "b", "ab", "ba"]
+
+
 class TestAgainstExhaustiveMatcher:
     """The first-token-bounded matcher against the exhaustive reference."""
 
@@ -188,9 +203,15 @@ class TestAgainstExhaustiveMatcher:
     @settings(max_examples=100)
     @given(dense_lexicons, dense_streams)
     def test_expand(self, lex, tokens):
-        with mock.patch.object(semantics, "match_concepts", reference_match_concepts):
-            expected = expand(tokens, lex)
-        assert expand(tokens, lex) == expected
+        assert expand(tokens, lex) == reference_expand(tokens, lex)
+
+    @settings(max_examples=200)
+    @given(
+        lexicon_strategy(max_synsets=8, max_lemma_tokens=MAX_LEMMA_TOKENS, pool=_JOINING_POOL),
+        token_stream_strategy(max_size=16, pool=_JOINING_POOL),
+    )
+    def test_expand_over_tokens_that_join_into_each_other(self, lex, tokens):
+        assert expand(tokens, lex) == reference_expand(tokens, lex)
 
     def test_shared_first_token_tries_every_length(self):
         # "x" starts a 1-, a 2- and a 4-token lemma; the bound is 4, and

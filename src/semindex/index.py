@@ -39,7 +39,7 @@ DEFAULT_B = 0.75
 _SELECT_RATIO = 32
 
 _MAGIC = b"SIDX"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _CHECKSUM_SIZE = 32
 
 
@@ -98,14 +98,14 @@ class Index:
 
     Doc ids are kept once, in ascending order; a document's *ordinal* is its
     position in that list, so ordering by ordinal is ordering by doc id.
-    Doc lengths are one ``array('Q')`` in ordinal order. Terms are kept
-    once, in ascending order, and a term's *number* ``t`` is its position
-    there (found by bisection); its postings are ``offsets[t]:offsets[t + 1]``
-    of two parallel ``array('I')`` columns: the ordinals of the documents
-    that hold it (strictly ascending within each term, at least one) and its
-    term frequency in each. An index holds only these columns of its file
-    and a BM25 cache, and trusts the invariants that ``build_indexes`` and
-    ``load_index`` establish.
+    Every integer column is an ``array('I')``. Doc lengths are one in
+    ordinal order. Terms are kept once, in ascending order, and a term's
+    *number* ``t`` is its position there (found by bisection); its postings
+    are ``offsets[t]:offsets[t + 1]`` of two parallel columns: the ordinals
+    of the documents that hold it (strictly ascending within each term, at
+    least one) and its term frequency in each. An index holds only these
+    columns of its file and a BM25 cache, and trusts the invariants that
+    ``build_indexes`` and ``load_index`` establish.
     """
 
     def __init__(
@@ -259,6 +259,9 @@ class Index:
 
     def save(self, path) -> None:
         """Write the index atomically; identical indexes produce identical bytes."""
+        for name in ("doc_lengths", "offsets", "ordinals", "tfs"):
+            if getattr(self, "_" + name).typecode != "I":
+                raise ValueError(f"an index file holds {name} as array('I') only")
         digest = self.lexicon_digest.encode("utf-8")
         doc_ids, terms = _join(self._doc_ids), _join(self._terms)
         sizes = (len(digest), len(self._doc_ids), len(doc_ids), len(self._terms), len(terms))
@@ -272,12 +275,12 @@ class Index:
         atomic_write_bytes(path, buf)
 
 
-# -- file format v3 -----------------------------------------------------------
+# -- file format v4 -----------------------------------------------------------
 #
 # The Index columns in order, integers little-endian (README, "Index files"):
-#   "SIDX" | <I version 3 | <B mode | <I digest bytes | <Q doc_count | <Q doc-id bytes
-#   | <Q term_count | <Q term bytes | digest | "\n"-joined doc ids | <Q doc lengths
-#   | "\n"-joined terms | term_count + 1 <Q offsets | <I ordinals | <I tfs | SHA-256
+#   "SIDX" | <I version 4 | <B mode | <I digest bytes | <Q doc_count | <Q doc-id bytes
+#   | <Q term_count | <Q term bytes | digest | "\n"-joined doc ids | <I doc lengths
+#   | "\n"-joined terms | term_count + 1 <I offsets | <I ordinals | <I tfs | SHA-256
 
 _HEADER = struct.Struct("<4sIBIQQQQ")
 _MODE_BYTES = {IndexMode.PLAIN: 0, IndexMode.SEMANTIC: 1}
@@ -367,12 +370,12 @@ def load_index(path) -> Index:
     if mode is None:
         raise DataError(f"unknown index mode byte {mode_byte}")
 
-    sizes = (_HEADER.size, digest_size, ids_size, 8 * doc_count, terms_size, 8 * term_count + 8)
+    sizes = (_HEADER.size, digest_size, ids_size, 4 * doc_count, terms_size, 4 * term_count + 4)
     ends = list(accumulate(sizes))
     if ends[-1] > len(body):
         raise DataError("index file truncated")
     digest, ids, lengths, names, offset_bytes = (body[lo:hi] for lo, hi in zip(ends, ends[1:]))
-    offsets = _column("Q", offset_bytes)
+    offsets = _column("I", offset_bytes)
     postings = body[ends[-1] :]
     count = offsets[-1]
     if len(postings) != 8 * count:
@@ -396,7 +399,7 @@ def load_index(path) -> Index:
         raise DataError("posting with term frequency 0")
     # A document's length is the sum of its term frequencies; this also
     # keeps the average length above 0 whenever a term has postings.
-    doc_lengths = _column("Q", lengths)
+    doc_lengths = _column("I", lengths)
     if sum(doc_lengths) != sum(tfs):
         raise DataError("doc lengths do not add up to the term frequencies")
     return Index(mode, doc_ids, doc_lengths, terms, offsets, ordinals, tfs, _decode(digest))
@@ -428,7 +431,7 @@ def _fill_columns(counted: Iterable[list[Counter]], width: int) -> list[tuple]:
     into each index's columns: doc lengths, sorted terms, offsets, ordinals
     and tfs. While filling, each term holds one array of ordinal, tf pairs:
     only arrays are held, which the garbage collector does not track."""
-    filling = [(array("Q"), {}) for _ in range(width)]
+    filling = [(array("I"), {}) for _ in range(width)]
     for ordinal, row in enumerate(counted):
         for (doc_lengths, postings), counts in zip(filling, row):
             doc_lengths.append(counts.total())
@@ -441,7 +444,7 @@ def _fill_columns(counted: Iterable[list[Counter]], width: int) -> list[tuple]:
     columns = []
     for doc_lengths, postings in filling:
         terms = sorted(postings)
-        offsets, ordinals, tfs = array("Q", [0]), array("I"), array("I")
+        offsets, ordinals, tfs = array("I", [0]), array("I"), array("I")
         for term in terms:
             # Popped, so a term's postings are never held twice at once.
             pairs = postings.pop(term)

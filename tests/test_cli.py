@@ -305,7 +305,7 @@ class TestBatchCommand:
         # A hand-made plain.idx with a valid checksum: a run line ranking
         # "a b" would hold seven fields, which eval could not read back.
         workspace["index_dir"].mkdir()
-        columns = (array("Q", [1]), ["اثم"], array("Q", [0, 1]), array("I", [0]), array("I", [1]))
+        columns = (array("I", [1]), ["اثم"], array("I", [0, 1]), array("I", [0]), array("I", [1]))
         Index(IndexMode.PLAIN, ["a b"], *columns, lexicon_digest="").save(workspace["index_dir"] / "plain.idx")
         assert main(["batch", "--search-type", "R0"] + common_args(workspace)) == 2
         assert "'a b' cannot be a field of a run file" in caplog.text

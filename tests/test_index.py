@@ -55,8 +55,8 @@ from helpers import (
 )
 
 
-def v3_file(doc_ids, doc_lengths, terms, *, mode=0, version=3, digest="", offsets=None, order="<") -> bytes:
-    """Index file bytes written straight from the v3 layout, independently of
+def v4_file(doc_ids, doc_lengths, terms, *, mode=0, version=4, digest="", offsets=None, order="<") -> bytes:
+    """Index file bytes written straight from the v4 layout, independently of
     Index.save; ``terms`` holds (term, ordinals, tfs) triples. The header's
     doc count is ``len(doc_lengths)``, and ``offsets`` defaults to the one the
     postings imply. Lone surrogates in names become bytes that are not UTF-8.
@@ -76,8 +76,8 @@ def v3_file(doc_ids, doc_lengths, terms, *, mode=0, version=3, digest="", offset
     body = b"SIDX" + struct.pack(
         "<IBIQQQQ", version, mode, len(digest), len(doc_lengths), len(ids), len(terms), len(names)
     )
-    body += digest.encode("ascii") + ids + struct.pack(f"{order}{len(doc_lengths)}Q", *doc_lengths)
-    body += names + struct.pack(f"{order}{len(offsets)}Q", *offsets)
+    body += digest.encode("ascii") + ids + struct.pack(f"{order}{len(doc_lengths)}I", *doc_lengths)
+    body += names + struct.pack(f"{order}{len(offsets)}I", *offsets)
     body += struct.pack(f"{order}{len(ordinals)}I", *ordinals) + struct.pack(f"{order}{len(tfs)}I", *tfs)
     return body + hashlib.sha256(body).digest()
 
@@ -567,13 +567,13 @@ class TestPersistence:
         assert loaded.mode is IndexMode.SEMANTIC
         assert loaded.lexicon_digest == lex.digest()
 
-    def test_save_writes_the_v3_layout(self, tmp_path):
+    def test_save_writes_the_v4_layout(self, tmp_path):
         lex = make_lexicon([("s1", "n", ["خطيئة", "إثم"])])
         # d15 has no token characters: length 0 at ordinal 1, and no posting.
         idx = build_index([("d2", "اثم بيت اثم"), ("d1", "بيت"), ("d15", "؟ - !")], IndexMode.SEMANTIC, lex)
         path = tmp_path / "x.idx"
         idx.save(path)
-        expected = v3_file(
+        expected = v4_file(
             ["d1", "d15", "d2"],
             [1, 0, 3],
             [("بيت", [0, 2], [1, 1]), ("خطيئه", [2], [2])],
@@ -585,14 +585,23 @@ class TestPersistence:
     def test_empty_index_layout(self, tmp_path):
         path = tmp_path / "x.idx"
         build_index([], IndexMode.PLAIN).save(path)
-        assert path.read_bytes() == v3_file([], [], [])
+        assert path.read_bytes() == v4_file([], [], [])
 
     def test_newline_in_a_doc_id_cannot_be_saved(self, tmp_path):
         # build_indexes refuses such an id, so the index is made directly.
-        columns = (array("Q", [1]), ["اثم"], array("Q", [0, 1]), array("I", [0]), array("I", [1]))
+        columns = (array("I", [1]), ["اثم"], array("I", [0, 1]), array("I", [0]), array("I", [1]))
         idx = Index(IndexMode.PLAIN, ["d\n1"], *columns, lexicon_digest="")
         with pytest.raises(ValueError, match="newline"):
             idx.save(tmp_path / "x.idx")
+
+    @pytest.mark.parametrize("position, name", [(0, "doc_lengths"), (2, "offsets"), (3, "ordinals"), (4, "tfs")])
+    def test_save_refuses_an_integer_column_that_is_not_u32(self, tmp_path, position, name):
+        columns = [array("I", [1]), ["اثم"], array("I", [0, 1]), array("I", [0]), array("I", [1])]
+        columns[position] = array("Q", columns[position])
+        idx = Index(IndexMode.PLAIN, ["d1"], *columns, lexicon_digest="")
+        with pytest.raises(ValueError, match=re.escape(f"{name} as array('I') only")):
+            idx.save(tmp_path / "x.idx")
+        assert not (tmp_path / "x.idx").exists()
 
     def test_a_big_endian_host_swaps_each_integer_column(self, tmp_path, monkeypatch):
         # Patched to the host's opposite order (True on a little-endian
@@ -603,7 +612,7 @@ class TestPersistence:
         monkeypatch.setattr(index_module, "_BIG_ENDIAN", sys.byteorder == "little")
         path, again = tmp_path / "x.idx", tmp_path / "again.idx"
         idx.save(path)
-        assert path.read_bytes() == v3_file(*spec_of(twin), order=">")
+        assert path.read_bytes() == v4_file(*spec_of(twin), order=">")
         # save swaps copies: the index it saved from is unchanged.
         queries = [twin.terms()[i : i + 3] for i in range(0, twin.vocabulary_size, 7)]
         assert idx.to_jsonable() == twin.to_jsonable()
@@ -656,12 +665,14 @@ class TestPersistence:
 
     def test_v1_file_names_the_rebuild(self, tmp_path):
         path = tmp_path / "old.idx"
-        for version in (1, 2):
-            # The empty index as format v2 wrote it: shorter than a v3 header.
-            path.write_bytes(sealed(b"SIDX" + struct.pack("<IBIQQ", version, 0, 0, 0, 0)))
-            with pytest.raises(DataError, match=f"version {version} .* rebuild the index with 'semindex index'"):
+        # The empty index as formats 1 and 2 wrote it, shorter than a v4
+        # header, and as format 3 wrote it: the v4 header and one u64 offset.
+        for version, layout in ((1, "<IBIQQ"), (2, "<IBIQQ"), (3, "<IBIQQQQQ")):
+            path.write_bytes(sealed(b"SIDX" + struct.pack(layout, version, *[0] * (len(layout) - 2))))
+            refusal = f"index format version {version} is not readable (expected 4); rebuild the index with 'semindex index'"
+            with pytest.raises(DataError, match=re.escape(refusal)):
                 load_index(path)
-            path.write_bytes(v3_file(["d1"], [1], [("ا", [0], [1])], version=version))
+            path.write_bytes(v4_file(["d1"], [1], [("ا", [0], [1])], version=version))
             with pytest.raises(DataError, match="rebuild the index with 'semindex index'"):
                 load_index(path)
 
@@ -698,13 +709,13 @@ class TestPersistence:
         spec = {"doc_ids": ["d1", "d2"], "doc_lengths": [1, 1], "terms": [("ا", [0, 1], [1, 1])]}
         spec.update(fields)
         path = tmp_path / "x.idx"
-        path.write_bytes(v3_file(**spec))
+        path.write_bytes(v4_file(**spec))
         with pytest.raises(DataError, match=message):
             load_index(path)
 
     def test_crafted_valid_file_loads(self, tmp_path):
         path = tmp_path / "x.idx"
-        path.write_bytes(v3_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])]))
+        path.write_bytes(v4_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])]))
         idx = load_index(path)
         assert idx.postings("ا") == [("d1", 1), ("d2", 2)]
         assert idx.to_jsonable()["doc_lengths"] == {"d1": 1, "d2": 2}
@@ -713,7 +724,7 @@ class TestPersistence:
     def test_truncated_under_a_valid_checksum(self, tmp_path, size):
         # 20 bytes end inside the header, 60 inside the sections it sizes.
         path = tmp_path / "x.idx"
-        body = v3_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])])[:-32]
+        body = v4_file(["d1", "d2"], [1, 2], [("ا", [0, 1], [1, 2])])[:-32]
         path.write_bytes(sealed(body[:size]))
         with pytest.raises(DataError, match="truncated"):
             load_index(path)
@@ -738,7 +749,7 @@ class TestPersistence:
 
 
 def spec_of(index) -> tuple[list[str], list[int], list[tuple[str, list[int], list[int]]]]:
-    """The ``v3_file`` arguments that describe ``index``, read through its public API."""
+    """The ``v4_file`` arguments that describe ``index``, read through its public API."""
     form = index.to_jsonable()
     ordinal_of = {doc_id: i for i, doc_id in enumerate(form["doc_lengths"])}
     terms = [
@@ -754,7 +765,7 @@ def swapped(items: list, i: int) -> list:
     return items
 
 
-# Byte offset and format of each size field of the v3 header.
+# Byte offset and format of each size field of the v4 header.
 HEADER_SIZES = [("<I", 9), ("<Q", 13), ("<Q", 21), ("<Q", 29), ("<Q", 37)]
 
 
@@ -778,18 +789,18 @@ def mutants(data: bytes, index):
     doc_ids, doc_lengths, terms = spec_of(index)
     header = {"mode": int(index.mode is IndexMode.SEMANTIC), "digest": index.lexicon_digest}
     for i in range(len(doc_ids) - 1):
-        yield v3_file(swapped(doc_ids, i), doc_lengths, terms, **header)
+        yield v4_file(swapped(doc_ids, i), doc_lengths, terms, **header)
     if doc_ids:
         # A first doc id that a run line would split in two; it still sorts first.
-        yield v3_file(["a b", *doc_ids[1:]], doc_lengths, terms, **header)
+        yield v4_file(["a b", *doc_ids[1:]], doc_lengths, terms, **header)
     for i in range(len(terms) - 1):
-        yield v3_file(doc_ids, doc_lengths, swapped(terms, i), **header)
+        yield v4_file(doc_ids, doc_lengths, swapped(terms, i), **header)
     ordinals = [o for _, term_ordinals, _ in terms for o in term_ordinals]
     for i in range(len(ordinals) - 1):
         column, regrouped = iter(swapped(ordinals, i)), []
         for term, term_ordinals, tfs in terms:
             regrouped.append((term, [next(column) for _ in term_ordinals], tfs))
-        yield v3_file(doc_ids, doc_lengths, regrouped, **header)
+        yield v4_file(doc_ids, doc_lengths, regrouped, **header)
 
 
 @pytest.fixture(scope="module")
@@ -812,7 +823,7 @@ class TestLoaderFuzz:
         index.save(path)
         data = path.read_bytes()
         doc_ids, doc_lengths, terms = spec_of(index)
-        assert v3_file(doc_ids, doc_lengths, terms, mode=int(mode is IndexMode.SEMANTIC), digest=index.lexicon_digest) == data
+        assert v4_file(doc_ids, doc_lengths, terms, mode=int(mode is IndexMode.SEMANTIC), digest=index.lexicon_digest) == data
         for mutant in mutants(data, index):
             path.write_bytes(mutant)
             try:
